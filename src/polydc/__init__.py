@@ -19,9 +19,7 @@ from .dc_sums import (
     theorem13_sides,
 )
 from .exact_algebra import (
-    Rational,
     format_rational,
-    make_rational,
     parse_rational,
     poly_eval,
     poly_normalize,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EXPLORATORY_IDS",
     "IdentitySides",
-    "Rational",
     "SweepResult",
     "VERIFIER_IDS",
     "VerificationReport",
@@ -71,7 +68,6 @@ __all__ = [
     "format_rational",
     "genocchi_numbers",
     "genocchi_poly",
-    "make_rational",
     "parse_rational",
     "poly_dc_sum",
     "poly_eval",

@@ -14,8 +14,10 @@ index k.  See README "Conventions" for the full discussion; the two
 extensions agree whenever every argument hμ/m stays below 1, which covers all
 h = 1 sums, so every pinned example value is unaffected.
 
-All functions return exact `Fraction` values; identity helpers return an
-IdentitySides triple (lhs, rhs, holds) with holds ⇔ lhs = rhs exactly.
+All functions return exact `Fraction` values.  Both sides of every identity,
+here and in the verifier registry, are one type: `IdentitySides`, a
+(lhs, rhs, holds) triple built by `IdentitySides.compare`, so holds ⇔ lhs = rhs
+exactly.
 """
 
 from fractions import Fraction
@@ -25,12 +27,11 @@ from typing import NamedTuple
 
 from .exact_algebra import poly_eval
 from .sequences import (
-    _inverse_power,
     euler_numbers,
     euler_poly,
     poly_euler_numbers,
     poly_euler_poly,
-    stirling1_row,
+    stirling_weight,
 )
 
 
@@ -41,9 +42,10 @@ class IdentitySides(NamedTuple):
     rhs: Fraction
     holds: bool
 
-
-def _sides(lhs: Fraction, rhs: Fraction) -> IdentitySides:
-    return IdentitySides(lhs, rhs, lhs == rhs)
+    @classmethod
+    def compare(cls, lhs: Fraction, rhs: Fraction) -> "IdentitySides":
+        """The sides with holds set by exact equality."""
+        return cls(lhs, rhs, lhs == rhs)
 
 
 def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
@@ -138,15 +140,14 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
         ),
         Fraction(0),
     )
-    return _sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
 def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     """S_p^(k)(1, m) against its odd-degree expansion, for odd p > 1, odd m.
 
     rhs: Σ_{i=1..p-2} Σ_{ν=0..p-i} C(p,ν) C(p-ν+1, i) E_ν^(k) E_i m^(p-i)
-    + (p+1)·E_p + m^p·E_p^(k)(1).  The rearrangement for m^p·T_p^(k)(1, m)
-    (adding the correction sum back to both sides) is asserted internally.
+    + (p+1)·E_p + m^p·E_p^(k)(1).
     """
     _require_dc_params(p, 1, m)
     _require_odd("m", m)
@@ -164,13 +165,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
         Fraction(0),
     )
     rhs += (p + 1) * e[p] + Fraction(m) ** p * poly_eval(poly_euler_poly(k, p), Fraction(1))
-    sides = _sides(lhs, rhs)
-    # Rearranged statement: m^p·T equals rhs plus the correction sum.  It is
-    # the same equation with the correction moved across; assert consistency.
-    restated = Fraction(m) ** p * poly_dc_sum(k, p, 1, m) == rhs + _correction_sum(k, p, m)
-    if restated != sides.holds:
-        raise RuntimeError("internal inconsistency in rearranged statement")
-    return sides
+    return IdentitySides.compare(lhs, rhs)
 
 
 def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
@@ -185,9 +180,9 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     if p % 2 == 0 or p <= 1:
         raise ValueError(f"p must be odd and greater than 1 (got {p})")
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m)
-    ek = poly_euler_numbers(k, p + 1)
+    ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
-    at_one = [poly_eval(poly_euler_poly(k, n), Fraction(1)) for n in range(p + 2)]
+    at_one = [poly_eval(poly_euler_poly(k, n), Fraction(1)) for n in range(p + 1)]
     rhs = sum(
         (
             comb(p, i) * at_one[p - i] * e[i] * Fraction(m) ** (p - i)
@@ -206,7 +201,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
         Fraction(0),
     )
     rhs += _correction_sum(k, p, m)
-    return _sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
 def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
@@ -250,7 +245,7 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
         ),
         Fraction(0),
     )
-    return _sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
 def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
@@ -274,11 +269,7 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     total = Fraction(0)
     for l in range(p + 1):
         n1 = p - l + 1
-        row = stirling1_row(n1)
-        jsum = sum(
-            (Fraction(row[j]) * _inverse_power(j, k - 1) for j in range(1, n1 + 1)),
-            Fraction(0),
-        )
+        jsum = stirling_weight(n1, k)
         if jsum == 0:
             continue
         base = Fraction(m * h) ** (l - 1) * comb(p, l) * jsum / n1
@@ -291,7 +282,7 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
                     continue
                 term = base * weight * _euler_alt_bar(l, Fraction(nu, h) + Fraction(mu, m))
                 total += -term if (mu + nu) % 2 else term
-    return _sides(lhs, 2 * total)
+    return IdentitySides.compare(lhs, 2 * total)
 
 
 def corollary15_rhs(p: int, h: int, m: int) -> Fraction:

@@ -9,16 +9,6 @@ a list of N + 1 coefficients representing a power series mod t^(N+1).
 from fractions import Fraction
 from math import factorial
 
-Rational = Fraction
-
-#: Canonical zero polynomial: a single zero coefficient.
-ZERO_POLY = [Fraction(0)]
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """Return num/den in canonical lowest terms with positive denominator."""
-    return Fraction(num, den)
-
 
 def format_rational(q: Fraction) -> str:
     """Canonical wire form: "-3/2", integers without denominator, zero as "0"."""
@@ -48,11 +38,6 @@ def poly_normalize(coeffs: list[Fraction]) -> list[Fraction]:
         end -= 1
     out = [Fraction(c) for c in coeffs[:end]]
     return out if out else [Fraction(0)]
-
-
-def poly_degree(p: list[Fraction]) -> int:
-    """Degree of a normalized polynomial; the zero polynomial has degree 0."""
-    return len(p) - 1
 
 
 def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
@@ -100,26 +85,18 @@ def poly_affine(p: list[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
     return poly_normalize(out)
 
 
-def poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    """Formal derivative dp/dx."""
-    if len(p) == 1:
-        return [Fraction(0)]
-    return poly_normalize([i * c for i, c in enumerate(p)][1:])
-
-
-def poly_integral_01(p: list[Fraction]) -> Fraction:
-    """Exact integral of p over [0, 1], term by term."""
-    return sum((c / (i + 1) for i, c in enumerate(p)), Fraction(0))
+def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
+    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum."""
+    out = [Fraction(0)]
+    for s in range(m):
+        piece = poly_affine(p, Fraction(1, m), Fraction(s, m))
+        out = poly_add(out, poly_scale(piece, Fraction(-1)) if s % 2 else piece)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Truncated formal power series (order N = len - 1, exact mod t^(N+1))
 # ---------------------------------------------------------------------------
-
-def series_order(a: list[Fraction]) -> int:
-    """Order N of a truncated series with N + 1 stored coefficients."""
-    return len(a) - 1
-
 
 def series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Cauchy product truncated to the common order."""

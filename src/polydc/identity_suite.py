@@ -1,9 +1,10 @@
 """Machine verification of the identity catalogue.
 
 Every identity is registered under a stable verifier id with an ordered
-parameter signature, a strict admissibility check, and an exact compute
-function.  `verify` runs one parameter point and returns a report whose
-`holds` field is exact rational equality — never approximate.  `sweep` runs a
+parameter signature, its hypotheses as data (one predicate per constrained
+parameter, plus a coprimality flag), and an exact compute function.
+`verify` runs one parameter point and returns a report whose `holds` field
+is exact rational equality — never approximate.  `sweep` runs a
 verifier over a parameter grid in canonical lexicographic order, skipping
 inadmissible points, and returns an aggregate that keeps the *complete* list
 of failing points.
@@ -28,6 +29,7 @@ from math import comb, gcd
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
+    IdentitySides,
     corollary15_rhs,
     dc_sum,
     poly_dc_sum,
@@ -37,9 +39,14 @@ from .dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
-from .exact_algebra import poly_add, poly_affine, poly_eval, poly_normalize, poly_scale
+from .exact_algebra import (
+    alternating_distribution,
+    poly_add,
+    poly_eval,
+    poly_normalize,
+    poly_scale,
+)
 from .sequences import (
-    _inverse_power,
     euler_numbers,
     euler_poly,
     genocchi_poly,
@@ -50,11 +57,10 @@ from .sequences import (
     poly_genocchi_numbers,
     poly_genocchi_poly,
     sawtooth,
-    stirling1_row,
+    stirling_weight,
 )
 
 Params = Mapping[str, int]
-Sides = tuple[Fraction, Fraction, bool]
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,36 @@ class SweepResult:
     elapsed: float
 
 
+class _Rule(NamedTuple):
+    """A hypothesis on one parameter: a test of its value (the whole point is
+    passed for rules relating two parameters), the README text and the error
+    message, both with the parameter name as {0}."""
+
+    test: Callable[[int, Params], bool]
+    text: str
+    message: str
+
+
+def GE(bound: int) -> _Rule:
+    """The parameter is at least bound."""
+    return _Rule(lambda v, q: v >= bound, f"`{{0}} >= {bound}`", f"{{0}} must be >= {bound}")
+
+
+ODD_POS = _Rule(
+    lambda v, q: v >= 1 and v % 2 == 1, "odd `{0} >= 1`", "{0} must be a positive odd integer"
+)
+ODD_GT1 = _Rule(
+    lambda v, q: v > 1 and v % 2 == 1, "odd `{0} > 1`", "{0} must be odd and greater than 1"
+)
+#: lemma8's 1 <= s < p, which also rules out every p < 2.
+BELOW_P = _Rule(lambda v, q: 1 <= v < q["p"], "`1 <= {0} < p`", "{0} must satisfy 1 <= {0} < p")
+
+
 class _Verifier(NamedTuple):
     params: tuple[str, ...]
-    check: Callable[[Params], None]
-    compute: Callable[[Params], Sides]
+    hypotheses: Mapping[str, _Rule]
+    compute: Callable[[Params], IdentitySides]
+    coprime: bool = False  # requires gcd(h, m) = 1
     exploratory: bool = False
 
 
@@ -101,11 +133,7 @@ def brute_alternating_power_sum(n: int, l: int) -> Fraction:
     return Fraction(2 * sum((-1) ** j * j**l for j in range(n)))
 
 
-def _eval_sides(lhs: Fraction, rhs: Fraction) -> Sides:
-    return lhs, rhs, lhs == rhs
-
-
-def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> Sides:
+def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> IdentitySides:
     """Scalar sides for a polynomial identity, preserving holds ⇔ lhs = rhs.
 
     Equal polynomials are both evaluated at 1; unequal ones at the first
@@ -116,68 +144,47 @@ def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> Sides:
     rhs_poly = poly_normalize(rhs_poly)
     if lhs_poly == rhs_poly:
         value = poly_eval(lhs_poly, Fraction(1))
-        return value, value, True
+        return IdentitySides.compare(value, value)
     diff = poly_add(lhs_poly, poly_scale(rhs_poly, Fraction(-1)))
-    for x in range(len(diff) + 1):
-        if poly_eval(diff, Fraction(x)) != 0:
-            return poly_eval(lhs_poly, Fraction(x)), poly_eval(rhs_poly, Fraction(x)), False
+    for x in map(Fraction, range(len(diff) + 1)):
+        if poly_eval(diff, x) != 0:
+            return IdentitySides.compare(poly_eval(lhs_poly, x), poly_eval(rhs_poly, x))
     raise RuntimeError("unequal polynomials with no witness point")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
 
 
 # --- compute functions -----------------------------------------------------
 
 
-def _compute_eq4(p: Params) -> Sides:
+def _compute_eq4(p: Params) -> IdentitySides:
     n, l = p["n"], p["l"]
     lhs = brute_alternating_power_sum(n, l)
     sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
     rhs = sign * poly_eval(euler_poly(l), Fraction(n)) + euler_numbers(l)[l]
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_eq18(p: Params) -> Sides:
+def _compute_eq18(p: Params) -> IdentitySides:
     n, m = p["n"], p["m"]
-    lhs_poly = euler_poly(n)
-    scaled = [Fraction(0)]
     base = euler_poly(n)
-    for i in range(m):
-        piece = poly_affine(base, Fraction(1, m), Fraction(i, m))
-        if i % 2:
-            piece = poly_scale(piece, Fraction(-1))
-        scaled = poly_add(scaled, piece)
-    rhs_poly = poly_scale(scaled, Fraction(m) ** n)
-    return _poly_witness(lhs_poly, rhs_poly)
+    rhs_poly = poly_scale(alternating_distribution(base, m), Fraction(m) ** n)
+    return _poly_witness(base, rhs_poly)
 
 
-def _stirling_weight(n: int, k: int) -> Fraction:
-    """Σ_{m=1..n} S_1(n, m) / m^(k-1)."""
-    row = stirling1_row(n)
-    return sum(
-        (Fraction(row[m]) * _inverse_power(m, k - 1) for m in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def _compute_thm1(p: Params) -> Sides:
+def _compute_thm1(p: Params) -> IdentitySides:
     n, k = p["n"], p["k"]
-    lhs = 2 * _stirling_weight(n, k)
+    lhs = 2 * stirling_weight(n, k)
     rhs = poly_eval(poly_genocchi_poly(k, n), Fraction(1)) + poly_genocchi_numbers(k, n)[n]
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_cor2(p: Params) -> Sides:
+def _compute_cor2(p: Params) -> IdentitySides:
     n, k = p["n"], p["k"]
-    lhs = Fraction(2, n) * _stirling_weight(n, k)
+    lhs = Fraction(2, n) * stirling_weight(n, k)
     rhs = poly_eval(poly_euler_poly(k, n - 1), Fraction(1)) + poly_euler_numbers(k, n - 1)[n - 1]
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_thm3(p: Params) -> Sides:
+def _compute_thm3(p: Params) -> IdentitySides:
     k, n = p["k"], p["n"]
     return _poly_witness(poly_euler_poly(k, n), poly_euler_via_theorem3(k, n))
 
@@ -189,20 +196,20 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
         power_sum = sum((-1) ** i * i ** (n - m) for i in range(x))
         if power_sum == 0:
             continue
-        jsum = _stirling_weight(m, k)
+        jsum = stirling_weight(m, k)
         total += comb(n, m) * power_sum * jsum
     return total
 
 
-def _compute_thm4(p: Params) -> Sides:
+def _compute_thm4(p: Params) -> IdentitySides:
     x, n, k = p["x"], p["n"], p["k"]
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
     lhs = sign * poly_eval(poly_genocchi_poly(k, n), Fraction(x)) + poly_genocchi_numbers(k, n)[n]
     rhs = 2 * _alternating_moment_sum(x, n, k)
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_cor5(p: Params) -> Sides:
+def _compute_cor5(p: Params) -> IdentitySides:
     x, n, k = p["x"], p["n"], p["k"]
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
     lhs = (
@@ -210,36 +217,30 @@ def _compute_cor5(p: Params) -> Sides:
         + poly_euler_numbers(k, n - 1)[n - 1]
     )
     rhs = Fraction(2, n) * _alternating_moment_sum(x, n, k)
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_thm6(p: Params) -> Sides:
+def _compute_thm6(p: Params) -> IdentitySides:
     k, n, m = p["k"], p["n"], p["m"]
     lhs_poly = poly_genocchi_poly(k, n)
     rhs_poly = [Fraction(0)]
     for l in range(n + 1):
         n1 = n - l + 1
-        weight = _stirling_weight(n1, k) / n1
+        weight = stirling_weight(n1, k) / n1
         if weight == 0:
             continue
-        base = genocchi_poly(l)
-        alternating = [Fraction(0)]
-        for s in range(m):
-            piece = poly_affine(base, Fraction(1, m), Fraction(s, m))
-            if s % 2:
-                piece = poly_scale(piece, Fraction(-1))
-            alternating = poly_add(alternating, piece)
+        alternating = alternating_distribution(genocchi_poly(l), m)
         coeff = comb(n, l) * Fraction(m) ** (l - 1) * weight
         rhs_poly = poly_add(rhs_poly, poly_scale(alternating, coeff))
     return _poly_witness(lhs_poly, rhs_poly)
 
 
-def _compute_cor7(p: Params) -> Sides:
+def _compute_cor7(p: Params) -> IdentitySides:
     k, n, m = p["k"], p["n"], p["m"]
     return _poly_witness(poly_euler_poly(k, n), poly_euler_via_corollary7(k, n, m))
 
 
-def _compute_lemma8(p: Params) -> Sides:
+def _compute_lemma8(p: Params) -> IdentitySides:
     k, pp, s = p["k"], p["p"], p["s"]
     ek = poly_euler_numbers(k, pp)
     lhs = sum(
@@ -249,10 +250,10 @@ def _compute_lemma8(p: Params) -> Sides:
     rhs = comb(pp, s) * poly_eval(poly_euler_poly(k, pp - s), Fraction(1)) + comb(
         pp, s - 1
     ) * poly_eval(poly_euler_poly(k, pp - s + 1), Fraction(1))
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_lemma9(p: Params) -> Sides:
+def _compute_lemma9(p: Params) -> IdentitySides:
     k, pp = p["k"], p["p"]
     # Σ_ν C(p,ν) E_ν^(k)/(p-ν+2) equals ∫_0^1 x·E_p^(k)(x) dx expanded
     # binomially; compute the sum directly so both sides stay independent.
@@ -269,47 +270,27 @@ def _compute_lemma9(p: Params) -> Sides:
         - at_one_2 / ((pp + 1) * (pp + 2))
         + num_2 / ((pp + 1) * (pp + 2))
     )
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_eq40(p: Params) -> Sides:
+def _compute_eq40(p: Params) -> IdentitySides:
     k = p["k"]
     lhs = poly_eval(poly_euler_poly(k, 1), Fraction(1)) - poly_euler_numbers(k, 1)[1]
-    return _eval_sides(lhs, Fraction(1))
+    return IdentitySides.compare(lhs, Fraction(1))
 
 
-def _compute_thm10(p: Params) -> Sides:
-    return tuple(s_pk_of_1_m(p["k"], p["p"], p["m"]))
-
-
-def _compute_thm11(p: Params) -> Sides:
-    return tuple(theorem11_sides(p["k"], p["p"], p["m"]))
-
-
-def _compute_thm12(p: Params) -> Sides:
-    return tuple(theorem12_sides(p["k"], p["p"], p["m"]))
-
-
-def _compute_thm13(p: Params) -> Sides:
-    return tuple(theorem13_sides(p["k"], p["p"], p["h"], p["m"]))
-
-
-def _compute_thm14(p: Params) -> Sides:
-    return tuple(reciprocity_sides(p["k"], p["p"], p["h"], p["m"]))
-
-
-def _compute_cor15(p: Params) -> Sides:
+def _compute_cor15(p: Params) -> IdentitySides:
     pp, h, m = p["p"], p["h"], p["m"]
     lhs = Fraction(m) ** pp * dc_sum(pp, h, m) + Fraction(h) ** pp * dc_sum(pp, m, h)
-    return _eval_sides(lhs, corollary15_rhs(pp, h, m))
+    return IdentitySides.compare(lhs, corollary15_rhs(pp, h, m))
 
 
-def _compute_k1_collapse(p: Params) -> Sides:
+def _compute_k1_collapse(p: Params) -> IdentitySides:
     pp, h, m = p["p"], p["h"], p["m"]
-    return _eval_sides(poly_dc_sum(1, pp, h, m), dc_sum(pp, h, m))
+    return IdentitySides.compare(poly_dc_sum(1, pp, h, m), dc_sum(pp, h, m))
 
 
-def _compute_oracle_equivalence(p: Params) -> Sides:
+def _compute_oracle_equivalence(p: Params) -> IdentitySides:
     k, n, m = p["k"], p["n"], p["m"]
     direct = poly_normalize(poly_euler_poly(k, n))
     routes = [
@@ -320,10 +301,10 @@ def _compute_oracle_equivalence(p: Params) -> Sides:
         if other != direct:
             return _poly_witness(direct, other)
     value = poly_eval(direct, Fraction(1))
-    return value, value, True
+    return IdentitySides.compare(value, value)
 
 
-def _compute_sawtooth_exploratory(p: Params) -> Sides:
+def _compute_sawtooth_exploratory(p: Params) -> IdentitySides:
     h, m = p["h"], p["m"]
     lhs = dc_sum(1, h, m)
     rhs = 2 * sum(
@@ -333,111 +314,57 @@ def _compute_sawtooth_exploratory(p: Params) -> Sides:
         ),
         Fraction(0),
     )
-    return _eval_sides(lhs, rhs)
+    return IdentitySides.compare(lhs, rhs)
 
 
-# --- admissibility checks --------------------------------------------------
-
-
-def _check_eq4(p: Params) -> None:
-    _require(p["n"] >= 1, "n must be >= 1")
-    _require(p["l"] >= 0, "l must be >= 0")
-
-
-def _check_eq18(p: Params) -> None:
-    _require(p["n"] >= 0, "n must be >= 0")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-
-
-def _check_n_ge_1(p: Params) -> None:
-    _require(p["n"] >= 1, "n must be >= 1")
-
-
-def _check_n_ge_0(p: Params) -> None:
-    _require(p["n"] >= 0, "n must be >= 0")
-
-
-def _check_x_n(p: Params) -> None:
-    _require(p["x"] >= 1, "x must be >= 1")
-    _require(p["n"] >= 1, "n must be >= 1")
-
-
-def _check_n_odd_m(p: Params) -> None:
-    _require(p["n"] >= 0, "n must be >= 0")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-
-
-def _check_lemma8(p: Params) -> None:
-    _require(p["p"] >= 2, "p must be >= 2")
-    _require(1 <= p["s"] < p["p"], "s must satisfy 1 <= s < p")
-
-
-def _check_p_ge_1(p: Params) -> None:
-    _require(p["p"] >= 1, "p must be >= 1")
-
-
-def _check_any(p: Params) -> None:
-    return None
-
-
-def _check_p_odd_m(p: Params) -> None:
-    _require(p["p"] >= 1, "p must be >= 1")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-
-
-def _check_p_odd_gt1_odd_m(p: Params) -> None:
-    _require(p["p"] > 1 and p["p"] % 2 == 1, "p must be odd and greater than 1")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-
-
-def _check_thm13(p: Params) -> None:
-    _require(p["p"] >= 1, "p must be >= 1")
-    _require(p["h"] >= 1, "h must be >= 1")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-    _require(gcd(p["h"], p["m"]) == 1, "h and m must be coprime")
-
-
-def _check_odd_pair(p: Params) -> None:
-    _require(p["p"] >= 1, "p must be >= 1")
-    _require(p["h"] >= 1 and p["h"] % 2 == 1, "h must be a positive odd integer")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-
-
-def _check_positive_triple(p: Params) -> None:
-    _require(p["p"] >= 1, "p must be >= 1")
-    _require(p["h"] >= 1, "h must be >= 1")
-    _require(p["m"] >= 1, "m must be >= 1")
-
-
-def _check_sawtooth(p: Params) -> None:
-    _require(p["h"] >= 1 and p["h"] % 2 == 1, "h must be a positive odd integer")
-    _require(p["m"] >= 1 and p["m"] % 2 == 1, "m must be a positive odd integer")
-    _require(gcd(p["h"], p["m"]) == 1, "h and m must be coprime")
-
+# --- registry --------------------------------------------------------------
 
 VERIFIERS: dict[str, _Verifier] = {
-    "eq4": _Verifier(("n", "l"), _check_eq4, _compute_eq4),
-    "eq18": _Verifier(("n", "m"), _check_eq18, _compute_eq18),
-    "thm1": _Verifier(("n", "k"), _check_n_ge_1, _compute_thm1),
-    "cor2": _Verifier(("n", "k"), _check_n_ge_1, _compute_cor2),
-    "thm3": _Verifier(("k", "n"), _check_n_ge_0, _compute_thm3),
-    "thm4": _Verifier(("x", "n", "k"), _check_x_n, _compute_thm4),
-    "cor5": _Verifier(("x", "n", "k"), _check_x_n, _compute_cor5),
-    "thm6": _Verifier(("k", "n", "m"), _check_n_odd_m, _compute_thm6),
-    "cor7": _Verifier(("k", "n", "m"), _check_n_odd_m, _compute_cor7),
-    "lemma8": _Verifier(("k", "p", "s"), _check_lemma8, _compute_lemma8),
-    "lemma9": _Verifier(("k", "p"), _check_p_ge_1, _compute_lemma9),
-    "eq40": _Verifier(("k",), _check_any, _compute_eq40),
-    "thm10": _Verifier(("k", "p", "m"), _check_p_odd_m, _compute_thm10),
-    "thm11": _Verifier(("k", "p", "m"), _check_p_odd_gt1_odd_m, _compute_thm11),
-    "thm12": _Verifier(("k", "p", "m"), _check_p_odd_gt1_odd_m, _compute_thm12),
-    "thm13": _Verifier(("k", "p", "h", "m"), _check_thm13, _compute_thm13),
-    "thm14": _Verifier(("k", "p", "h", "m"), _check_odd_pair, _compute_thm14),
-    "cor15": _Verifier(("p", "h", "m"), _check_odd_pair, _compute_cor15),
-    "k1_collapse": _Verifier(("p", "h", "m"), _check_positive_triple, _compute_k1_collapse),
-    "oracle_equivalence": _Verifier(("k", "n", "m"), _check_n_odd_m, _compute_oracle_equivalence),
+    "eq4": _Verifier(("n", "l"), {"n": GE(1), "l": GE(0)}, _compute_eq4),
+    "eq18": _Verifier(("n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_eq18),
+    "thm1": _Verifier(("n", "k"), {"n": GE(1)}, _compute_thm1),
+    "cor2": _Verifier(("n", "k"), {"n": GE(1)}, _compute_cor2),
+    "thm3": _Verifier(("k", "n"), {"n": GE(0)}, _compute_thm3),
+    "thm4": _Verifier(("x", "n", "k"), {"x": GE(1), "n": GE(1)}, _compute_thm4),
+    "cor5": _Verifier(("x", "n", "k"), {"x": GE(1), "n": GE(1)}, _compute_cor5),
+    "thm6": _Verifier(("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_thm6),
+    "cor7": _Verifier(("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_cor7),
+    "lemma8": _Verifier(("k", "p", "s"), {"s": BELOW_P}, _compute_lemma8),
+    "lemma9": _Verifier(("k", "p"), {"p": GE(1)}, _compute_lemma9),
+    "eq40": _Verifier(("k",), {}, _compute_eq40),
+    "thm10": _Verifier(
+        ("k", "p", "m"), {"p": GE(1), "m": ODD_POS}, lambda q: s_pk_of_1_m(**q)
+    ),
+    "thm11": _Verifier(
+        ("k", "p", "m"), {"p": ODD_GT1, "m": ODD_POS}, lambda q: theorem11_sides(**q)
+    ),
+    "thm12": _Verifier(
+        ("k", "p", "m"), {"p": ODD_GT1, "m": ODD_POS}, lambda q: theorem12_sides(**q)
+    ),
+    "thm13": _Verifier(
+        ("k", "p", "h", "m"),
+        {"p": GE(1), "h": GE(1), "m": ODD_POS},
+        lambda q: theorem13_sides(**q),
+        coprime=True,
+    ),
+    "thm14": _Verifier(
+        ("k", "p", "h", "m"),
+        {"p": GE(1), "h": ODD_POS, "m": ODD_POS},
+        lambda q: reciprocity_sides(**q),
+    ),
+    "cor15": _Verifier(("p", "h", "m"), {"p": GE(1), "h": ODD_POS, "m": ODD_POS}, _compute_cor15),
+    "k1_collapse": _Verifier(
+        ("p", "h", "m"), {"p": GE(1), "h": GE(1), "m": GE(1)}, _compute_k1_collapse
+    ),
+    "oracle_equivalence": _Verifier(
+        ("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_oracle_equivalence
+    ),
     "sawtooth_t1_exploratory": _Verifier(
-        ("h", "m"), _check_sawtooth, _compute_sawtooth_exploratory, exploratory=True
+        ("h", "m"),
+        {"h": ODD_POS, "m": ODD_POS},
+        _compute_sawtooth_exploratory,
+        coprime=True,
+        exploratory=True,
     ),
 }
 
@@ -446,6 +373,26 @@ VERIFIER_IDS: tuple[str, ...] = tuple(VERIFIERS)
 EXPLORATORY_IDS: frozenset[str] = frozenset(
     vid for vid, v in VERIFIERS.items() if v.exploratory
 )
+
+
+def hypotheses_text(verifier_id: str) -> str:
+    """The verifier's hypotheses as the README "Verifiers" table states them."""
+    spec = _lookup(verifier_id)
+    parts = [rule.text.format(name) for name, rule in spec.hypotheses.items()]
+    if spec.coprime:
+        parts.append("`gcd(h, m) = 1`")
+    text = ", ".join(parts) or "—"
+    return f"{text} (exploratory)" if spec.exploratory else text
+
+
+def _violation(spec: _Verifier, point: Params) -> str | None:
+    """The message for the first hypothesis the point violates, or None."""
+    for name, rule in spec.hypotheses.items():
+        if not rule.test(point[name], point):
+            return rule.message.format(name)
+    if spec.coprime and gcd(point["h"], point["m"]) != 1:
+        return "h and m must be coprime"
+    return None
 
 
 def _lookup(verifier_id: str) -> _Verifier:
@@ -482,7 +429,9 @@ def verify(verifier_id: str, params: Params) -> VerificationReport:
     """
     spec = _lookup(verifier_id)
     clean = _validated_params(verifier_id, spec, params)
-    spec.check(clean)
+    violation = _violation(spec, clean)
+    if violation:
+        raise ValueError(violation)
     start = time.perf_counter()
     lhs, rhs, holds = spec.compute(clean)
     elapsed = time.perf_counter() - start
@@ -517,9 +466,7 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     reports: list[VerificationReport] = []
     for point in product(*axes):
         clean = dict(zip(spec.params, point))
-        try:
-            spec.check(clean)
-        except ValueError:
+        if _violation(spec, clean):
             continue
         point_start = time.perf_counter()
         lhs, rhs, holds = spec.compute(clean)

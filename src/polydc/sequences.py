@@ -18,10 +18,10 @@ from fractions import Fraction
 from math import comb, factorial, floor
 
 from .exact_algebra import (
+    alternating_distribution,
     exp_series,
     log1p_series,
     poly_add,
-    poly_affine,
     poly_eval,
     poly_normalize,
     poly_scale,
@@ -69,6 +69,24 @@ def stirling1_row(n: int) -> list[int]:
     return list(_stirling_rows[n])
 
 
+def stirling_weight(n: int, k: int) -> Fraction:
+    """Σ_{j=1..n} S_1(n, j) / j^(k-1), exactly for any integer k.
+
+    This is n!·[t^n] Ei_k(log(1+t)), the weight that Theorems 1/3/4/6,
+    Corollary 7 and the reciprocity law attach to the index-k poly families.
+    """
+    if n < 0:
+        raise ValueError("stirling1 requires nonnegative n")
+    _grow_stirling(n)
+    row = _stirling_rows[n]
+    return sum((row[j] * Fraction(j) ** (1 - k) for j in range(1, n + 1)), Fraction(0))
+
+
+def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
+    """Σ_{l=0..n} C(n,l) a_l x^(n-l) for numbers = [a_0, ..., a_n, ...], normalized."""
+    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+
+
 # ---------------------------------------------------------------------------
 # Euler and Genocchi numbers/polynomials
 # ---------------------------------------------------------------------------
@@ -112,8 +130,7 @@ def euler_poly(n: int) -> list[Fraction]:
     """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numbers = euler_numbers(n)
-    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+    return binomial_convolution(euler_numbers(n), n)
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
@@ -139,8 +156,7 @@ def genocchi_poly(n: int) -> list[Fraction]:
     """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numbers = genocchi_numbers(n)
-    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+    return binomial_convolution(genocchi_numbers(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +204,7 @@ def poly_genocchi_poly(k: int, n: int) -> list[Fraction]:
     """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numbers = poly_genocchi_numbers(k, n)
-    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+    return binomial_convolution(poly_genocchi_numbers(k, n), n)
 
 
 def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
@@ -208,21 +223,19 @@ def poly_euler_poly(k: int, n: int) -> list[Fraction]:
 
     Computed as the binomial convolution Σ_l C(n,l) E_l^(k) x^(n-l) and
     asserted against the quotient form G_{n+1}^(k)(x)/(n+1); the two must
-    agree coefficientwise or a RuntimeError is raised.
+    agree coefficientwise or a RuntimeError is raised.  Each call returns a
+    fresh list, so a caller cannot alter the cached polynomial.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     key = (k, n)
     if key not in _poly_euler_poly_cache:
-        numbers = poly_euler_numbers(k, n)
-        binomial_form = poly_normalize(
-            [comb(n, n - i) * numbers[n - i] for i in range(n + 1)]
-        )
+        binomial_form = binomial_convolution(poly_euler_numbers(k, n), n)
         quotient_form = poly_scale(poly_genocchi_poly(k, n + 1), Fraction(1, n + 1))
         if binomial_form != quotient_form:
             raise RuntimeError("poly-Euler construction routes disagree")
         _poly_euler_poly_cache[key] = binomial_form
-    return _poly_euler_poly_cache[key]
+    return list(_poly_euler_poly_cache[key])
 
 
 def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
@@ -236,9 +249,7 @@ def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
     n1 = n + 1
     acc = [Fraction(0)]
     for j in range(1, n1 + 1):
-        weight = sum(
-            Fraction(stirling1(j, m)) * _inverse_power(m, k - 1) for m in range(1, j + 1)
-        )
+        weight = stirling_weight(j, k)
         if weight == 0:
             continue
         acc = poly_add(acc, poly_scale(euler_poly(n1 - j), comb(n1, j) * weight))
@@ -258,28 +269,13 @@ def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
         raise ValueError("modulus m must be a positive odd integer")
     n1 = n + 1
     acc = [Fraction(0)]
-    inv_m = Fraction(1, m)
     for l in range(n + 1):
-        weight = sum(
-            Fraction(stirling1(n1 - l, j)) * _inverse_power(j, k - 1)
-            for j in range(1, n1 - l + 1)
-        ) / (n1 - l)
+        weight = stirling_weight(n1 - l, k) / (n1 - l)
         if weight == 0:
             continue
-        shifted = [Fraction(0)]
-        base = euler_poly(l)
-        for s in range(m):
-            term = poly_affine(base, inv_m, Fraction(s, m))
-            shifted = poly_add(shifted, term if s % 2 == 0 else poly_scale(term, Fraction(-1)))
+        shifted = alternating_distribution(euler_poly(l), m)
         acc = poly_add(acc, poly_scale(shifted, comb(n, l) * Fraction(m) ** l * weight))
     return acc
-
-
-def _inverse_power(base: int, exponent: int) -> Fraction:
-    """Exact 1/base^exponent for any integer exponent (integer for exponent <= 0)."""
-    if exponent >= 0:
-        return Fraction(1, base**exponent)
-    return Fraction(base ** (-exponent))
 
 
 # ---------------------------------------------------------------------------

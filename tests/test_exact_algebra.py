@@ -10,14 +10,10 @@ from polydc.exact_algebra import (
     exp_series,
     format_rational,
     log1p_series,
-    make_rational,
     parse_rational,
     poly_add,
     poly_affine,
-    poly_degree,
-    poly_derivative,
     poly_eval,
-    poly_integral_01,
     poly_mul,
     poly_normalize,
     poly_scale,
@@ -38,7 +34,7 @@ small_polys = st.lists(rationals, min_size=1, max_size=7)
     [(3, -6, "-1/2"), (5, 1, "5"), (0, 7, "0"), (-9, -3, "3"), (22, 4, "11/2")],
 )
 def test_make_and_format_rational(num, den, text):
-    assert format_rational(make_rational(num, den)) == text
+    assert format_rational(Fraction(num, den)) == text
 
 
 @pytest.mark.parametrize("text, value", [("-3/2", Fraction(-3, 2)), ("5", 5), ("0", 0)])
@@ -63,7 +59,6 @@ def test_rational_round_trip(q):
 def test_poly_normalize_strips_trailing_zeros():
     assert poly_normalize([Fraction(1), Fraction(0), Fraction(0)]) == [Fraction(1)]
     assert poly_normalize([Fraction(0), Fraction(0)]) == [Fraction(0)]
-    assert poly_degree(poly_normalize([Fraction(2), Fraction(3)])) == 1
 
 
 def test_poly_eval_horner():
@@ -91,20 +86,6 @@ def test_poly_affine_matches_substitution(p, a, b, x):
 @given(small_polys, rationals, rationals)
 def test_poly_scale_is_scalar_multiplication(p, c, x):
     assert poly_eval(poly_scale(p, c), x) == c * poly_eval(p, x)
-
-
-def test_poly_derivative():
-    # d/dx (x^3 - 2x) = 3x^2 - 2
-    p = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
-    assert poly_derivative(p) == [Fraction(-2), Fraction(0), Fraction(3)]
-    assert poly_derivative([Fraction(7)]) == [Fraction(0)]
-
-
-def test_poly_integral_01():
-    # ∫_0^1 (1 + 2x + 3x^2) dx = 1 + 1 + 1 = 3
-    assert poly_integral_01([Fraction(1), Fraction(2), Fraction(3)]) == 3
-    # ∫_0^1 x^2 dx = 1/3
-    assert poly_integral_01([Fraction(0), Fraction(0), Fraction(1)]) == Fraction(1, 3)
 
 
 # --- truncated series --------------------------------------------------------

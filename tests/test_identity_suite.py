@@ -1,6 +1,7 @@
 """Tests for the identity verification registry, verify(), and sweep()."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,12 @@ from polydc.identity_suite import (
     VERIFIER_IDS,
     VERIFIERS,
     brute_alternating_power_sum,
+    hypotheses_text,
     sweep,
     verify,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # One known-admissible parameter point per verifier.
 SAMPLE_POINTS = {
@@ -86,11 +90,13 @@ def test_first_moment_integral_matches_binomial_sum():
     # of the lhs used by the lemma9 verifier's binomial arrangement.
     from math import comb
 
-    from polydc.exact_algebra import poly_integral_01
     from polydc.sequences import poly_euler_numbers, poly_euler_poly
 
     for k, p in [(-2, 3), (0, 6), (2, 9), (1, 1)]:
-        integral = poly_integral_01([Fraction(0)] + poly_euler_poly(k, p))
+        # ∫_0^1 c_i x^(i+1) dx = c_i/(i+2), term by term.
+        integral = sum(
+            (c / (i + 2) for i, c in enumerate(poly_euler_poly(k, p))), Fraction(0)
+        )
         numbers = poly_euler_numbers(k, p)
         binomial = sum(
             (Fraction(comb(p, nu), p - nu + 2) * numbers[nu] for nu in range(p + 1)),
@@ -137,11 +143,39 @@ def test_verify_rejects_missing_and_extra_params():
         ("eq4", {"n": 0, "l": 2}, "n must be >= 1"),
         ("lemma8", {"k": 1, "p": 5, "s": 5}, "1 <= s < p"),
         ("cor7", {"k": 1, "n": 3, "m": 6}, "odd"),
+        ("eq18", {"n": 2, "m": 4}, "m must be a positive odd integer"),
+        ("thm4", {"x": 0, "n": 2, "k": 1}, "x must be >= 1"),
+        ("thm3", {"k": 1, "n": -1}, "n must be >= 0"),
+        ("sawtooth_t1_exploratory", {"h": 3, "m": 9}, "h and m must be coprime"),
+        ("k1_collapse", {"p": 1, "h": 0, "m": 3}, "h must be >= 1"),
+        ("lemma8", {"k": 1, "p": 1, "s": 1}, "1 <= s < p"),
     ],
 )
 def test_verify_enforces_hypotheses(verifier_id, params, message):
     with pytest.raises(ValueError, match=message):
         verify(verifier_id, params)
+
+
+def _readme_verifier_rows() -> dict[str, tuple[str, str]]:
+    """README "Verifiers" table as {verifier id: (parameters cell, hypotheses cell)}."""
+    section = README.read_text(encoding="utf-8").split("\n## Verifiers\n", 1)[1]
+    rows: dict[str, tuple[str, str]] = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        ids, params, hypotheses = (cell.strip() for cell in line.strip("|").split("|"))
+        for vid in ids.split(" / "):
+            assert vid.strip("`") not in rows, vid
+            rows[vid.strip("`")] = (params, hypotheses)
+    return rows
+
+
+def test_readme_verifier_table_matches_hypotheses():
+    rows = _readme_verifier_rows()
+    assert set(rows) == set(VERIFIER_IDS)
+    for vid, (params, hypotheses) in rows.items():
+        assert params == "`" + ", ".join(VERIFIERS[vid].params) + "`", vid
+        assert hypotheses == hypotheses_text(vid), vid
 
 
 def test_verify_is_deterministic_in_values():

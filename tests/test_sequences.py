@@ -211,6 +211,13 @@ def test_poly_euler_distribution_route_rejects_even_modulus():
         poly_euler_via_corollary7(1, 3, 2)
 
 
+def test_poly_euler_poly_cache_is_not_shared_with_callers():
+    first = poly_euler_poly(2, 3)
+    expected = list(first)
+    first[0] = Fraction(999)
+    assert poly_euler_poly(2, 3) == expected
+
+
 def test_poly_euler_poly_degree_and_leading_coefficient():
     for k in (-2, 0, 3):
         p = poly_euler_poly(k, 6)
