@@ -17,13 +17,14 @@ h = 1 sums, so every pinned example value is unaffected.
 All functions return exact `Fraction` values.  Both sides of every identity,
 here and in the verifier registry, are one type: `IdentitySides`, a
 (lhs, rhs, holds) triple built by `IdentitySides.compare`, so holds ⇔ lhs = rhs
-exactly.
+exactly.  Each identity's hypotheses are data (`Hypotheses`), shared with the
+verifier registry.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, gcd
-from typing import NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .exact_algebra import poly_eval
 from .sequences import (
@@ -59,6 +60,64 @@ def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
     return -value if d % 2 else value
 
 
+Params = Mapping[str, int]
+
+
+class Rule(NamedTuple):
+    """A hypothesis on one parameter: a test of its value (the whole point is
+    passed for rules relating two parameters), the README text and the error
+    message, both with the parameter name as {0}."""
+
+    test: Callable[[int, Params], bool]
+    text: str
+    message: str
+
+
+def GE(bound: int) -> Rule:
+    """The parameter is at least bound."""
+    return Rule(lambda v, q: v >= bound, f"`{{0}} >= {bound}`", f"{{0}} must be >= {bound}")
+
+
+ODD_POS = Rule(
+    lambda v, q: v >= 1 and v % 2 == 1, "odd `{0} >= 1`", "{0} must be a positive odd integer"
+)
+ODD_GT1 = Rule(
+    lambda v, q: v > 1 and v % 2 == 1, "odd `{0} > 1`", "{0} must be odd and greater than 1"
+)
+#: lemma8's 1 <= s < p, which also rules out every p < 2.
+BELOW_P = Rule(lambda v, q: 1 <= v < q["p"], "`1 <= {0} < p`", "{0} must satisfy 1 <= {0} < p")
+
+
+class Hypotheses(NamedTuple):
+    """An identity's hypotheses as data: one rule per constrained parameter,
+    checked in order, then gcd(h, m) = 1 if coprime is set."""
+
+    rules: Mapping[str, Rule]
+    coprime: bool = False
+
+    def violation(self, point: Params) -> str | None:
+        """The message for the first hypothesis the point violates, or None."""
+        for name, rule in self.rules.items():
+            if not rule.test(point[name], point):
+                return rule.message.format(name)
+        if self.coprime and gcd(point["h"], point["m"]) != 1:
+            return "h and m must be coprime"
+        return None
+
+    def require(self, **point: int) -> None:
+        """Raise ValueError with the first violated hypothesis's message."""
+        message = self.violation(point)
+        if message:
+            raise ValueError(message)
+
+
+#: Shared with the verifier registry, so a direct call and `verify` reject alike.
+S_PK_HYPOTHESES = Hypotheses({"p": GE(1), "m": ODD_POS})
+ODD_DEGREE_HYPOTHESES = Hypotheses({"p": ODD_GT1, "m": ODD_POS})
+THEOREM13_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
+RECIPROCITY_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
+
+
 @lru_cache(maxsize=None)
 def _euler_alt_bar(degree: int, x: Fraction) -> Fraction:
     """Memoized Ê_degree(x) over the ordinary Euler polynomial."""
@@ -68,11 +127,6 @@ def _euler_alt_bar(degree: int, x: Fraction) -> Fraction:
 def _require_dc_params(p: int, h: int, m: int) -> None:
     if p < 1 or h < 1 or m < 1:
         raise ValueError("DC sum requires p >= 1, h >= 1, m >= 1")
-
-
-def _require_odd(name: str, value: int) -> None:
-    if value % 2 == 0:
-        raise ValueError(f"{name} must be odd (got {value})")
 
 
 def dc_sum(p: int, h: int, m: int) -> Fraction:
@@ -120,8 +174,7 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     (the defining combination); rhs: Σ_{ν} C(p,ν) E_ν^(k) Σ_{i=0..p-ν}
     C(p-ν+1, i) E_i m^(p-i).  Requires odd m.
     """
-    _require_dc_params(p, 1, m)
-    _require_odd("m", m)
+    S_PK_HYPOTHESES.require(p=p, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m) - _correction_sum(k, p, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p + 1)
@@ -149,10 +202,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     rhs: Σ_{i=1..p-2} Σ_{ν=0..p-i} C(p,ν) C(p-ν+1, i) E_ν^(k) E_i m^(p-i)
     + (p+1)·E_p + m^p·E_p^(k)(1).
     """
-    _require_dc_params(p, 1, m)
-    _require_odd("m", m)
-    if p % 2 == 0 or p <= 1:
-        raise ValueError(f"p must be odd and greater than 1 (got {p})")
+    ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m) - _correction_sum(k, p, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
@@ -175,10 +225,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
        + Σ_{i=1..p} C(p,i-1) (E_{p-i+1}^(k)(1) - E_{p-i+1}^(k)) m^(p-i) E_i
        + the correction sum 2·Σ C(p,ν)E_ν^(k)E_{p+1-ν}m^(ν-1).
     """
-    _require_dc_params(p, 1, m)
-    _require_odd("m", m)
-    if p % 2 == 0 or p <= 1:
-        raise ValueError(f"p must be odd and greater than 1 (got {p})")
+    ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
@@ -215,10 +262,7 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     which is what the residue-permutation argument behind the identity
     produces; with the bare sign (-1)^μ the two sides differ for h > 1.
     """
-    _require_dc_params(p, h, m)
-    _require_odd("m", m)
-    if gcd(h, m) != 1:
-        raise ValueError(f"h and m must be coprime (got h={h}, m={m})")
+    THEOREM13_HYPOTHESES.require(p=p, h=h, m=m)
     e_polys = [euler_poly(j) for j in range(p + 1)]
     ek_polys = [poly_euler_poly(k, s) for s in range(p + 1)]
     total = Fraction(0)
@@ -260,9 +304,7 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
     term by term, matching the symmetric lhs.
     """
-    _require_dc_params(p, h, m)
-    _require_odd("m", m)
-    _require_odd("h", h)
+    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, h, m) + Fraction(h) ** p * poly_dc_sum(
         k, p, m, h
     )
@@ -292,9 +334,7 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     The sign is (-1)^(μ+ν): that choice agrees exactly with the general law
     at k = 1 on the full odd grid (the (-1)^(μ+ν-1) variant does not).
     """
-    _require_dc_params(p, h, m)
-    _require_odd("m", m)
-    _require_odd("h", h)
+    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     total = Fraction(0)
     for mu in range(m):
         for nu in range(h):

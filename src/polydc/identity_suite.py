@@ -1,8 +1,9 @@
 """Machine verification of the identity catalogue.
 
 Every identity is registered under a stable verifier id with an ordered
-parameter signature, its hypotheses as data (one predicate per constrained
-parameter, plus a coprimality flag), and an exact compute function.
+parameter signature, its hypotheses as data (a `dc_sums.Hypotheses`: one
+predicate per constrained parameter, plus a coprimality flag; the identities
+of `dc_sums` check the very same objects), and an exact compute function.
 `verify` runs one parameter point and returns a report whose `holds` field
 is exact rational equality — never approximate.  `sweep` runs a
 verifier over a parameter grid in canonical lexicographic order, skipping
@@ -25,11 +26,20 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
+    BELOW_P,
+    GE,
+    ODD_DEGREE_HYPOTHESES,
+    ODD_POS,
+    RECIPROCITY_HYPOTHESES,
+    S_PK_HYPOTHESES,
+    THEOREM13_HYPOTHESES,
+    Hypotheses,
     IdentitySides,
+    Params,
     corollary15_rhs,
     dc_sum,
     poly_dc_sum,
@@ -59,8 +69,6 @@ from .sequences import (
     sawtooth,
     stirling_weight,
 )
-
-Params = Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -93,36 +101,10 @@ class SweepResult:
     elapsed: float
 
 
-class _Rule(NamedTuple):
-    """A hypothesis on one parameter: a test of its value (the whole point is
-    passed for rules relating two parameters), the README text and the error
-    message, both with the parameter name as {0}."""
-
-    test: Callable[[int, Params], bool]
-    text: str
-    message: str
-
-
-def GE(bound: int) -> _Rule:
-    """The parameter is at least bound."""
-    return _Rule(lambda v, q: v >= bound, f"`{{0}} >= {bound}`", f"{{0}} must be >= {bound}")
-
-
-ODD_POS = _Rule(
-    lambda v, q: v >= 1 and v % 2 == 1, "odd `{0} >= 1`", "{0} must be a positive odd integer"
-)
-ODD_GT1 = _Rule(
-    lambda v, q: v > 1 and v % 2 == 1, "odd `{0} > 1`", "{0} must be odd and greater than 1"
-)
-#: lemma8's 1 <= s < p, which also rules out every p < 2.
-BELOW_P = _Rule(lambda v, q: 1 <= v < q["p"], "`1 <= {0} < p`", "{0} must satisfy 1 <= {0} < p")
-
-
 class _Verifier(NamedTuple):
     params: tuple[str, ...]
-    hypotheses: Mapping[str, _Rule]
+    hypotheses: Hypotheses
     compute: Callable[[Params], IdentitySides]
-    coprime: bool = False  # requires gcd(h, m) = 1
     exploratory: bool = False
 
 
@@ -320,50 +302,38 @@ def _compute_sawtooth_exploratory(p: Params) -> IdentitySides:
 # --- registry --------------------------------------------------------------
 
 VERIFIERS: dict[str, _Verifier] = {
-    "eq4": _Verifier(("n", "l"), {"n": GE(1), "l": GE(0)}, _compute_eq4),
-    "eq18": _Verifier(("n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_eq18),
-    "thm1": _Verifier(("n", "k"), {"n": GE(1)}, _compute_thm1),
-    "cor2": _Verifier(("n", "k"), {"n": GE(1)}, _compute_cor2),
-    "thm3": _Verifier(("k", "n"), {"n": GE(0)}, _compute_thm3),
-    "thm4": _Verifier(("x", "n", "k"), {"x": GE(1), "n": GE(1)}, _compute_thm4),
-    "cor5": _Verifier(("x", "n", "k"), {"x": GE(1), "n": GE(1)}, _compute_cor5),
-    "thm6": _Verifier(("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_thm6),
-    "cor7": _Verifier(("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_cor7),
-    "lemma8": _Verifier(("k", "p", "s"), {"s": BELOW_P}, _compute_lemma8),
-    "lemma9": _Verifier(("k", "p"), {"p": GE(1)}, _compute_lemma9),
-    "eq40": _Verifier(("k",), {}, _compute_eq40),
-    "thm10": _Verifier(
-        ("k", "p", "m"), {"p": GE(1), "m": ODD_POS}, lambda q: s_pk_of_1_m(**q)
-    ),
-    "thm11": _Verifier(
-        ("k", "p", "m"), {"p": ODD_GT1, "m": ODD_POS}, lambda q: theorem11_sides(**q)
-    ),
-    "thm12": _Verifier(
-        ("k", "p", "m"), {"p": ODD_GT1, "m": ODD_POS}, lambda q: theorem12_sides(**q)
-    ),
+    "eq4": _Verifier(("n", "l"), Hypotheses({"n": GE(1), "l": GE(0)}), _compute_eq4),
+    "eq18": _Verifier(("n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_eq18),
+    "thm1": _Verifier(("n", "k"), Hypotheses({"n": GE(1)}), _compute_thm1),
+    "cor2": _Verifier(("n", "k"), Hypotheses({"n": GE(1)}), _compute_cor2),
+    "thm3": _Verifier(("k", "n"), Hypotheses({"n": GE(0)}), _compute_thm3),
+    "thm4": _Verifier(("x", "n", "k"), Hypotheses({"x": GE(1), "n": GE(1)}), _compute_thm4),
+    "cor5": _Verifier(("x", "n", "k"), Hypotheses({"x": GE(1), "n": GE(1)}), _compute_cor5),
+    "thm6": _Verifier(("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_thm6),
+    "cor7": _Verifier(("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_cor7),
+    "lemma8": _Verifier(("k", "p", "s"), Hypotheses({"s": BELOW_P}), _compute_lemma8),
+    "lemma9": _Verifier(("k", "p"), Hypotheses({"p": GE(1)}), _compute_lemma9),
+    "eq40": _Verifier(("k",), Hypotheses({}), _compute_eq40),
+    "thm10": _Verifier(("k", "p", "m"), S_PK_HYPOTHESES, lambda q: s_pk_of_1_m(**q)),
+    "thm11": _Verifier(("k", "p", "m"), ODD_DEGREE_HYPOTHESES, lambda q: theorem11_sides(**q)),
+    "thm12": _Verifier(("k", "p", "m"), ODD_DEGREE_HYPOTHESES, lambda q: theorem12_sides(**q)),
     "thm13": _Verifier(
-        ("k", "p", "h", "m"),
-        {"p": GE(1), "h": GE(1), "m": ODD_POS},
-        lambda q: theorem13_sides(**q),
-        coprime=True,
+        ("k", "p", "h", "m"), THEOREM13_HYPOTHESES, lambda q: theorem13_sides(**q)
     ),
     "thm14": _Verifier(
-        ("k", "p", "h", "m"),
-        {"p": GE(1), "h": ODD_POS, "m": ODD_POS},
-        lambda q: reciprocity_sides(**q),
+        ("k", "p", "h", "m"), RECIPROCITY_HYPOTHESES, lambda q: reciprocity_sides(**q)
     ),
-    "cor15": _Verifier(("p", "h", "m"), {"p": GE(1), "h": ODD_POS, "m": ODD_POS}, _compute_cor15),
+    "cor15": _Verifier(("p", "h", "m"), RECIPROCITY_HYPOTHESES, _compute_cor15),
     "k1_collapse": _Verifier(
-        ("p", "h", "m"), {"p": GE(1), "h": GE(1), "m": GE(1)}, _compute_k1_collapse
+        ("p", "h", "m"), Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)}), _compute_k1_collapse
     ),
     "oracle_equivalence": _Verifier(
-        ("k", "n", "m"), {"n": GE(0), "m": ODD_POS}, _compute_oracle_equivalence
+        ("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_oracle_equivalence
     ),
     "sawtooth_t1_exploratory": _Verifier(
         ("h", "m"),
-        {"h": ODD_POS, "m": ODD_POS},
+        Hypotheses({"h": ODD_POS, "m": ODD_POS}, coprime=True),
         _compute_sawtooth_exploratory,
-        coprime=True,
         exploratory=True,
     ),
 }
@@ -378,21 +348,11 @@ EXPLORATORY_IDS: frozenset[str] = frozenset(
 def hypotheses_text(verifier_id: str) -> str:
     """The verifier's hypotheses as the README "Verifiers" table states them."""
     spec = _lookup(verifier_id)
-    parts = [rule.text.format(name) for name, rule in spec.hypotheses.items()]
-    if spec.coprime:
+    parts = [rule.text.format(name) for name, rule in spec.hypotheses.rules.items()]
+    if spec.hypotheses.coprime:
         parts.append("`gcd(h, m) = 1`")
     text = ", ".join(parts) or "—"
     return f"{text} (exploratory)" if spec.exploratory else text
-
-
-def _violation(spec: _Verifier, point: Params) -> str | None:
-    """The message for the first hypothesis the point violates, or None."""
-    for name, rule in spec.hypotheses.items():
-        if not rule.test(point[name], point):
-            return rule.message.format(name)
-    if spec.coprime and gcd(point["h"], point["m"]) != 1:
-        return "h and m must be coprime"
-    return None
 
 
 def _lookup(verifier_id: str) -> _Verifier:
@@ -429,9 +389,7 @@ def verify(verifier_id: str, params: Params) -> VerificationReport:
     """
     spec = _lookup(verifier_id)
     clean = _validated_params(verifier_id, spec, params)
-    violation = _violation(spec, clean)
-    if violation:
-        raise ValueError(violation)
+    spec.hypotheses.require(**clean)
     start = time.perf_counter()
     lhs, rhs, holds = spec.compute(clean)
     elapsed = time.perf_counter() - start
@@ -466,7 +424,7 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     reports: list[VerificationReport] = []
     for point in product(*axes):
         clean = dict(zip(spec.params, point))
-        if _violation(spec, clean):
+        if spec.hypotheses.violation(clean):
             continue
         point_start = time.perf_counter()
         lhs, rhs, holds = spec.compute(clean)

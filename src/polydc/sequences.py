@@ -1,17 +1,16 @@
 """Special numbers and polynomials: Stirling (first kind), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
-Number sequences are extracted from exponential generating functions carried
-as exact truncated series (the n-th number is n!·[t^n]); polynomials are the
+The Euler numbers are read off 2/(e^t + 1), the one series inversion here,
+and checked at cache-fill time against a recurrence.  The other families are
+built from them and the Stirling weights w_j(k) = j!·[t^j] Ei_k(log(1+t)):
+G_n = n·E_{n-1} and G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the
 binomial convolutions of the numbers.  The poly families admit any integer
 index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
-Two fully independent construction routes exist for the poly-Euler
-polynomials (series division versus the Stirling closed form, plus a third
-distribution-based route) and are used as oracles for one another; the Euler
-numbers themselves are cross-checked at cache-fill time against the
-recurrence E_n = δ_{0,n} - (1/2)·Σ_{l<n} C(n,l) E_l, so a defect in the
-series engine cannot go unnoticed.
+The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
+for the served ones; as they share the Stirling weights, the tests also check
+the poly-Genocchi numbers against the series 2·Ei_k(log(1+t))/(e^t + 1).
 """
 
 from fractions import Fraction
@@ -20,13 +19,10 @@ from math import comb, factorial, floor
 from .exact_algebra import (
     alternating_distribution,
     exp_series,
-    log1p_series,
     poly_add,
     poly_eval,
     poly_normalize,
     poly_scale,
-    series_compose,
-    series_mul,
     series_reciprocal,
 )
 
@@ -92,7 +88,6 @@ def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 _euler_cache: list[Fraction] = []
-_genocchi_cache: list[Fraction] = []
 
 
 def _euler_numbers_recurrence(max_n: int) -> list[Fraction]:
@@ -134,22 +129,14 @@ def euler_poly(n: int) -> list[Fraction]:
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
-    """[G_0, ..., G_max_n] from the generating function 2t/(e^t + 1).
+    """[G_0, ..., G_max_n], the coefficients of 2t/(e^t + 1): G_0 = 0, G_n = n·E_{n-1}.
 
     All entries are integers (as Fractions with denominator 1).
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if len(_genocchi_cache) <= max_n:
-        order = max(max_n, 2 * len(_genocchi_cache) + 4)
-        denom = exp_series(order)
-        denom[0] += 1
-        inv = series_reciprocal(denom)
-        # 2t/(e^t+1): shift the coefficients of 2/(e^t+1) up by one power of t.
-        _genocchi_cache[:] = [Fraction(0)] + [
-            factorial(n) * 2 * inv[n - 1] for n in range(1, order + 1)
-        ]
-    return _genocchi_cache[: max_n + 1]
+    euler = euler_numbers(max_n)
+    return [Fraction(0)] + [n * euler[n - 1] for n in range(1, max_n + 1)]
 
 
 def genocchi_poly(n: int) -> list[Fraction]:
@@ -166,7 +153,8 @@ def genocchi_poly(n: int) -> list[Fraction]:
 def polyexp_series(k: int, order: int) -> list[Fraction]:
     """Truncation of Ei_k(x) = Σ_{n>=1} x^n / (n^k (n-1)!).
 
-    For k <= 0 the weight 1/n^k is the exact integer n^{-k}.
+    For k <= 0 the weight 1/n^k is the exact integer n^{-k}.  Only the series
+    oracle for the poly-Genocchi numbers composes it with log(1+t).
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -183,19 +171,22 @@ _poly_genocchi_cache: dict[int, list[Fraction]] = {}
 
 
 def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
-    """[G_0^(k), ..., G_max_n^(k)] from 2·Ei_k(log(1+t))/(e^t + 1)."""
+    """[G_0^(k), ..., G_max_n^(k)] from 2·Ei_k(log(1+t))/(e^t + 1).
+
+    Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! with w_j(k) = stirling_weight(j, k), and
+    2/(e^t + 1) = Σ_n E_n t^n/n!, so G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}.
+    """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     cached = _poly_genocchi_cache.get(k, [])
     if len(cached) <= max_n:
         order = max(max_n, 2 * len(cached) + 4)
-        numerator = [
-            2 * c for c in series_compose(polyexp_series(k, order), log1p_series(order))
+        euler = euler_numbers(order)
+        weights = [stirling_weight(j, k) for j in range(order + 1)]
+        cached = [
+            sum((comb(n, j) * weights[j] * euler[n - j] for j in range(1, n + 1)), Fraction(0))
+            for n in range(order + 1)
         ]
-        denom = exp_series(order)
-        denom[0] += 1
-        series = series_mul(numerator, series_reciprocal(denom))
-        cached = [factorial(n) * series[n] for n in range(order + 1)]
         _poly_genocchi_cache[k] = cached
     return cached[: max_n + 1]
 

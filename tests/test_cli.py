@@ -148,6 +148,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert rows[3] == {"index": 3, "value": "1/4"}
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_two(tmp_path, capsys, target):
+    argv = ["verify", "thm14", "k=1", "p=1", "h=1", "m=1", "--output", str(tmp_path / target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --- exit codes ----------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from polydc.dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
+from polydc.identity_suite import verify
 from polydc.sequences import bar_eval, euler_poly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
@@ -196,3 +197,26 @@ def test_corollary15_rhs_rejects_even_parameters():
         corollary15_rhs(2, 2, 3)
     with pytest.raises(ValueError):
         corollary15_rhs(2, 3, 6)
+
+
+# --- hypotheses --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "function, verifier_id, params",
+    [
+        (s_pk_of_1_m, "thm10", {"k": 1, "p": 3, "m": 4}),
+        (theorem11_sides, "thm11", {"k": 1, "p": 4, "m": 3}),
+        (theorem12_sides, "thm12", {"k": 1, "p": 1, "m": 3}),
+        (theorem13_sides, "thm13", {"k": 1, "p": 3, "h": 3, "m": 9}),
+        (reciprocity_sides, "thm14", {"k": 1, "p": 3, "h": 2, "m": 3}),
+        (corollary15_rhs, "cor15", {"p": 2, "h": 3, "m": 6}),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_identity_rejects_like_its_verifier(function, verifier_id, params):
+    with pytest.raises(ValueError) as direct:
+        function(*params.values())
+    with pytest.raises(ValueError) as verified:
+        verify(verifier_id, params)
+    assert str(direct.value) == str(verified.value)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydc.exact_algebra import poly_eval, poly_mul, poly_normalize
+from polydc.exact_algebra import (
+    exp_series,
+    log1p_series,
+    poly_eval,
+    poly_mul,
+    poly_normalize,
+    series_mul,
+    series_reciprocal,
+)
 from polydc.sequences import (
     bar_eval,
     euler_numbers,
@@ -27,6 +35,21 @@ from polydc.sequences import (
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
+
+# Order of the series oracles below, beyond every acceptance grid (n <= 13).
+ORACLE_ORDER = 60
+
+
+@pytest.fixture(scope="module")
+def series_oracle():
+    """The powers (log(1+t))^m for m = 0..N and 2/(e^t + 1), truncated at order N."""
+    log = log1p_series(ORACLE_ORDER)
+    powers = [[Fraction(1)] + [Fraction(0)] * ORACLE_ORDER]
+    for _ in range(ORACLE_ORDER):
+        powers.append(series_mul(powers[-1], log))
+    denom = exp_series(ORACLE_ORDER)
+    denom[0] += 1
+    return powers, [2 * c for c in series_reciprocal(denom)]
 
 
 # --- Stirling numbers of the first kind (signed) ------------------------------
@@ -143,6 +166,15 @@ def test_genocchi_relates_to_euler():
         assert g[n] == n * e[n - 1]
 
 
+def test_genocchi_numbers_match_generating_function(series_oracle):
+    # 2t/(e^t + 1): the coefficients of 2/(e^t + 1) shifted up one power of t.
+    _, euler_egf = series_oracle
+    expected = [Fraction(0)] + [
+        factorial(n) * euler_egf[n - 1] for n in range(1, ORACLE_ORDER + 1)
+    ]
+    assert genocchi_numbers(ORACLE_ORDER) == expected
+
+
 def test_genocchi_poly_low_degrees():
     assert genocchi_poly(0) == [Fraction(0)]
     assert genocchi_poly(1) == [Fraction(1)]
@@ -175,6 +207,20 @@ def test_poly_genocchi_low_entries(k):
     assert numbers[0] == 0
     assert numbers[1] == 1
     assert numbers[2] == -2 + Fraction(2) ** (1 - k)
+
+
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_poly_genocchi_numbers_match_series_composition(k, series_oracle):
+    # The generating function itself, with no Stirling number: Ei_k composed
+    # with log(1+t) as Σ_m c_m (log(1+t))^m, times 2/(e^t + 1).
+    powers, euler_egf = series_oracle
+    composed = [Fraction(0)] * (ORACLE_ORDER + 1)
+    for c, power in zip(polyexp_series(k, ORACLE_ORDER), powers):
+        for i, a in enumerate(power):
+            composed[i] += c * a
+    series = series_mul(composed, euler_egf)
+    expected = [factorial(n) * series[n] for n in range(ORACLE_ORDER + 1)]
+    assert poly_genocchi_numbers(k, ORACLE_ORDER) == expected
 
 
 def test_poly_families_collapse_at_index_one():
