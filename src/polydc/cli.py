@@ -10,9 +10,9 @@ sweep   <verifier> key=range ...     one identity over a parameter grid
 
 Every subcommand accepts --format {json,csv}, --output PATH, and
 --deterministic (zeroes elapsed_ms so repeated runs are byte-identical).
-Ranges are `lo..hi` (inclusive), `oddlo..hi` (odd values only), a comma list
-`1,3,9`, or a single integer.  Rational values are canonical strings such as
-`-3/2`, `5`, or `0`.
+Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
+`oddlo..hi` (odd values only), a comma list `1,3,9`, or a single integer.
+Rational values are canonical strings such as `-3/2`, `5`, or `0`.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -52,12 +52,17 @@ _POLY_SEQUENCES = ("poly-genocchi", "poly-euler")
 _SEQUENCES = ("euler", "genocchi") + _POLY_SEQUENCES + ("stirling1",)
 _EVAL_KINDS = ("euler-poly", "poly-euler-poly", "bar-euler", "bar-poly-euler", "sawtooth")
 
+#: The most integers a `lo..hi` range may span; longer ranges are usage errors.
+MAX_RANGE_VALUES = 10_000
+
 
 def parse_range(text: str) -> list[int]:
     """Parse `lo..hi`, `oddlo..hi`, `a,b,c`, or a single integer."""
     match = _RANGE_RE.match(text)
     if match:
         odd, lo, hi = match.group(1), int(match.group(2)), int(match.group(3))
+        if len(range(lo, hi + 1)) > MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} spans more than {MAX_RANGE_VALUES} values")
         values = [v for v in range(lo, hi + 1) if not odd or v % 2 != 0]
         if not values:
             raise ValueError(f"range {text!r} contains no values")

@@ -23,7 +23,7 @@ verifier registry.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, gcd
+from math import comb, floor, gcd, lcm
 from typing import Callable, Mapping, NamedTuple
 
 from .exact_algebra import poly_eval
@@ -120,7 +120,11 @@ RECIPROCITY_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
 
 @lru_cache(maxsize=None)
 def _euler_alt_bar(degree: int, x: Fraction) -> Fraction:
-    """Memoized Ê_degree(x) over the ordinary Euler polynomial."""
+    """Memoized Ê_degree(x) over the ordinary Euler polynomial.
+
+    Not on any serving path (the sums below use integer kernels); kept because
+    the benchmark worker reads its cache_info().
+    """
     return alternating_bar_eval(euler_poly(degree), x)
 
 
@@ -129,29 +133,54 @@ def _require_dc_params(p: int, h: int, m: int) -> None:
         raise ValueError("DC sum requires p >= 1, h >= 1, m >= 1")
 
 
+def _integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
+    """The coefficients of poly as integers over their least common denominator."""
+    den = lcm(*(c.denominator for c in poly))
+    return [c.numerator * (den // c.denominator) for c in poly], den
+
+
 def dc_sum(p: int, h: int, m: int) -> Fraction:
-    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly."""
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly.
+
+    Direct route: with d, r = divmod(hμ, m), Ê_p(hμ/m) = (-1)^d E_p(r/m), and
+    den·m^p·E_p(r/m) is an integer evaluated by Horner's rule in r.
+    """
     _require_dc_params(p, h, m)
-    return 2 * sum(
-        (
-            Fraction(mu, m) * _euler_alt_bar(p, Fraction(h * mu, m))
-            if mu % 2 == 0
-            else -Fraction(mu, m) * _euler_alt_bar(p, Fraction(h * mu, m))
-            for mu in range(1, m)
-        ),
-        Fraction(0),
-    )
+    numerators, den = _integer_coefficients(euler_poly(p))
+    scaled = [c * m ** (p - i) for i, c in enumerate(numerators)][::-1]
+    total = 0
+    for mu in range(1, m):
+        d, r = divmod(h * mu, m)
+        value = 0
+        for c in scaled:
+            value = value * r + c
+        total += -mu * value if (mu + d) % 2 else mu * value
+    return Fraction(2 * total, den * m ** (p + 1))
+
+
+def _single_moments(h: int, m: int, degree: int) -> list[int]:
+    """S_i = Σ_{μ=1..m-1} (-1)^(μ+d) μ r^i for i = 0..degree, d, r = divmod(hμ, m)."""
+    moments = [0] * (degree + 1)
+    for mu in range(1, m):
+        d, r = divmod(h * mu, m)
+        term = -mu if (mu + d) % 2 else mu
+        for i in range(degree + 1):
+            moments[i] += term
+            term *= r
+    return moments
 
 
 def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
-    """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial."""
+    """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial.
+
+    Moment form: T_p^(k)(h, m) = 2·Σ_i c_i S_i / m^(i+1), with c_i the
+    coefficients of E_p^(k)(x) and S_i the integer moments of `_single_moments`.
+    """
     _require_dc_params(p, h, m)
-    poly = poly_euler_poly(k, p)
-    total = Fraction(0)
-    for mu in range(1, m):
-        term = Fraction(mu, m) * alternating_bar_eval(poly, Fraction(h * mu, m))
-        total += -term if mu % 2 else term
-    return 2 * total
+    numerators, den = _integer_coefficients(poly_euler_poly(k, p))
+    moments = _single_moments(h, m, len(numerators) - 1)
+    total = sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
+    return Fraction(2 * total, den * m ** (p + 1))
 
 
 def _correction_sum(k: int, p: int, m: int) -> Fraction:
@@ -292,6 +321,27 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     return IdentitySides.compare(lhs, rhs)
 
 
+def _double_moments(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
+    """A_i = Σ ± μh r^i and B_i = Σ ± νm r^i for i = 0..degree.
+
+    The sums run over μ = 0..m-1, ν = 0..h-1 with d, r = divmod(νm + μh, mh)
+    and sign (-1)^(μ+ν+d), so that Ê_l(ν/h + μ/m) = (-1)^d E_l(r/(mh)).
+    """
+    n = m * h
+    a_moments = [0] * (degree + 1)
+    b_moments = [0] * (degree + 1)
+    for mu in range(m):
+        for nu in range(h):
+            d, r = divmod(nu * m + mu * h, n)
+            a, b = (-mu * h, -nu * m) if (mu + nu + d) % 2 else (mu * h, nu * m)
+            for i in range(degree + 1):
+                a_moments[i] += a
+                b_moments[i] += b
+                a *= r
+                b *= r
+    return a_moments, b_moments
+
+
 def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     """Both sides of the reciprocity law for the degree-p index-k sums.
 
@@ -303,28 +353,30 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     Requires odd h and odd m; holds for every such pair (coprimality is not
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
     term by term, matching the symmetric lhs.
+
+    The lhs is read from single moments (`poly_dc_sum`), the rhs from double
+    moments: its l-th term is base_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i,
+    with base_l the l-th weight above and e_l the coefficients of E_l(x).
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, h, m) + Fraction(h) ** p * poly_dc_sum(
         k, p, m, h
     )
+    n = m * h
+    a, b = _double_moments(h, m, p)
     total = Fraction(0)
     for l in range(p + 1):
         n1 = p - l + 1
         jsum = stirling_weight(n1, k)
         if jsum == 0:
             continue
-        base = Fraction(m * h) ** (l - 1) * comb(p, l) * jsum / n1
-        m_pow = Fraction(m) ** (p - l)
-        h_pow = Fraction(h) ** (p - l)
-        for mu in range(m):
-            for nu in range(h):
-                weight = (mu * h) * m_pow + (nu * m) * h_pow
-                if weight == 0:
-                    continue
-                term = base * weight * _euler_alt_bar(l, Fraction(nu, h) + Fraction(mu, m))
-                total += -term if (mu + nu) % 2 else term
-    return IdentitySides.compare(lhs, 2 * total)
+        numerators, den = _integer_coefficients(euler_poly(l))
+        m_pow, h_pow = m ** (p - l), h ** (p - l)
+        inner = sum(
+            c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(numerators)
+        )
+        total += comb(p, l) * jsum / n1 * Fraction(inner, den)
+    return IdentitySides.compare(lhs, 2 * total / n)
 
 
 def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
@@ -333,14 +385,12 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     2·(mh)^(p-1) Σ_{μ=0..m-1} Σ_{ν=0..h-1} (-1)^(μ+ν) (μh + νm) Ê_p(ν/h + μ/m).
     The sign is (-1)^(μ+ν): that choice agrees exactly with the general law
     at k = 1 on the full odd grid (the (-1)^(μ+ν-1) variant does not).
+    Evaluated as 2·(mh)^(p-1) Σ_i e_i (A_i + B_i) / (mh)^i over the double
+    moments A, B of `_double_moments` and the coefficients e_i of E_p(x).
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    total = Fraction(0)
-    for mu in range(m):
-        for nu in range(h):
-            weight = mu * h + nu * m
-            if weight == 0:
-                continue
-            term = weight * _euler_alt_bar(p, Fraction(nu, h) + Fraction(mu, m))
-            total += -term if (mu + nu) % 2 else term
-    return 2 * Fraction(m * h) ** (p - 1) * total
+    n = m * h
+    a, b = _double_moments(h, m, p)
+    numerators, den = _integer_coefficients(euler_poly(p))
+    inner = sum(c * (a[i] + b[i]) * n ** (p - i) for i, c in enumerate(numerators))
+    return Fraction(2 * inner, den * n)

@@ -257,7 +257,7 @@ def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 1 or m % 2 == 0:
-        raise ValueError("modulus m must be a positive odd integer")
+        raise ValueError("m must be a positive odd integer")
     n1 = n + 1
     acc = [Fraction(0)]
     for l in range(n + 1):

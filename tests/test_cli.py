@@ -55,7 +55,9 @@ def test_parse_range_forms():
     assert parse_range("1,9,3") == [1, 9, 3]
 
 
-@pytest.mark.parametrize("text", ["", "a", "1..", "3..1", "odd2..2", "1,,2", "x..y"])
+@pytest.mark.parametrize(
+    "text", ["", "a", "1..", "3..1", "odd2..2", "1,,2", "x..y", "0..1000000000000", "odd0..20000"]
+)
 def test_parse_range_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_range(text)
@@ -210,6 +212,7 @@ def test_exploratory_failures_exit_zero(capsys):
         ["dcsum", "p=x", "h=1", "m=3"],  # non-integer parameter
         ["table", "euler", "maxn"],  # not key=value
         ["bogus-command"],
+        ["sweep", "thm14", "k=0..1000000000000", "p=1", "h=1", "m=1"],  # range too wide
     ],
 )
 def test_exit_two_on_usage_errors(argv, capsys):

@@ -1,11 +1,14 @@
 """Tests for Dedekind-type DC sums and the reciprocity-law machinery."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydc import dc_sums
 from polydc.dc_sums import (
     alternating_bar_eval,
     corollary15_rhs,
@@ -18,7 +21,13 @@ from polydc.dc_sums import (
     theorem13_sides,
 )
 from polydc.identity_suite import verify
-from polydc.sequences import bar_eval, euler_poly
+from polydc.sequences import (
+    bar_eval,
+    euler_poly,
+    poly_euler_poly,
+    poly_euler_via_corollary7,
+    stirling_weight,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
@@ -50,6 +59,122 @@ def test_alternating_bar_eval_antiperiodic(x):
 def test_alternating_bar_matches_bar_on_unit_interval(x):
     p = euler_poly(3)
     assert alternating_bar_eval(p, x) == bar_eval(p, x)
+
+
+# --- reference routes: the defining Fraction loops ------------------------------
+#
+# The served sums read integer moments; these evaluate each definition term by
+# term with `alternating_bar_eval`, a route that shares no kernel with them.
+
+
+@lru_cache(maxsize=None)
+def _reference_alt_bar(degree, x):
+    return alternating_bar_eval(euler_poly(degree), x)
+
+
+def reference_dc_sum(p, h, m):
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m)."""
+    total = Fraction(0)
+    for mu in range(1, m):
+        term = Fraction(mu, m) * _reference_alt_bar(p, Fraction(h * mu, m))
+        total += -term if mu % 2 else term
+    return 2 * total
+
+
+def reference_poly_dc_sum(k, p, h, m):
+    """T_p^(k)(h, m), the same loop over E_p^(k)(x)."""
+    poly = poly_euler_poly(k, p)
+    total = Fraction(0)
+    for mu in range(1, m):
+        term = Fraction(mu, m) * alternating_bar_eval(poly, Fraction(h * mu, m))
+        total += -term if mu % 2 else term
+    return 2 * total
+
+
+def reference_reciprocity_rhs(k, p, h, m):
+    """The reciprocity right side as the (l, μ, ν) triple loop of its docstring."""
+    total = Fraction(0)
+    for l in range(p + 1):
+        n1 = p - l + 1
+        jsum = stirling_weight(n1, k)
+        if jsum == 0:
+            continue
+        base = Fraction(m * h) ** (l - 1) * (comb(p, l) * jsum / n1)
+        m_pow = Fraction(m) ** (p - l)
+        h_pow = Fraction(h) ** (p - l)
+        for mu in range(m):
+            for nu in range(h):
+                weight = (mu * h) * m_pow + (nu * m) * h_pow
+                if weight == 0:
+                    continue
+                term = base * weight * _reference_alt_bar(l, Fraction(nu, h) + Fraction(mu, m))
+                total += -term if (mu + nu) % 2 else term
+    return 2 * total
+
+
+def reference_corollary15_rhs(p, h, m):
+    """2·(mh)^(p-1) Σ_{μ,ν} (-1)^(μ+ν) (μh + νm) Ê_p(ν/h + μ/m)."""
+    total = Fraction(0)
+    for mu in range(m):
+        for nu in range(h):
+            weight = mu * h + nu * m
+            if weight == 0:
+                continue
+            term = weight * _reference_alt_bar(p, Fraction(nu, h) + Fraction(mu, m))
+            total += -term if (mu + nu) % 2 else term
+    return 2 * Fraction(m * h) ** (p - 1) * total
+
+
+SMALL = range(1, 12)
+ODD_SMALL = range(1, 12, 2)
+
+
+@pytest.mark.parametrize("k", range(-2, 4))
+def test_poly_dc_sum_matches_reference(k):
+    for p in range(1, 7):
+        for h in SMALL:
+            for m in SMALL:
+                assert poly_dc_sum(k, p, h, m) == reference_poly_dc_sum(k, p, h, m), (k, p, h, m)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_dc_sum_matches_reference(p):
+    for h in range(1, 16):
+        for m in range(1, 16):
+            assert dc_sum(p, h, m) == reference_dc_sum(p, h, m), (p, h, m)
+
+
+@pytest.mark.parametrize("k", range(-2, 4))
+def test_reciprocity_rhs_matches_reference(k):
+    for p in range(1, 7):
+        for h in ODD_SMALL:
+            for m in ODD_SMALL:
+                served = reciprocity_sides(k, p, h, m).rhs
+                assert served == reference_reciprocity_rhs(k, p, h, m), (k, p, h, m)
+
+
+def test_corollary15_rhs_matches_reference():
+    for p in range(1, 8):
+        for h in ODD_SMALL:
+            for m in ODD_SMALL:
+                assert corollary15_rhs(p, h, m) == reference_corollary15_rhs(p, h, m), (p, h, m)
+
+
+def test_large_points_match_reference():
+    assert poly_dc_sum(2, 10, 7, 4001) == reference_poly_dc_sum(2, 10, 7, 4001)
+    assert dc_sum(10, 7, 4001) == reference_dc_sum(10, 7, 4001)
+    assert reciprocity_sides(2, 3, 41, 43).rhs == reference_reciprocity_rhs(2, 3, 41, 43)
+    assert corollary15_rhs(5, 39, 41) == reference_corollary15_rhs(5, 39, 41)
+
+
+def test_sums_leave_no_alt_bar_cache_entries():
+    # A memoized Ê route keeps one entry per distinct argument for the life of
+    # the process: 14,685 entries after these three calls.
+    dc_sums._euler_alt_bar.cache_clear()
+    dc_sum(3, 7, 4001)
+    dc_sum(3, 11, 4001)
+    reciprocity_sides(2, 3, 41, 43)
+    assert dc_sums._euler_alt_bar.cache_info().currsize == 0
 
 
 # --- the DC sums themselves ----------------------------------------------------
@@ -211,6 +336,7 @@ def test_corollary15_rhs_rejects_even_parameters():
         (theorem13_sides, "thm13", {"k": 1, "p": 3, "h": 3, "m": 9}),
         (reciprocity_sides, "thm14", {"k": 1, "p": 3, "h": 2, "m": 3}),
         (corollary15_rhs, "cor15", {"p": 2, "h": 3, "m": 6}),
+        (poly_euler_via_corollary7, "cor7", {"k": 1, "n": 3, "m": 4}),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -220,3 +346,26 @@ def test_identity_rejects_like_its_verifier(function, verifier_id, params):
     with pytest.raises(ValueError) as verified:
         verify(verifier_id, params)
     assert str(direct.value) == str(verified.value)
+
+
+# --- properties beyond the acceptance grid ------------------------------------
+
+odd_moduli = st.integers(min_value=6, max_value=12).map(lambda v: 2 * v + 1)  # 13..25
+
+
+@given(k=st.integers(-4, 5), p=st.integers(1, 8), h=odd_moduli, m=odd_moduli)
+@settings(max_examples=50, deadline=None)
+def test_reciprocity_holds_beyond_the_acceptance_grid(k, p, h, m):
+    assert verify("thm14", {"k": k, "p": p, "h": h, "m": m}).holds
+
+
+@given(p=st.integers(1, 8), h=odd_moduli, m=odd_moduli)
+@settings(max_examples=50, deadline=None)
+def test_classical_reciprocity_holds_beyond_the_acceptance_grid(p, h, m):
+    assert verify("cor15", {"p": p, "h": h, "m": m}).holds
+
+
+@given(p=st.integers(1, 8), h=st.integers(13, 25), m=st.integers(13, 25))
+@settings(max_examples=50, deadline=None)
+def test_index_one_collapse_holds_beyond_the_acceptance_grid(p, h, m):
+    assert verify("k1_collapse", {"p": p, "h": h, "m": m}).holds

@@ -1,5 +1,6 @@
 """Module boundaries, read from the source: no polydc module imports a private
-name from another, and the sequence constructions invert one series only."""
+name from another, the sequence constructions invert one series only, and no
+serving function evaluates the DC sums through the memoized alt-bar route."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,20 @@ def test_sequences_serving_path_inverts_one_series():
         if isinstance(node, ast.FunctionDef) and "series_reciprocal" in _identifiers(node)
     ]
     assert inverting == ["euler_numbers"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_calls_the_alt_bar_cache(path):
+    # The DC sums and the reciprocity right sides read integer moments; the
+    # memoized Ê route grew without bound in long-lived processes.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and "_euler_alt_bar" in _identifiers(call.func)
+            for call in ast.walk(node)
+        )
+    ]
+    assert callers == [], f"{path.name}: {callers} call _euler_alt_bar"
