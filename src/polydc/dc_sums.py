@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, floor, gcd, lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .exact_algebra import poly_eval
+from .exact_algebra import integer_coefficients, poly_eval
 from .sequences import (
     euler_numbers,
     euler_poly,
@@ -133,10 +133,19 @@ def _require_dc_params(p: int, h: int, m: int) -> None:
         raise ValueError("DC sum requires p >= 1, h >= 1, m >= 1")
 
 
-def _integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
-    """The coefficients of poly as integers over their least common denominator."""
-    den = lcm(*(c.denominator for c in poly))
-    return [c.numerator * (den // c.denominator) for c in poly], den
+def _horner(coefficients: list[int], x: int) -> int:
+    """Σ_i a_i x^i for coefficients [a_n, ..., a_0], highest degree first."""
+    value = 0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _common_numerators(polys: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """The coefficients of every poly as integers over one common denominator."""
+    rows = [integer_coefficients(poly) for poly in polys]
+    den = lcm(*(d for _, d in rows))
+    return [[c * (den // d) for c in numerators] for numerators, d in rows], den
 
 
 def dc_sum(p: int, h: int, m: int) -> Fraction:
@@ -146,7 +155,7 @@ def dc_sum(p: int, h: int, m: int) -> Fraction:
     den·m^p·E_p(r/m) is an integer evaluated by Horner's rule in r.
     """
     _require_dc_params(p, h, m)
-    numerators, den = _integer_coefficients(euler_poly(p))
+    numerators, den = integer_coefficients(euler_poly(p))
     scaled = [c * m ** (p - i) for i, c in enumerate(numerators)][::-1]
     total = 0
     for mu in range(1, m):
@@ -177,7 +186,7 @@ def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
     coefficients of E_p^(k)(x) and S_i the integer moments of `_single_moments`.
     """
     _require_dc_params(p, h, m)
-    numerators, den = _integer_coefficients(poly_euler_poly(k, p))
+    numerators, den = integer_coefficients(poly_euler_poly(k, p))
     moments = _single_moments(h, m, len(numerators) - 1)
     total = sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
     return Fraction(2 * total, den * m ** (p + 1))
@@ -290,25 +299,30 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     of the reduced residue hμ mod m — equivalently (-1)^(hμ + floor(hμ/m)) —
     which is what the residue-permutation argument behind the identity
     produces; with the bare sign (-1)^μ the two sides differ for h > 1.
+
+    The lhs is one integer μ-loop over the numerators of E_t^(k)(x) and E_j(x),
+    each family over one common denominator, built into a Fraction once.
     """
     THEOREM13_HYPOTHESES.require(p=p, h=h, m=m)
-    e_polys = [euler_poly(j) for j in range(p + 1)]
-    ek_polys = [poly_euler_poly(k, s) for s in range(p + 1)]
-    total = Fraction(0)
+    ek_rows, dk = _common_numerators([poly_euler_poly(k, t) for t in range(p + 1)])
+    e_rows, de = _common_numerators([euler_poly(j) for j in range(p + 1)])
+    # Horner coefficients of m^t·dk·E_t^(k)(μ/m) = Σ_i q_i μ^i m^(t-i), highest first.
+    ek_scaled = [
+        [q * m ** (t - i) for i, q in enumerate(row)][::-1] for t, row in enumerate(ek_rows)
+    ]
+    # de·E_j(h - d) for every d = floor(hμ/m) in 0..h-1.
+    e_at = [[_horner(row[::-1], h - d) for row in e_rows] for d in range(h)]
+    weights = [comb(p, t) * h**t * m ** (p - t) for t in range(p + 1)]
+    total = 0
     for mu in range(m):
         d = (h * mu) // m
+        e_row = e_at[d]
         inner = sum(
-            (
-                comb(p, s)
-                * Fraction(h) ** s
-                * poly_eval(ek_polys[s], Fraction(mu, m))
-                * poly_eval(e_polys[p - s], Fraction(h - d))
-                for s in range(p + 1)
-            ),
-            Fraction(0),
+            w * _horner(scaled, mu) * e_row[p - t]
+            for t, (w, scaled) in enumerate(zip(weights, ek_scaled))
         )
         total += -inner if (h * mu + d) % 2 else inner
-    lhs = Fraction(m) ** p * total
+    lhs = Fraction(total, dk * de)
     e = euler_numbers(p)
     at_one = [poly_eval(poly_euler_poly(k, n), Fraction(1)) for n in range(p + 1)]
     rhs = sum(
@@ -370,7 +384,7 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
         jsum = stirling_weight(n1, k)
         if jsum == 0:
             continue
-        numerators, den = _integer_coefficients(euler_poly(l))
+        numerators, den = integer_coefficients(euler_poly(l))
         m_pow, h_pow = m ** (p - l), h ** (p - l)
         inner = sum(
             c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(numerators)
@@ -391,6 +405,6 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     n = m * h
     a, b = _double_moments(h, m, p)
-    numerators, den = _integer_coefficients(euler_poly(p))
+    numerators, den = integer_coefficients(euler_poly(p))
     inner = sum(c * (a[i] + b[i]) * n ** (p - i) for i, c in enumerate(numerators))
     return Fraction(2 * inner, den * n)

@@ -4,10 +4,16 @@ Every computation in this package runs over arbitrary-precision rationals
 (`fractions.Fraction`) — there is no floating point anywhere.  Polynomials are
 dense coefficient lists in ascending degree; a truncated series of order N is
 a list of N + 1 coefficients representing a power series mod t^(N+1).
+
+The odd-modulus distribution sum is served in moment form, an integer kernel
+that builds one `Fraction` per returned coefficient.  `poly_affine` and
+`poly_mul` expand the same sum term by term; they stay public as the tests'
+reference route and as rungs of the benchmark's size ladders, and no serving
+function calls them.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 
 def format_rational(q: Fraction) -> str:
@@ -85,13 +91,37 @@ def poly_affine(p: list[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
     return poly_normalize(out)
 
 
+def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
+    """The coefficients of poly as integers over their least common denominator."""
+    den = lcm(*(c.denominator for c in poly))
+    return [c.numerator * (den // c.denominator) for c in poly], den
+
+
 def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
-    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum."""
-    out = [Fraction(0)]
+    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum.
+
+    Moment form: with p(y) = Σ_i c_i y^i, the x^j coefficient is
+    Σ_{i>=j} c_i C(i,j) P_{i-j} / m^i over the integer alternating power sums
+    P_t = Σ_{s=0..m-1} (-1)^s s^t (0^0 = 1).  Requires m >= 1.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    numerators, den = integer_coefficients(p)
+    degree = len(numerators) - 1
+    power_sums = [0] * (degree + 1)
     for s in range(m):
-        piece = poly_affine(p, Fraction(1, m), Fraction(s, m))
-        out = poly_add(out, poly_scale(piece, Fraction(-1)) if s % 2 else piece)
-    return out
+        term = -1 if s % 2 else 1
+        for t in range(degree + 1):
+            power_sums[t] += term
+            term *= s
+    scaled = [c * m ** (degree - i) for i, c in enumerate(numerators)]
+    out = [
+        sum(scaled[i] * comb(i, j) * power_sums[i - j] for i in range(j, degree + 1))
+        for j in range(degree + 1)
+    ]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return [Fraction(c, den * m**degree) for c in out]
 
 
 # ---------------------------------------------------------------------------

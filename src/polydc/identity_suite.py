@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
@@ -106,6 +106,10 @@ class _Verifier(NamedTuple):
     hypotheses: Hypotheses
     compute: Callable[[Params], IdentitySides]
     exploratory: bool = False
+
+
+#: The most parameter points a sweep grid may span; larger grids are rejected.
+MAX_SWEEP_POINTS = 100_000
 
 
 def brute_alternating_power_sum(n: int, l: int) -> Fraction:
@@ -401,7 +405,9 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
 
     Values for every declared parameter are required.  Points violating the
     verifier's hypotheses are filtered out before computing; if nothing
-    admissible remains, that is an error.  Points run in lexicographic order
+    admissible remains, that is an error, and so is a grid of more than
+    MAX_SWEEP_POINTS points (the product of the deduplicated axis lengths),
+    rejected before any point runs.  Points run in lexicographic order
     of the parameter tuple (parameters in their declared order, values
     ascending), and the result keeps every failing report.
     """
@@ -420,6 +426,11 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
         if not values:
             raise ValueError(f"empty range for parameter {name!r}")
         axes.append(values)
+    points = prod(len(values) for values in axes)
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep of {verifier_id!r} spans {points} points, more than {MAX_SWEEP_POINTS}"
+        )
     start = time.perf_counter()
     reports: list[VerificationReport] = []
     for point in product(*axes):

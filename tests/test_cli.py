@@ -213,6 +213,7 @@ def test_exploratory_failures_exit_zero(capsys):
         ["table", "euler", "maxn"],  # not key=value
         ["bogus-command"],
         ["sweep", "thm14", "k=0..1000000000000", "p=1", "h=1", "m=1"],  # range too wide
+        ["sweep", "thm14", "k=0..9999", "p=1..9999", "h=1", "m=1"],  # grid too large
     ],
 )
 def test_exit_two_on_usage_errors(argv, capsys):

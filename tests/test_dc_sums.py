@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydc import dc_sums
@@ -20,6 +20,7 @@ from polydc.dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
+from polydc.exact_algebra import poly_eval
 from polydc.identity_suite import verify
 from polydc.sequences import (
     bar_eval,
@@ -125,6 +126,25 @@ def reference_corollary15_rhs(p, h, m):
     return 2 * Fraction(m * h) ** (p - 1) * total
 
 
+def reference_theorem13_lhs(k, p, h, m):
+    """m^p Σ_μ (-1)^(hμ + d) Σ_s C(p,s) h^s E_s^(k)(μ/m) E_{p-s}(h - d), d = floor(hμ/m)."""
+    total = Fraction(0)
+    for mu in range(m):
+        d = (h * mu) // m
+        inner = sum(
+            (
+                comb(p, s)
+                * Fraction(h) ** s
+                * poly_eval(poly_euler_poly(k, s), Fraction(mu, m))
+                * poly_eval(euler_poly(p - s), Fraction(h - d))
+                for s in range(p + 1)
+            ),
+            Fraction(0),
+        )
+        total += -inner if (h * mu + d) % 2 else inner
+    return Fraction(m) ** p * total
+
+
 SMALL = range(1, 12)
 ODD_SMALL = range(1, 12, 2)
 
@@ -160,11 +180,22 @@ def test_corollary15_rhs_matches_reference():
                 assert corollary15_rhs(p, h, m) == reference_corollary15_rhs(p, h, m), (p, h, m)
 
 
+@pytest.mark.parametrize("k", range(-2, 4))
+def test_theorem13_lhs_matches_reference(k):
+    for p in range(1, 8):
+        for h in SMALL:
+            for m in ODD_SMALL:
+                if gcd(h, m) == 1:
+                    served = theorem13_sides(k, p, h, m).lhs
+                    assert served == reference_theorem13_lhs(k, p, h, m), (k, p, h, m)
+
+
 def test_large_points_match_reference():
     assert poly_dc_sum(2, 10, 7, 4001) == reference_poly_dc_sum(2, 10, 7, 4001)
     assert dc_sum(10, 7, 4001) == reference_dc_sum(10, 7, 4001)
     assert reciprocity_sides(2, 3, 41, 43).rhs == reference_reciprocity_rhs(2, 3, 41, 43)
     assert corollary15_rhs(5, 39, 41) == reference_corollary15_rhs(5, 39, 41)
+    assert theorem13_sides(2, 6, 40, 41).lhs == reference_theorem13_lhs(2, 6, 40, 41)
 
 
 def test_sums_leave_no_alt_bar_cache_entries():
@@ -357,6 +388,18 @@ odd_moduli = st.integers(min_value=6, max_value=12).map(lambda v: 2 * v + 1)  # 
 @settings(max_examples=50, deadline=None)
 def test_reciprocity_holds_beyond_the_acceptance_grid(k, p, h, m):
     assert verify("thm14", {"k": k, "p": p, "h": h, "m": m}).holds
+
+
+@given(
+    k=st.integers(-4, 5),
+    p=st.integers(1, 8),
+    h=st.integers(1, 25),
+    m=st.integers(5, 12).map(lambda v: 2 * v + 1),  # 11..25
+)
+@settings(max_examples=50, deadline=None)
+def test_coprime_expansion_holds_beyond_the_acceptance_grid(k, p, h, m):
+    assume(gcd(h, m) == 1)
+    assert verify("thm13", {"k": k, "p": p, "h": h, "m": m}).holds
 
 
 @given(p=st.integers(1, 8), h=odd_moduli, m=odd_moduli)

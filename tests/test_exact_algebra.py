@@ -1,14 +1,17 @@
 """Tests for exact rational scalars, dense polynomials, and truncated series."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc.exact_algebra import (
+    alternating_distribution,
     exp_series,
     format_rational,
+    integer_coefficients,
     log1p_series,
     parse_rational,
     poly_add,
@@ -21,6 +24,7 @@ from polydc.exact_algebra import (
     series_mul,
     series_reciprocal,
 )
+from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=16)
 small_polys = st.lists(rationals, min_size=1, max_size=7)
@@ -86,6 +90,57 @@ def test_poly_affine_matches_substitution(p, a, b, x):
 @given(small_polys, rationals, rationals)
 def test_poly_scale_is_scalar_multiplication(p, c, x):
     assert poly_eval(poly_scale(p, c), x) == c * poly_eval(p, x)
+
+
+def test_integer_coefficients_share_the_least_common_denominator():
+    poly = [Fraction(1, 4), Fraction(-5, 6), Fraction(3)]
+    assert integer_coefficients(poly) == ([3, -10, 36], 12)
+    assert integer_coefficients([Fraction(0)]) == ([0], 1)
+
+
+# --- the odd-modulus distribution sum ------------------------------------------
+#
+# The served sum reads integer alternating power sums; the reference expands
+# each term p((x + s)/m) by affine substitution, a route that shares no kernel
+# with it.
+
+
+def reference_alternating_distribution(p, m):
+    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), one `poly_affine` expansion per s."""
+    out = [Fraction(0)]
+    for s in range(m):
+        piece = poly_affine(p, Fraction(1, m), Fraction(s, m))
+        out = poly_add(out, poly_scale(piece, Fraction(-1)) if s % 2 else piece)
+    return out
+
+
+DISTRIBUTION_MODULI = [*range(1, 16, 2), 2, 4, 6]
+DISTRIBUTION_FAMILIES = {
+    "euler": euler_poly,
+    "genocchi": genocchi_poly,
+    **{f"poly-euler-k{k}": partial(poly_euler_poly, k) for k in range(-2, 4)},
+}
+
+
+@pytest.mark.parametrize("family", DISTRIBUTION_FAMILIES)
+def test_alternating_distribution_matches_reference(family):
+    for n in range(15):
+        poly = DISTRIBUTION_FAMILIES[family](n)
+        for m in DISTRIBUTION_MODULI:
+            served = alternating_distribution(poly, m)
+            assert served == reference_alternating_distribution(poly, m), (family, n, m)
+
+
+@given(small_polys, st.integers(min_value=1, max_value=15))
+@settings(deadline=None)
+def test_alternating_distribution_matches_reference_on_random_polys(p, m):
+    assert alternating_distribution(p, m) == reference_alternating_distribution(p, m)
+
+
+@pytest.mark.parametrize("m", [0, -1, -3])
+def test_alternating_distribution_rejects_nonpositive_modulus(m):
+    with pytest.raises(ValueError):
+        alternating_distribution([Fraction(1), Fraction(2)], m)
 
 
 # --- truncated series --------------------------------------------------------

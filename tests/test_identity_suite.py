@@ -4,7 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polydc import identity_suite
 from polydc.identity_suite import (
     EXPLORATORY_IDS,
     VERIFIER_IDS,
@@ -228,6 +231,24 @@ def test_sweep_rejects_missing_or_extra_ranges():
         sweep("eq40", {"k": [1], "n": [2]})
 
 
+def test_sweep_rejects_a_grid_beyond_the_point_limit(monkeypatch):
+    # 1,001 × 100 points; the verifier is replaced so that any point run fails.
+    def refuse(params):
+        raise AssertionError(f"point {params} ran")
+
+    monkeypatch.setitem(VERIFIERS, "thm14", VERIFIERS["thm14"]._replace(compute=refuse))
+    with pytest.raises(ValueError, match="100100 points, more than 100000"):
+        sweep("thm14", {"k": range(1001), "p": range(1, 101), "h": [1], "m": [1]})
+
+
+def test_sweep_point_limit_counts_distinct_values(monkeypatch):
+    assert sweep("eq40", {"k": [1] * 200_000}).total == 1
+    monkeypatch.setattr(identity_suite, "MAX_SWEEP_POINTS", 6)
+    assert sweep("eq4", {"n": [1, 2, 3, 2], "l": [0, 1, 0]}).total == 6
+    with pytest.raises(ValueError, match="8 points, more than 6"):
+        sweep("eq4", {"n": [1, 2, 3, 4], "l": [0, 1]})
+
+
 def test_sweep_keeps_every_failing_point():
     result = sweep("sawtooth_t1_exploratory", {"h": [1], "m": [1, 3, 5, 7, 9]})
     assert result.total == 5
@@ -243,3 +264,21 @@ def test_exploratory_registry_flags():
     assert EXPLORATORY_IDS == {"sawtooth_t1_exploratory"}
     assert VERIFIERS["sawtooth_t1_exploratory"].exploratory
     assert not VERIFIERS["thm14"].exploratory
+
+
+# --- properties beyond the acceptance grid ------------------------------------
+
+odd_moduli = st.integers(min_value=3, max_value=10).map(lambda v: 2 * v + 1)  # 7..21
+
+
+@given(n=st.integers(0, 14), m=odd_moduli)
+@settings(max_examples=50, deadline=None)
+def test_distribution_relation_holds_beyond_the_acceptance_grid(n, m):
+    assert verify("eq18", {"n": n, "m": m}).holds
+
+
+@pytest.mark.parametrize("verifier_id", ["thm6", "cor7"])
+@given(k=st.integers(-4, 5), n=st.integers(0, 14), m=odd_moduli)
+@settings(max_examples=50, deadline=None)
+def test_distribution_constructions_hold_beyond_the_acceptance_grid(verifier_id, k, n, m):
+    assert verify(verifier_id, {"k": k, "n": n, "m": m}).holds

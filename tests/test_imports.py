@@ -1,6 +1,7 @@
 """Module boundaries, read from the source: no polydc module imports a private
-name from another, the sequence constructions invert one series only, and no
-serving function evaluates the DC sums through the memoized alt-bar route."""
+name from another, the sequence constructions invert one series only, no
+serving function evaluates the DC sums through the memoized alt-bar route, and
+none expands a polynomial by affine substitution or schoolbook product."""
 
 import ast
 from pathlib import Path
@@ -50,18 +51,32 @@ def test_sequences_serving_path_inverts_one_series():
     assert inverting == ["euler_numbers"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_function_calls_the_alt_bar_cache(path):
-    # The DC sums and the reciprocity right sides read integer moments; the
-    # memoized Ê route grew without bound in long-lived processes.
+def _callers(path: Path, names: set[str]) -> list[str]:
+    """Every function in the module at path that calls one of names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    callers = [
+    return [
         node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and any(
-            isinstance(call, ast.Call) and "_euler_alt_bar" in _identifiers(call.func)
+            isinstance(call, ast.Call) and _identifiers(call.func) & names
             for call in ast.walk(node)
         )
     ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_calls_the_alt_bar_cache(path):
+    # The DC sums and the reciprocity right sides read integer moments; the
+    # memoized Ê route grew without bound in long-lived processes.
+    callers = _callers(path, {"_euler_alt_bar"})
     assert callers == [], f"{path.name}: {callers} call _euler_alt_bar"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_poly_affine_expands_polynomial_products(path):
+    # The distribution sum is an integer moment kernel; affine substitution and
+    # the schoolbook product are test oracles and benchmark ladder rungs only.
+    callers = _callers(path, {"poly_affine", "poly_mul"})
+    callers = [name for name in callers if name != "poly_affine"]
+    assert callers == [], f"{path.name}: {callers} call poly_affine or poly_mul"
