@@ -32,7 +32,7 @@ from .sequences import (
     euler_poly,
     poly_euler_numbers,
     poly_euler_poly,
-    stirling_weight,
+    theorem3_weights,
 )
 
 
@@ -252,7 +252,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
         ),
         Fraction(0),
     )
-    rhs += (p + 1) * e[p] + Fraction(m) ** p * poly_eval(poly_euler_poly(k, p), Fraction(1))
+    rhs += (p + 1) * e[p] + Fraction(m) ** p * sum(poly_euler_poly(k, p))
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -267,7 +267,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
-    at_one = [poly_eval(poly_euler_poly(k, n), Fraction(1)) for n in range(p + 1)]
+    at_one = [sum(poly_euler_poly(k, n)) for n in range(p + 1)]
     rhs = sum(
         (
             comb(p, i) * at_one[p - i] * e[i] * Fraction(m) ** (p - i)
@@ -324,7 +324,7 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
         total += -inner if (h * mu + d) % 2 else inner
     lhs = Fraction(total, dk * de)
     e = euler_numbers(p)
-    at_one = [poly_eval(poly_euler_poly(k, n), Fraction(1)) for n in range(p + 1)]
+    at_one = [sum(poly_euler_poly(k, n)) for n in range(p + 1)]
     rhs = sum(
         (
             comb(p, s) * Fraction(m * h) ** (p - s) * e[s] * at_one[p - s]
@@ -369,8 +369,9 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     term by term, matching the symmetric lhs.
 
     The lhs is read from single moments (`poly_dc_sum`), the rhs from double
-    moments: its l-th term is base_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i,
-    with base_l the l-th weight above and e_l the coefficients of E_l(x).
+    moments: its l-th term is (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i,
+    with a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) the Theorem 3 weights
+    (`theorem3_weights`) and e_l the coefficients of E_l(x).
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     lhs = Fraction(m) ** p * poly_dc_sum(k, p, h, m) + Fraction(h) ** p * poly_dc_sum(
@@ -379,17 +380,15 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     n = m * h
     a, b = _double_moments(h, m, p)
     total = Fraction(0)
-    for l in range(p + 1):
-        n1 = p - l + 1
-        jsum = stirling_weight(n1, k)
-        if jsum == 0:
+    for l, weight in enumerate(theorem3_weights(k, p)):
+        if weight == 0:
             continue
         numerators, den = integer_coefficients(euler_poly(l))
         m_pow, h_pow = m ** (p - l), h ** (p - l)
         inner = sum(
             c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(numerators)
         )
-        total += comb(p, l) * jsum / n1 * Fraction(inner, den)
+        total += weight * Fraction(inner, den)
     return IdentitySides.compare(lhs, 2 * total / n)
 
 

@@ -14,6 +14,7 @@ function calls them.
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import Iterable
 
 
 def format_rational(q: Fraction) -> str:
@@ -54,20 +55,16 @@ def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Coefficientwise sum, normalized."""
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
+def poly_combination(terms: Iterable[tuple[Fraction, list[Fraction]]]) -> list[Fraction]:
+    """Σ c·p over the (c, p) terms, normalized once; one product per term coefficient."""
+    out: list[Fraction] = []
+    for c, p in terms:
+        for i, a in enumerate(p):
+            if i < len(out):
+                out[i] += c * a
+            else:
+                out.append(c * a)
     return poly_normalize(out)
-
-
-def poly_scale(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    """Scalar multiple c·p, normalized."""
-    return poly_normalize([c * a for a in p])
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -87,7 +84,7 @@ def poly_affine(p: list[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
     out = [p[-1]]
     for c in reversed(p[:-1]):
         out = poly_mul(out, inner)
-        out = poly_add(out, [c])
+        out[0] += c
     return poly_normalize(out)
 
 
@@ -97,23 +94,29 @@ def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in poly], den
 
 
-def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
-    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum.
-
-    Moment form: with p(y) = Σ_i c_i y^i, the x^j coefficient is
-    Σ_{i>=j} c_i C(i,j) P_{i-j} / m^i over the integer alternating power sums
-    P_t = Σ_{s=0..m-1} (-1)^s s^t (0^0 = 1).  Requires m >= 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    numerators, den = integer_coefficients(p)
-    degree = len(numerators) - 1
+def alternating_power_sums(m: int, degree: int) -> list[int]:
+    """[P_0, ..., P_degree] with P_t = Σ_{s=0..m-1} (-1)^s s^t (0^0 = 1), in integers."""
     power_sums = [0] * (degree + 1)
     for s in range(m):
         term = -1 if s % 2 else 1
         for t in range(degree + 1):
             power_sums[t] += term
             term *= s
+    return power_sums
+
+
+def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
+    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum.
+
+    Moment form: with p(y) = Σ_i c_i y^i, the x^j coefficient is
+    Σ_{i>=j} c_i C(i,j) P_{i-j} / m^i over the integer alternating power sums
+    P_t of `alternating_power_sums`.  Requires m >= 1.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    numerators, den = integer_coefficients(p)
+    degree = len(numerators) - 1
+    power_sums = alternating_power_sums(m, degree)
     scaled = [c * m ** (degree - i) for i, c in enumerate(numerators)]
     out = [
         sum(scaled[i] * comb(i, j) * power_sums[i - j] for i in range(j, degree + 1))

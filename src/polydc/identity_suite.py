@@ -51,10 +51,10 @@ from .dc_sums import (
 )
 from .exact_algebra import (
     alternating_distribution,
-    poly_add,
+    alternating_power_sums,
+    poly_combination,
     poly_eval,
     poly_normalize,
-    poly_scale,
 )
 from .sequences import (
     euler_numbers,
@@ -67,7 +67,8 @@ from .sequences import (
     poly_genocchi_numbers,
     poly_genocchi_poly,
     sawtooth,
-    stirling_weight,
+    stirling_weights,
+    theorem3_weights,
 )
 
 
@@ -131,7 +132,7 @@ def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> Identit
     if lhs_poly == rhs_poly:
         value = poly_eval(lhs_poly, Fraction(1))
         return IdentitySides.compare(value, value)
-    diff = poly_add(lhs_poly, poly_scale(rhs_poly, Fraction(-1)))
+    diff = poly_combination([(1, lhs_poly), (-1, rhs_poly)])
     for x in map(Fraction, range(len(diff) + 1)):
         if poly_eval(diff, x) != 0:
             return IdentitySides.compare(poly_eval(lhs_poly, x), poly_eval(rhs_poly, x))
@@ -152,21 +153,21 @@ def _compute_eq4(p: Params) -> IdentitySides:
 def _compute_eq18(p: Params) -> IdentitySides:
     n, m = p["n"], p["m"]
     base = euler_poly(n)
-    rhs_poly = poly_scale(alternating_distribution(base, m), Fraction(m) ** n)
+    rhs_poly = poly_combination([(m**n, alternating_distribution(base, m))])
     return _poly_witness(base, rhs_poly)
 
 
 def _compute_thm1(p: Params) -> IdentitySides:
     n, k = p["n"], p["k"]
-    lhs = 2 * stirling_weight(n, k)
-    rhs = poly_eval(poly_genocchi_poly(k, n), Fraction(1)) + poly_genocchi_numbers(k, n)[n]
+    lhs = 2 * stirling_weights(k, n)[n]
+    rhs = sum(poly_genocchi_poly(k, n)) + poly_genocchi_numbers(k, n)[n]
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_cor2(p: Params) -> IdentitySides:
     n, k = p["n"], p["k"]
-    lhs = Fraction(2, n) * stirling_weight(n, k)
-    rhs = poly_eval(poly_euler_poly(k, n - 1), Fraction(1)) + poly_euler_numbers(k, n - 1)[n - 1]
+    lhs = Fraction(2, n) * stirling_weights(k, n)[n]
+    rhs = sum(poly_euler_poly(k, n - 1)) + poly_euler_numbers(k, n - 1)[n - 1]
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -176,22 +177,20 @@ def _compute_thm3(p: Params) -> IdentitySides:
 
 
 def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
-    """Σ_{m=1..n} Σ_{j=1..m} Σ_{i=0..x-1} (-1)^i i^(n-m) C(n,m) S_1(m,j) / j^(k-1)."""
-    total = Fraction(0)
-    for m in range(1, n + 1):
-        power_sum = sum((-1) ** i * i ** (n - m) for i in range(x))
-        if power_sum == 0:
-            continue
-        jsum = stirling_weight(m, k)
-        total += comb(n, m) * power_sum * jsum
-    return total
+    """Σ_l a_l P_l: the Theorem 3 weights a_l of degree n - 1 against P_l = Σ_{i<x} (-1)^i i^l.
+
+    n times it is the moment sum Σ_{m=1..n} C(n,m) w_m(k) P_{n-m} of Theorem 4.
+    """
+    power_sums = alternating_power_sums(x, n - 1)
+    weights = theorem3_weights(k, n - 1)
+    return sum((a * s for a, s in zip(weights, power_sums) if s), Fraction(0))
 
 
 def _compute_thm4(p: Params) -> IdentitySides:
     x, n, k = p["x"], p["n"], p["k"]
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
     lhs = sign * poly_eval(poly_genocchi_poly(k, n), Fraction(x)) + poly_genocchi_numbers(k, n)[n]
-    rhs = 2 * _alternating_moment_sum(x, n, k)
+    rhs = 2 * n * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -202,23 +201,18 @@ def _compute_cor5(p: Params) -> IdentitySides:
         sign * poly_eval(poly_euler_poly(k, n - 1), Fraction(x))
         + poly_euler_numbers(k, n - 1)[n - 1]
     )
-    rhs = Fraction(2, n) * _alternating_moment_sum(x, n, k)
+    rhs = 2 * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_thm6(p: Params) -> IdentitySides:
     k, n, m = p["k"], p["n"], p["m"]
-    lhs_poly = poly_genocchi_poly(k, n)
-    rhs_poly = [Fraction(0)]
-    for l in range(n + 1):
-        n1 = n - l + 1
-        weight = stirling_weight(n1, k) / n1
-        if weight == 0:
-            continue
-        alternating = alternating_distribution(genocchi_poly(l), m)
-        coeff = comb(n, l) * Fraction(m) ** (l - 1) * weight
-        rhs_poly = poly_add(rhs_poly, poly_scale(alternating, coeff))
-    return _poly_witness(lhs_poly, rhs_poly)
+    rhs_poly = poly_combination(
+        (a * Fraction(m) ** (l - 1), alternating_distribution(genocchi_poly(l), m))
+        for l, a in enumerate(theorem3_weights(k, n))
+        if a
+    )
+    return _poly_witness(poly_genocchi_poly(k, n), rhs_poly)
 
 
 def _compute_cor7(p: Params) -> IdentitySides:
@@ -233,9 +227,9 @@ def _compute_lemma8(p: Params) -> IdentitySides:
         (comb(pp - nu + 1, s) * comb(pp, nu) * ek[nu] for nu in range(pp + 1)),
         Fraction(0),
     )
-    rhs = comb(pp, s) * poly_eval(poly_euler_poly(k, pp - s), Fraction(1)) + comb(
-        pp, s - 1
-    ) * poly_eval(poly_euler_poly(k, pp - s + 1), Fraction(1))
+    rhs = comb(pp, s) * sum(poly_euler_poly(k, pp - s)) + comb(pp, s - 1) * sum(
+        poly_euler_poly(k, pp - s + 1)
+    )
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -248,8 +242,8 @@ def _compute_lemma9(p: Params) -> IdentitySides:
         (Fraction(comb(pp, nu), pp - nu + 2) * ek[nu] for nu in range(pp + 1)),
         Fraction(0),
     )
-    at_one_1 = poly_eval(poly_euler_poly(k, pp + 1), Fraction(1))
-    at_one_2 = poly_eval(poly_euler_poly(k, pp + 2), Fraction(1))
+    at_one_1 = sum(poly_euler_poly(k, pp + 1))
+    at_one_2 = sum(poly_euler_poly(k, pp + 2))
     num_2 = poly_euler_numbers(k, pp + 2)[pp + 2]
     rhs = (
         at_one_1 / (pp + 1)
@@ -261,7 +255,7 @@ def _compute_lemma9(p: Params) -> IdentitySides:
 
 def _compute_eq40(p: Params) -> IdentitySides:
     k = p["k"]
-    lhs = poly_eval(poly_euler_poly(k, 1), Fraction(1)) - poly_euler_numbers(k, 1)[1]
+    lhs = sum(poly_euler_poly(k, 1)) - poly_euler_numbers(k, 1)[1]
     return IdentitySides.compare(lhs, Fraction(1))
 
 
@@ -277,17 +271,8 @@ def _compute_k1_collapse(p: Params) -> IdentitySides:
 
 
 def _compute_oracle_equivalence(p: Params) -> IdentitySides:
-    k, n, m = p["k"], p["n"], p["m"]
-    direct = poly_normalize(poly_euler_poly(k, n))
-    routes = [
-        poly_normalize(poly_euler_via_theorem3(k, n)),
-        poly_normalize(poly_euler_via_corollary7(k, n, m)),
-    ]
-    for other in routes:
-        if other != direct:
-            return _poly_witness(direct, other)
-    value = poly_eval(direct, Fraction(1))
-    return IdentitySides.compare(value, value)
+    sides = _compute_thm3(p)
+    return _compute_cor7(p) if sides.holds else sides
 
 
 def _compute_sawtooth_exploratory(p: Params) -> IdentitySides:

@@ -1,4 +1,4 @@
-"""Special numbers and polynomials: Stirling (first kind), Euler, Genocchi,
+"""Special numbers and polynomials: Stirling (both kinds), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
 The Euler numbers are read off 2/(e^t + 1), the one series inversion here,
@@ -9,8 +9,9 @@ binomial convolutions of the numbers.  The poly families admit any integer
 index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
-for the served ones; as they share the Stirling weights, the tests also check
-the poly-Genocchi numbers against the series 2·Ei_k(log(1+t))/(e^t + 1).
+for the served ones; the Stirling weights are checked at fill time by Stirling
+inversion, and the tests check the poly-Genocchi numbers against the series
+2·Ei_k(log(1+t))/(e^t + 1).
 """
 
 from fractions import Fraction
@@ -19,10 +20,10 @@ from math import comb, factorial, floor
 from .exact_algebra import (
     alternating_distribution,
     exp_series,
-    poly_add,
+    integer_coefficients,
+    poly_combination,
     poly_eval,
     poly_normalize,
-    poly_scale,
     series_reciprocal,
 )
 
@@ -65,17 +66,44 @@ def stirling1_row(n: int) -> list[int]:
     return list(_stirling_rows[n])
 
 
-def stirling_weight(n: int, k: int) -> Fraction:
-    """Σ_{j=1..n} S_1(n, j) / j^(k-1), exactly for any integer k.
+_stirling2_rows: list[list[int]] = [[1]]
 
-    This is n!·[t^n] Ei_k(log(1+t)), the weight that Theorems 1/3/4/6,
-    Corollary 7 and the reciprocity law attach to the index-k poly families.
+
+def _grow_stirling2(n: int) -> None:
+    """Stirling numbers of the second kind: S_2(r, j) = S_2(r-1, j-1) + j·S_2(r-1, j)."""
+    while len(_stirling2_rows) <= n:
+        prev = _stirling2_rows[-1] + [0]
+        _stirling2_rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, len(prev))])
+
+
+_weight_rows: dict[int, tuple[Fraction, ...]] = {}
+
+
+def stirling_weights(k: int, max_n: int) -> list[Fraction]:
+    """[w_0(k), ..., w_max_n(k)] with w_n(k) = Σ_{j=1..n} S_1(n, j) / j^(k-1).
+
+    This is n!·[t^n] Ei_k(log(1+t)), the weight of the index-k poly families.
+    Each k has one grow-only row, extended by its missing entries only; each new
+    N is checked by Stirling inversion, Σ_{n=1..N} S_2(N, n) w_n(k) = N^(1-k),
+    or RuntimeError is raised.  Each call returns a fresh list.
     """
-    if n < 0:
-        raise ValueError("stirling1 requires nonnegative n")
-    _grow_stirling(n)
-    row = _stirling_rows[n]
-    return sum((row[j] * Fraction(j) ** (1 - k) for j in range(1, n + 1)), Fraction(0))
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    row = _weight_rows.get(k, ())
+    if len(row) <= max_n:
+        _grow_stirling(max_n)
+        _grow_stirling2(max_n)
+        grown = row + tuple(
+            sum((s1[j] * Fraction(j) ** (1 - k) for j in range(1, len(s1))), Fraction(0))
+            for s1 in _stirling_rows[len(row) : max_n + 1]
+        )
+        numerators, den = integer_coefficients(list(grown))
+        for big_n in range(max(len(row), 1), max_n + 1):
+            total = sum(s * w for s, w in zip(_stirling2_rows[big_n], numerators))
+            if Fraction(total, den) != Fraction(big_n) ** (1 - k):
+                raise RuntimeError(f"Stirling weight row k={k} fails inversion at N={big_n}")
+        row = _weight_rows[k] = grown
+    return list(row[: max_n + 1])
 
 
 def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
@@ -173,7 +201,7 @@ _poly_genocchi_cache: dict[int, list[Fraction]] = {}
 def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     """[G_0^(k), ..., G_max_n^(k)] from 2·Ei_k(log(1+t))/(e^t + 1).
 
-    Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! with w_j(k) = stirling_weight(j, k), and
+    Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! with w_j(k) from `stirling_weights`, and
     2/(e^t + 1) = Σ_n E_n t^n/n!, so G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}.
     """
     if max_n < 0:
@@ -182,7 +210,7 @@ def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     if len(cached) <= max_n:
         order = max(max_n, 2 * len(cached) + 4)
         euler = euler_numbers(order)
-        weights = [stirling_weight(j, k) for j in range(order + 1)]
+        weights = stirling_weights(k, order)
         cached = [
             sum((comb(n, j) * weights[j] * euler[n - j] for j in range(1, n + 1)), Fraction(0))
             for n in range(order + 1)
@@ -222,51 +250,45 @@ def poly_euler_poly(k: int, n: int) -> list[Fraction]:
     key = (k, n)
     if key not in _poly_euler_poly_cache:
         binomial_form = binomial_convolution(poly_euler_numbers(k, n), n)
-        quotient_form = poly_scale(poly_genocchi_poly(k, n + 1), Fraction(1, n + 1))
+        quotient_form = poly_combination([(Fraction(1, n + 1), poly_genocchi_poly(k, n + 1))])
         if binomial_form != quotient_form:
             raise RuntimeError("poly-Euler construction routes disagree")
         _poly_euler_poly_cache[key] = binomial_form
     return list(_poly_euler_poly_cache[key])
 
 
-def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
-    """E_n^(k)(x) by the Stirling closed form (independent oracle route).
+def theorem3_weights(k: int, n: int) -> list[Fraction]:
+    """[a_0, ..., a_n] with a_l = C(n,l)·w_{n+1-l}(k)/(n+1-l): E_n^(k)(x) = Σ_l a_l E_l(x).
 
-    Assembles (1/(n+1))·Σ_{j=1..n+1} Σ_{m=1..j} C(n+1,j)·S_1(j,m)/m^(k-1)·E_{n+1-j}(x);
-    the underlying identity produces E_{n}^(k) from index n+1 internally.
+    These Theorem 3 weights serve every weighted sum over the index-k families.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    n1 = n + 1
-    acc = [Fraction(0)]
-    for j in range(1, n1 + 1):
-        weight = stirling_weight(j, k)
-        if weight == 0:
-            continue
-        acc = poly_add(acc, poly_scale(euler_poly(n1 - j), comb(n1, j) * weight))
-    return poly_scale(acc, Fraction(1, n1))
+    weights = stirling_weights(k, n + 1)
+    return [comb(n, l) * weights[n + 1 - l] / (n + 1 - l) for l in range(n + 1)]
+
+
+def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
+    """E_n^(k)(x) = Σ_l a_l E_l(x) over `theorem3_weights` (the Theorem 3 oracle route)."""
+    weights = theorem3_weights(k, n)
+    return poly_combination((a, euler_poly(l)) for l, a in enumerate(weights) if a)
 
 
 def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
     """E_n^(k)(x) by the distribution-based closed form, for odd modulus m.
 
-    Assembles Σ_{l=0..n} C(n,l) m^l Σ_{j=1..n+1-l} Σ_{s=0..m-1}
-    (-1)^s E_l((s+x)/m) S_1(n+1-l, j) / (j^(k-1) (n+1-l)); must equal
-    poly_euler_poly(k, n) for every odd m.
+    Assembles Σ_l a_l m^l Σ_{s=0..m-1} (-1)^s E_l((s+x)/m) over the Theorem 3
+    weights a_l; must equal poly_euler_poly(k, n) for every odd m.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be a positive odd integer")
-    n1 = n + 1
-    acc = [Fraction(0)]
-    for l in range(n + 1):
-        weight = stirling_weight(n1 - l, k) / (n1 - l)
-        if weight == 0:
-            continue
-        shifted = alternating_distribution(euler_poly(l), m)
-        acc = poly_add(acc, poly_scale(shifted, comb(n, l) * Fraction(m) ** l * weight))
-    return acc
+    return poly_combination(
+        (a * m**l, alternating_distribution(euler_poly(l), m))
+        for l, a in enumerate(theorem3_weights(k, n))
+        if a
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from polydc.sequences import (
     euler_poly,
     poly_euler_poly,
     poly_euler_via_corollary7,
-    stirling_weight,
+    stirling1_row,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
@@ -97,7 +97,8 @@ def reference_reciprocity_rhs(k, p, h, m):
     total = Fraction(0)
     for l in range(p + 1):
         n1 = p - l + 1
-        jsum = stirling_weight(n1, k)
+        row = stirling1_row(n1)
+        jsum = sum((row[j] * Fraction(j) ** (1 - k) for j in range(1, n1 + 1)), Fraction(0))
         if jsum == 0:
             continue
         base = Fraction(m * h) ** (l - 1) * (comb(p, l) * jsum / n1)

@@ -11,15 +11,15 @@ from polydc.exact_algebra import (
     alternating_distribution,
     exp_series,
     format_rational,
+    alternating_power_sums,
     integer_coefficients,
     log1p_series,
     parse_rational,
-    poly_add,
     poly_affine,
+    poly_combination,
     poly_eval,
     poly_mul,
     poly_normalize,
-    poly_scale,
     series_compose,
     series_mul,
     series_reciprocal,
@@ -71,9 +71,11 @@ def test_poly_eval_horner():
     assert poly_eval(p, Fraction(1, 2)) == Fraction(3, 4)
 
 
-@given(small_polys, small_polys, rationals)
-def test_poly_add_matches_pointwise_sum(p, q, x):
-    assert poly_eval(poly_add(p, q), x) == poly_eval(p, x) + poly_eval(q, x)
+@given(st.lists(st.tuples(rationals, small_polys), max_size=4), rationals)
+def test_poly_combination_matches_pointwise_linear_combination(terms, x):
+    combined = poly_combination(terms)
+    assert poly_eval(combined, x) == sum((c * poly_eval(p, x) for c, p in terms), Fraction(0))
+    assert combined == poly_normalize(combined)
 
 
 @given(small_polys, small_polys, rationals)
@@ -85,11 +87,6 @@ def test_poly_mul_matches_pointwise_product(p, q, x):
 @settings(deadline=None)
 def test_poly_affine_matches_substitution(p, a, b, x):
     assert poly_eval(poly_affine(p, a, b), x) == poly_eval(p, a * x + b)
-
-
-@given(small_polys, rationals, rationals)
-def test_poly_scale_is_scalar_multiplication(p, c, x):
-    assert poly_eval(poly_scale(p, c), x) == c * poly_eval(p, x)
 
 
 def test_integer_coefficients_share_the_least_common_denominator():
@@ -107,11 +104,9 @@ def test_integer_coefficients_share_the_least_common_denominator():
 
 def reference_alternating_distribution(p, m):
     """Σ_{s=0..m-1} (-1)^s p((x + s)/m), one `poly_affine` expansion per s."""
-    out = [Fraction(0)]
-    for s in range(m):
-        piece = poly_affine(p, Fraction(1, m), Fraction(s, m))
-        out = poly_add(out, poly_scale(piece, Fraction(-1)) if s % 2 else piece)
-    return out
+    return poly_combination(
+        ((-1) ** s, poly_affine(p, Fraction(1, m), Fraction(s, m))) for s in range(m)
+    )
 
 
 DISTRIBUTION_MODULI = [*range(1, 16, 2), 2, 4, 6]
@@ -135,6 +130,12 @@ def test_alternating_distribution_matches_reference(family):
 @settings(deadline=None)
 def test_alternating_distribution_matches_reference_on_random_polys(p, m):
     assert alternating_distribution(p, m) == reference_alternating_distribution(p, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 10])
+def test_alternating_power_sums_match_direct_sums(m):
+    expected = [sum((-1) ** s * s**t for s in range(m)) for t in range(9)]
+    assert alternating_power_sums(m, 8) == expected
 
 
 @pytest.mark.parametrize("m", [0, -1, -3])

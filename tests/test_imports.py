@@ -1,7 +1,8 @@
 """Module boundaries, read from the source: no polydc module imports a private
 name from another, the sequence constructions invert one series only, no
-serving function evaluates the DC sums through the memoized alt-bar route, and
-none expands a polynomial by affine substitution or schoolbook product."""
+serving function evaluates the DC sums through the memoized alt-bar route,
+none expands a polynomial by affine substitution or schoolbook product, and
+the Stirling weight rows have four readers only."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,19 @@ def test_only_poly_affine_expands_polynomial_products(path):
     callers = _callers(path, {"poly_affine", "poly_mul"})
     callers = [name for name in callers if name != "poly_affine"]
     assert callers == [], f"{path.name}: {callers} call poly_affine or poly_mul"
+
+
+def test_only_the_weight_readers_call_stirling_weights():
+    # Every weighted sum over the index-k families reads the Theorem 3 weights;
+    # only they, the poly-Genocchi numbers and thm1/cor2 read the row itself.
+    callers = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _callers(path, {"stirling_weights"})
+    ]
+    assert sorted(callers) == [
+        "_compute_cor2",
+        "_compute_thm1",
+        "poly_genocchi_numbers",
+        "theorem3_weights",
+    ]

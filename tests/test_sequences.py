@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydc import sequences
 from polydc.exact_algebra import (
     exp_series,
     log1p_series,
@@ -32,6 +33,8 @@ from polydc.sequences import (
     sawtooth,
     stirling1,
     stirling1_row,
+    stirling_weights,
+    theorem3_weights,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
@@ -100,6 +103,58 @@ def test_stirling1_egf_column(m):
         power = series_mul(power, log1p_series(order))
     for n in range(order + 1):
         assert power[n] == Fraction(stirling1(n, m) * factorial(m), factorial(n))
+
+
+# --- Stirling weight rows ----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_stirling_weights_are_first_kind_sums(k):
+    # w_n(k) = Σ_j S_1(n, j)·j^(1-k), rebuilt term by term from the triangle.
+    rows = [stirling1_row(n) for n in range(41)]
+    expected = [
+        sum((row[j] * Fraction(j) ** (1 - k) for j in range(1, len(row))), Fraction(0))
+        for row in rows
+    ]
+    assert stirling_weights(k, 40) == expected
+
+
+def test_stirling_weight_row_grows_by_its_missing_entries(monkeypatch):
+    monkeypatch.setattr(sequences, "_weight_rows", {})
+    pieces = [stirling_weights(3, n) for n in (0, 4, 4, 11, 2, 25)]
+    whole = stirling_weights(3, 25)
+    assert len(sequences._weight_rows[3]) == 26
+    assert all(piece == whole[: len(piece)] for piece in pieces)
+
+
+def test_stirling_weight_row_cache_is_not_shared_with_callers():
+    first = stirling_weights(2, 6)
+    expected = list(first)
+    first[5] = Fraction(999)
+    first.append(Fraction(7))
+    assert stirling_weights(2, 6) == expected
+
+
+def test_stirling_weight_row_fill_check_catches_a_wrong_stirling_number(monkeypatch):
+    # S_1(5, 2) + 7 puts w_5(2) off by 7/2; Stirling inversion over the
+    # second-kind triangle must see it as soon as the k = 2 row passes n = 5.
+    rows = [stirling1_row(n) for n in range(6)]
+    rows[5][2] += 7
+    monkeypatch.setattr(sequences, "_stirling_rows", rows)
+    monkeypatch.setattr(sequences, "_weight_rows", {})
+    stirling_weights(2, 4)  # rows 0..4 are intact
+    with pytest.raises(RuntimeError):
+        stirling_weights(2, 6)
+    assert len(sequences._weight_rows[2]) == 5
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 4])
+def test_theorem3_weights_are_the_stirling_ratios(k):
+    for n in range(12):
+        weights = stirling_weights(k, n + 1)
+        expected = [comb(n + 1, l) * weights[n + 1 - l] / (n + 1) for l in range(n + 1)]
+        assert theorem3_weights(k, n) == expected
+        assert expected[n] == 1
 
 
 # --- Euler numbers and polynomials --------------------------------------------
