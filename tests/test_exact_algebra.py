@@ -71,6 +71,16 @@ def test_poly_eval_horner():
     assert poly_eval(p, Fraction(1, 2)) == Fraction(3, 4)
 
 
+@given(small_polys, small_polys, rationals)
+def test_poly_add_matches_pointwise_sum(p, q, x):
+    assert poly_eval(poly_combination([(1, p), (1, q)]), x) == poly_eval(p, x) + poly_eval(q, x)
+
+
+@given(small_polys, rationals, rationals)
+def test_poly_scale_is_scalar_multiplication(p, c, x):
+    assert poly_eval(poly_combination([(c, p)]), x) == c * poly_eval(p, x)
+
+
 @given(st.lists(st.tuples(rationals, small_polys), max_size=4), rationals)
 def test_poly_combination_matches_pointwise_linear_combination(terms, x):
     combined = poly_combination(terms)
