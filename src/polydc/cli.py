@@ -12,7 +12,8 @@ Every subcommand accepts --format {json,csv}, --output PATH, and
 --deterministic (zeroes elapsed_ms so repeated runs are byte-identical).
 Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
 `oddlo..hi` (odd values only), a comma list `1,3,9`, or a single integer.
-Rational values are canonical strings such as `-3/2`, `5`, or `0`.
+Rational values are canonical strings such as `-3/2`, `5`, or `0`.  The
+`max_n` of `table` and the `n` of `eval` are at most MAX_TABLE_N.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -54,6 +55,9 @@ _EVAL_KINDS = ("euler-poly", "poly-euler-poly", "bar-euler", "bar-poly-euler", "
 
 #: The most integers a `lo..hi` range may span; longer ranges are usage errors.
 MAX_RANGE_VALUES = 10_000
+
+#: The largest `max_n` of `table` and `n` of `eval`; larger ones are usage errors.
+MAX_TABLE_N = 500
 
 
 def parse_range(text: str) -> list[int]:
@@ -204,6 +208,8 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
     max_n = _int_param(raw, "max_n")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if max_n > MAX_TABLE_N:
+        raise ValueError(f"max_n must be at most {MAX_TABLE_N}")
     if sequence in _POLY_SEQUENCES:
         k = _int_param(raw, "k")
     rows: list[dict] = []
@@ -241,6 +247,8 @@ def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
         n = _int_param(raw, "n")
         if n < 0:
             raise ValueError("n must be >= 0")
+        if n > MAX_TABLE_N:
+            raise ValueError(f"n must be at most {MAX_TABLE_N}")
         if needs_k:
             poly = poly_euler_poly(_int_param(raw, "k"), n)
         else:

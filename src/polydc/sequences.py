@@ -1,30 +1,33 @@
 """Special numbers and polynomials: Stirling (both kinds), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
-The Euler numbers are read off 2/(e^t + 1), the one series inversion here,
-and checked at cache-fill time against a recurrence.  The other families are
-built from them and the Stirling weights w_j(k) = j!·[t^j] Ei_k(log(1+t)):
-G_n = n·E_{n-1} and G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the
-binomial convolutions of the numbers.  The poly families admit any integer
-index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
+The Euler numbers are read off 2/(e^t + 1) = 1 - tanh(t/2) through the
+integer tangent numbers, filled by an in-place recurrence and checked at
+cache-fill time against the zigzag triangle; no series arithmetic runs here.
+The other families are built from them and the Stirling weights
+w_j(k) = j!·[t^j] Ei_k(log(1+t)): G_n = n·E_{n-1} and
+G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the binomial
+convolutions of the numbers, each kept once per n.  The poly families admit
+any integer index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones; the Stirling weights are checked at fill time by Stirling
-inversion, and the tests check the poly-Genocchi numbers against the series
-2·Ei_k(log(1+t))/(e^t + 1).
+inversion.  The tests check the Euler numbers against the binomial recurrence
+and the series inversion of 2/(e^t + 1), and the poly-Genocchi numbers against
+the series 2·Ei_k(log(1+t))/(e^t + 1).
 """
 
+from collections.abc import Callable
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, floor
 
 from .exact_algebra import (
     alternating_distribution,
-    exp_series,
     integer_coefficients,
     poly_combination,
     poly_eval,
     poly_normalize,
-    series_reciprocal,
 )
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ _euler_cache: list[Fraction] = []
 
 
 def _euler_numbers_recurrence(max_n: int) -> list[Fraction]:
-    """Independent route: E_n = δ_{0,n} - (1/2)·Σ_{l<n} C(n,l) E_l."""
+    """Test oracle: E_n = δ_{0,n} - (1/2)·Σ_{l<n} C(n,l) E_l, in Fractions."""
     out: list[Fraction] = []
     for n in range(max_n + 1):
         delta = Fraction(1) if n == 0 else Fraction(0)
@@ -128,32 +131,76 @@ def _euler_numbers_recurrence(max_n: int) -> list[Fraction]:
     return out
 
 
-def euler_numbers(max_n: int) -> list[Fraction]:
-    """[E_0, ..., E_max_n] from the generating function 2/(e^t + 1).
+def _tangent_numbers(count: int) -> list[int]:
+    """[T_1, T_3, ..., T_{2·count-1}], tan t = Σ T_n t^n/n!, in place (Brent–Harvey).
 
-    The series extraction is cross-checked against the binomial recurrence
-    derived from E_n(1) + E_n = 2·δ_{0,n}; disagreement would indicate a
-    defect in the series engine and raises RuntimeError.
+    T[1] = 1, T[k] = (k-1)·T[k-1], then T[j] = (j-k)·T[j-1] + (j-k+2)·T[j]
+    for k = 2..count and j = k..count.
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1 : count + 1]
+
+
+def _zigzag_tangent_numbers(count: int) -> list[int]:
+    """The same tangent numbers as the odd zigzag numbers A_1, A_3, ..., A_{2·count-1}.
+
+    Seidel–Entringer boustrophedon, additions only: row n is the running sum
+    of row n-1 read backwards, starting from 0, and A_n is its last entry.
+    """
+    row, odd = [1], []
+    for n in range(1, 2 * count):
+        row = list(accumulate(reversed(row), initial=0))
+        if n % 2:
+            odd.append(row[-1])
+    return odd
+
+
+def euler_numbers(max_n: int) -> list[Fraction]:
+    """[E_0, ..., E_max_n], the coefficients of 2/(e^t + 1) = 1 - tanh(t/2).
+
+    E_0 = 1, E_n = 0 for even n >= 2, and E_{2j-1} = (-1)^j T_{2j-1}/2^(2j-1)
+    for the integer tangent numbers T.  These come from an in-place integer
+    recurrence and are checked against the zigzag (boustrophedon) triangle,
+    which shares no arithmetic with it; disagreement raises RuntimeError.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if len(_euler_cache) <= max_n:
         order = max(max_n, 2 * len(_euler_cache) + 4)
-        denom = exp_series(order)
-        denom[0] += 1
-        inv = series_reciprocal(denom)
-        series_route = [factorial(n) * 2 * inv[n] for n in range(order + 1)]
-        if series_route != _euler_numbers_recurrence(order):
-            raise RuntimeError("Euler number routes disagree: series vs recurrence")
-        _euler_cache[:] = series_route
+        count = (order + 1) // 2  # odd indices 1, 3, ..., <= order
+        tangent = _tangent_numbers(count)
+        if tangent != _zigzag_tangent_numbers(count):
+            raise RuntimeError("Euler number routes disagree: tangent recurrence vs zigzag")
+        filled = [Fraction(1)] + [Fraction(0)] * order
+        for j, t in enumerate(tangent, 1):
+            filled[2 * j - 1] = Fraction((-1) ** j * t, 2 ** (2 * j - 1))
+        _euler_cache[:] = filled
     return _euler_cache[: max_n + 1]
+
+
+_euler_poly_cache: dict[int, tuple[Fraction, ...]] = {}
+_genocchi_poly_cache: dict[int, tuple[Fraction, ...]] = {}
+
+
+def _convolution_poly(
+    cache: dict[int, tuple[Fraction, ...]], numbers: Callable[[int], list[Fraction]], n: int
+) -> list[Fraction]:
+    """binomial_convolution(numbers(n), n), kept as a tuple per n; a fresh list per call."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n not in cache:
+        cache[n] = tuple(binomial_convolution(numbers(n), n))
+    return list(cache[n])
 
 
 def euler_poly(n: int) -> list[Fraction]:
     """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return binomial_convolution(euler_numbers(n), n)
+    return _convolution_poly(_euler_poly_cache, euler_numbers, n)
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
@@ -169,9 +216,7 @@ def genocchi_numbers(max_n: int) -> list[Fraction]:
 
 def genocchi_poly(n: int) -> list[Fraction]:
     """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return binomial_convolution(genocchi_numbers(n), n)
+    return _convolution_poly(_genocchi_poly_cache, genocchi_numbers, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydc import identity_suite
-from polydc.cli import main, parse_range
+from polydc import cli, identity_suite
+from polydc.cli import MAX_TABLE_N, main, parse_range
 from polydc.exact_algebra import format_rational, parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +219,37 @@ def test_exploratory_failures_exit_zero(capsys):
 def test_exit_two_on_usage_errors(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "euler", f"max_n={MAX_TABLE_N + 1}"],
+        ["table", "genocchi", f"max_n={MAX_TABLE_N + 1}"],
+        ["table", "poly-genocchi", "k=3", f"max_n={MAX_TABLE_N + 1}"],
+        ["table", "poly-euler", "k=3", f"max_n={MAX_TABLE_N + 1}"],
+        ["table", "stirling1", f"max_n={MAX_TABLE_N + 1}"],
+        ["eval", "euler-poly", f"n={MAX_TABLE_N + 1}", "x=1/3"],
+        ["eval", "bar-poly-euler", "k=2", f"n={MAX_TABLE_N + 1}", "x=1/3"],
+    ],
+)
+def test_size_above_max_table_n_is_rejected_before_any_construction(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("construction started")
+
+    constructions = (
+        "euler_numbers",
+        "genocchi_numbers",
+        "poly_genocchi_numbers",
+        "poly_euler_numbers",
+        "stirling1",
+        "euler_poly",
+        "poly_euler_poly",
+    )
+    for name in constructions:
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert f"at most {MAX_TABLE_N}" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -1,8 +1,9 @@
 """Module boundaries, read from the source: no polydc module imports a private
-name from another, the sequence constructions invert one series only, no
-serving function evaluates the DC sums through the memoized alt-bar route,
-none expands a polynomial by affine substitution or schoolbook product, and
-the Stirling weight rows have four readers only."""
+name from another, the sequence constructions neither use the series engine
+nor call the Euler recurrence oracle, no serving function evaluates the DC
+sums through the memoized alt-bar route, none expands a polynomial by affine
+substitution or schoolbook product, and the Stirling weight rows have four
+readers only."""
 
 import ast
 from pathlib import Path
@@ -39,17 +40,14 @@ def _identifiers(node: ast.AST) -> set[str]:
     return names
 
 
-def test_sequences_serving_path_inverts_one_series():
-    # Genocchi and poly-Genocchi numbers come from the Euler numbers and the
-    # Stirling weights; series composition is a test oracle only.
+def test_sequences_serving_path_uses_no_series_engine():
+    # The Euler numbers come from integer tangent numbers, and every other
+    # family is read off them and the Stirling weights; the series engine and
+    # the Fraction recurrence are test oracles only.
     tree = ast.parse((PACKAGE / "sequences.py").read_text(encoding="utf-8"))
-    assert not _identifiers(tree) & {"series_compose", "log1p_series", "series_mul"}
-    inverting = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and "series_reciprocal" in _identifiers(node)
-    ]
-    assert inverting == ["euler_numbers"]
+    engine = {"series_reciprocal", "exp_series", "series_mul", "series_compose", "log1p_series"}
+    assert not _identifiers(tree) & engine
+    assert _callers(PACKAGE / "sequences.py", {"_euler_numbers_recurrence"}) == []
 
 
 def _callers(path: Path, names: set[str]) -> list[str]:

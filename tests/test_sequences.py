@@ -177,6 +177,51 @@ def test_euler_numbers_rejects_negative():
         euler_numbers(-1)
 
 
+def test_euler_numbers_match_the_binomial_recurrence():
+    assert euler_numbers(400) == sequences._euler_numbers_recurrence(400)
+
+
+def test_euler_numbers_match_the_series_inversion():
+    # 2/(e^t + 1) = Σ_n E_n t^n/n!, inverted in Fractions by the series engine.
+    order = 200
+    denom = exp_series(order)
+    denom[0] += 1
+    inverse = series_reciprocal(denom)
+    assert euler_numbers(order) == [2 * factorial(n) * inverse[n] for n in range(order + 1)]
+
+
+def test_tangent_numbers_initial_segment():
+    expected = [1, 2, 16, 272, 7936, 353792]
+    assert sequences._tangent_numbers(6) == expected
+    assert sequences._zigzag_tangent_numbers(6) == expected
+
+
+def test_euler_fill_check_catches_a_wrong_tangent_number(monkeypatch):
+    # T_7 + 1 puts E_7 off by 1/2^7; the zigzag triangle must see it at the next fill.
+    tangent = sequences._tangent_numbers
+
+    def perturbed(count):
+        numbers = tangent(count)
+        numbers[3] += 1
+        return numbers
+
+    monkeypatch.setattr(sequences, "_tangent_numbers", perturbed)
+    monkeypatch.setattr(sequences, "_euler_cache", [])
+    with pytest.raises(RuntimeError):
+        euler_numbers(10)
+    assert sequences._euler_cache == []
+
+
+def test_euler_numbers_grow_by_the_doubling_policy(monkeypatch):
+    monkeypatch.setattr(sequences, "_euler_cache", [])
+    euler_numbers(3)
+    assert len(sequences._euler_cache) == 5  # order max(3, 2·0 + 4)
+    euler_numbers(5)
+    assert len(sequences._euler_cache) == 15  # order max(5, 2·5 + 4)
+    euler_numbers(30)
+    assert len(sequences._euler_cache) == 35  # order max(30, 2·15 + 4)
+
+
 @pytest.mark.parametrize("n", range(0, 16))
 def test_euler_poly_at_one_plus_number(n):
     # E_n(1) + E_n = 2·[n == 0]
@@ -190,6 +235,18 @@ def test_euler_poly_reflection(n):
     p = euler_poly(n)
     for x in (Fraction(0), Fraction(1, 3), Fraction(7, 5), Fraction(-2)):
         assert poly_eval(p, 1 - x) == (-1) ** n * poly_eval(p, x)
+
+
+@pytest.mark.parametrize(
+    "poly, cache", [(euler_poly, "_euler_poly_cache"), (genocchi_poly, "_genocchi_poly_cache")]
+)
+def test_euler_and_genocchi_poly_cache_is_not_shared_with_callers(poly, cache):
+    first = poly(5)
+    expected = list(first)
+    first[0] = Fraction(999)
+    first.append(Fraction(7))
+    assert poly(5) == expected
+    assert getattr(sequences, cache)[5] == tuple(expected)
 
 
 def test_euler_poly_known_values():
