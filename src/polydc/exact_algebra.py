@@ -9,7 +9,9 @@ The odd-modulus distribution sum is served in moment form, an integer kernel
 that builds one `Fraction` per returned coefficient.  `poly_affine` and
 `poly_mul` expand the same sum term by term; they stay public as the tests'
 reference route and as rungs of the benchmark's size ladders, and no serving
-function calls them.
+function calls them.  The same holds for the truncated series primitives:
+the Euler numbers come from integer tangent numbers, so the series engine is
+a test oracle only.
 """
 
 from fractions import Fraction
