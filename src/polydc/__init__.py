@@ -10,8 +10,11 @@ from .dc_sums import (
     IdentitySides,
     alternating_bar_eval,
     corollary15_rhs,
+    corollary15_sides,
     dc_sum,
+    k1_collapse_sides,
     poly_dc_sum,
+    reciprocity_closed_form_sides,
     reciprocity_sides,
     s_pk_of_1_m,
     theorem11_sides,
@@ -62,12 +65,14 @@ __all__ = [
     "bar_eval",
     "brute_alternating_power_sum",
     "corollary15_rhs",
+    "corollary15_sides",
     "dc_sum",
     "euler_numbers",
     "euler_poly",
     "format_rational",
     "genocchi_numbers",
     "genocchi_poly",
+    "k1_collapse_sides",
     "parse_rational",
     "poly_dc_sum",
     "poly_eval",
@@ -78,6 +83,7 @@ __all__ = [
     "poly_genocchi_numbers",
     "poly_genocchi_poly",
     "poly_normalize",
+    "reciprocity_closed_form_sides",
     "reciprocity_sides",
     "s_pk_of_1_m",
     "sawtooth",

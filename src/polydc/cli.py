@@ -13,7 +13,8 @@ Every subcommand accepts --format {json,csv}, --output PATH, and
 Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
 `oddlo..hi` (odd values only), a comma list `1,3,9`, or a single integer.
 Rational values are canonical strings such as `-3/2`, `5`, or `0`.  The
-`max_n` of `table` and the `n` of `eval` are at most MAX_TABLE_N.
+`max_n` of `table`, the `n` of `eval` and the `p` of `dcsum` are at most
+MAX_TABLE_N; a `dcsum` with `h` or `m` even has `m` at most MAX_EVEN_DCSUM_M.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -56,8 +57,13 @@ _EVAL_KINDS = ("euler-poly", "poly-euler-poly", "bar-euler", "bar-poly-euler", "
 #: The most integers a `lo..hi` range may span; longer ranges are usage errors.
 MAX_RANGE_VALUES = 10_000
 
-#: The largest `max_n` of `table` and `n` of `eval`; larger ones are usage errors.
+#: The largest `max_n` of `table`, `n` of `eval` and `p` of `dcsum`; larger ones
+#: are usage errors.
 MAX_TABLE_N = 500
+
+#: The largest `m` of a `dcsum` with `h` or `m` even, which runs an O(m) kernel
+#: (odd pairs take O(log m) steps); larger ones are usage errors.
+MAX_EVEN_DCSUM_M = 10_000
 
 
 def parse_range(text: str) -> list[int]:
@@ -266,6 +272,10 @@ def _run_dcsum(args: argparse.Namespace) -> tuple[str, int]:
     p = _int_param(raw, "p")
     h = _int_param(raw, "h")
     m = _int_param(raw, "m")
+    if p > MAX_TABLE_N:
+        raise ValueError(f"p must be at most {MAX_TABLE_N}")
+    if (h % 2 == 0 or m % 2 == 0) and m > MAX_EVEN_DCSUM_M:
+        raise ValueError(f"m must be at most {MAX_EVEN_DCSUM_M} when h or m is even")
     if "k" in raw:
         value = poly_dc_sum(_int_param(raw, "k"), p, h, m)
     else:

@@ -14,6 +14,18 @@ index k.  See README "Conventions" for the full discussion; the two
 extensions agree whenever every argument hμ/m stays below 1, which covers all
 h = 1 sums, so every pinned example value is unaffected.
 
+For odd h and m the public sums `dc_sum` and `poly_dc_sum` take the Euclid
+route: the closed-form classical reciprocity law
+
+    m^l T_l(h, m) + h^l T_l(m, h) = 2E_l + 2E_{l+1}/(hm) - Σ_j C(l,j) E_j E_{l-j} h^j m^(l-j)
+
+for odd coprime h, m, alternated with reduction of h mod 2m as in the
+Euclidean algorithm, so a sum costs O(log m) integer steps.  With an even
+argument they run the O(m) integer kernels (Horner for T_p, single moments
+for T_p^(k)).  Every identity below reads those kernels directly, never the
+Euclid route, so no identity checks reciprocity with a value that
+reciprocity built.
+
 All functions return exact `Fraction` values.  Both sides of every identity,
 here and in the verifier registry, are one type: `IdentitySides`, a
 (lhs, rhs, holds) triple built by `IdentitySides.compare`, so holds ⇔ lhs = rhs
@@ -23,8 +35,10 @@ verifier registry.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, floor, gcd, lcm
-from typing import Callable, Mapping, NamedTuple
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exact_algebra import integer_coefficients, poly_eval
 from .sequences import (
@@ -116,6 +130,8 @@ S_PK_HYPOTHESES = Hypotheses({"p": GE(1), "m": ODD_POS})
 ODD_DEGREE_HYPOTHESES = Hypotheses({"p": ODD_GT1, "m": ODD_POS})
 THEOREM13_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
 RECIPROCITY_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
+CLOSED_FORM_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS}, coprime=True)
+K1_COLLAPSE_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)})
 
 
 @lru_cache(maxsize=None)
@@ -148,13 +164,12 @@ def _common_numerators(polys: list[list[Fraction]]) -> tuple[list[list[int]], in
     return [[c * (den // d) for c in numerators] for numerators, d in rows], den
 
 
-def dc_sum(p: int, h: int, m: int) -> Fraction:
-    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly.
+def _dc_sum_horner(p: int, h: int, m: int) -> Fraction:
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), in O(m) integer steps.
 
     Direct route: with d, r = divmod(hμ, m), Ê_p(hμ/m) = (-1)^d E_p(r/m), and
     den·m^p·E_p(r/m) is an integer evaluated by Horner's rule in r.
     """
-    _require_dc_params(p, h, m)
     numerators, den = integer_coefficients(euler_poly(p))
     scaled = [c * m ** (p - i) for i, c in enumerate(numerators)][::-1]
     total = 0
@@ -179,17 +194,114 @@ def _single_moments(h: int, m: int, degree: int) -> list[int]:
     return moments
 
 
-def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
-    """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial.
-
-    Moment form: T_p^(k)(h, m) = 2·Σ_i c_i S_i / m^(i+1), with c_i the
-    coefficients of E_p^(k)(x) and S_i the integer moments of `_single_moments`.
-    """
-    _require_dc_params(p, h, m)
+def _poly_dc_sum_moments(k: int, p: int, h: int, m: int) -> Fraction:
+    """T_p^(k)(h, m) in O(m) integer steps: 2·Σ_i c_i S_i / m^(i+1), with c_i the
+    coefficients of E_p^(k)(x) and S_i the integer moments of `_single_moments`."""
     numerators, den = integer_coefficients(poly_euler_poly(k, p))
     moments = _single_moments(h, m, len(numerators) - 1)
     total = sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
     return Fraction(2 * total, den * m ** (p + 1))
+
+
+def _euler_integers(n: int) -> list[int]:
+    """[e_0, ..., e_n] with e_j = 2^j·E_j, all integers (E_j's denominator divides 2^j)."""
+    return [
+        (value.numerator << j) // value.denominator for j, value in enumerate(euler_numbers(n))
+    ]
+
+
+def _classical_law(degrees: Sequence[int], e: list[int]) -> Callable[[int, int], list[int]]:
+    """The closed-form classical reciprocity law at the given degrees.
+
+    The returned function maps (h, m) to [N_l for l in degrees], where
+    N_l = 2^l·hm·(m^l T_l(h, m) + h^l T_l(m, h)) for odd coprime h, m:
+
+        N_l = 2hm·e_l + e_{l+1} - hm·Σ_j C(l,j) e_j e_{l-j} h^j m^(l-j),
+
+    with e = `_euler_integers` up to max(degrees) + 1.  Only the terms with
+    e_j·e_{l-j} ≠ 0 are kept, once for every (h, m).
+    """
+    top = max(degrees)
+    terms = [
+        [(j, comb(l, j) * e[j] * e[l - j]) for j in range(l + 1) if e[j] and e[l - j]]
+        for l in degrees
+    ]
+
+    def numerators(h: int, m: int) -> list[int]:
+        h_pow = list(accumulate(repeat(h, top), mul, initial=1))
+        m_pow = list(accumulate(repeat(m, top), mul, initial=1))
+        n = h * m
+        return [
+            2 * n * e[l] + e[l + 1] - n * sum(c * h_pow[j] * m_pow[l - j] for j, c in row)
+            for l, row in zip(degrees, terms)
+        ]
+
+    return numerators
+
+
+def _euclid_sums(h: int, m: int, degrees: Sequence[int]) -> list[int]:
+    """[2^l·m^(l+1)·T_l(h, m) for l in degrees], integers, for odd h and m.
+
+    O(log m) steps, as the Euclidean algorithm computes classical Dedekind
+    sums.  For coprime h, m: reduce h mod 2m (Ê has period 2); if h > m,
+    use T_l(2m - h, m) = T_l(-h, m) = (-1)^(l+1) T_l(h, m); swap to (m, h);
+    stop at T_l(h, 1) = 0.  Unwinding solves `_classical_law` for
+    V_l(h, m) = (N_l - m·V_l(m, h)) / h, a division that must be exact or
+    RuntimeError is raised.  A common factor g = gcd(h, m) adds a constant:
+    T_l(gh', gm') = T_l(h', m') + (g - 1)·E_l / m'^l.
+    """
+    e = _euler_integers(max(degrees) + 1)
+    law = _classical_law(degrees, e)
+    g = gcd(h, m)
+    h, m = h // g, m // g
+    reduced_m = m
+    chain = []
+    while m > 1:
+        h %= 2 * m
+        flip = h > m
+        if flip:
+            h = 2 * m - h
+        chain.append((h, m, flip))
+        h, m = m, h
+    sums = [0] * len(degrees)
+    for h, m, flip in reversed(chain):
+        step = []
+        for l, n, swapped in zip(degrees, law(h, m), sums):
+            value, rest = divmod(n - m * swapped, h)
+            if rest:
+                raise RuntimeError(f"Euclid DC sum step is inexact at h={h}, m={m}, l={l}")
+            step.append(-value if flip and l % 2 == 0 else value)
+        sums = step
+    return [g ** (l + 1) * (v + (g - 1) * reduced_m * e[l]) for l, v in zip(degrees, sums)]
+
+
+def dc_sum(p: int, h: int, m: int) -> Fraction:
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly.
+
+    For odd h and m, read from `_euclid_sums` in O(log m) steps; otherwise the
+    O(m) Horner route `_dc_sum_horner`.
+    """
+    _require_dc_params(p, h, m)
+    if h % 2 and m % 2:
+        return Fraction(_euclid_sums(h, m, [p])[0], 2**p * m ** (p + 1))
+    return _dc_sum_horner(p, h, m)
+
+
+def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
+    """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial.
+
+    For odd h and m, Theorem 3 gives T_p^(k)(h, m) = Σ_l a_l T_l(h, m) over the
+    `theorem3_weights` a_l, with the T_l read from `_euclid_sums` in O(log m)
+    steps; otherwise the O(m) single-moment route `_poly_dc_sum_moments`.
+    """
+    _require_dc_params(p, h, m)
+    if not (h % 2 and m % 2):
+        return _poly_dc_sum_moments(k, p, h, m)
+    numerators, den = integer_coefficients(theorem3_weights(k, p))
+    degrees = [l for l, a in enumerate(numerators) if a]
+    sums = _euclid_sums(h, m, degrees)
+    total = sum(numerators[l] * v * (2 * m) ** (p - l) for l, v in zip(degrees, sums))
+    return Fraction(total, den * 2**p * m ** (p + 1))
 
 
 def _correction_sum(k: int, p: int, m: int) -> Fraction:
@@ -213,7 +325,7 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     C(p-ν+1, i) E_i m^(p-i).  Requires odd m.
     """
     S_PK_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m) - _correction_sum(k, p, m)
+    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m) - _correction_sum(k, p, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p + 1)
     rhs = sum(
@@ -241,7 +353,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     + (p+1)·E_p + m^p·E_p^(k)(1).
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m) - _correction_sum(k, p, m)
+    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m) - _correction_sum(k, p, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
     rhs = sum(
@@ -264,7 +376,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
        + the correction sum 2·Σ C(p,ν)E_ν^(k)E_{p+1-ν}m^(ν-1).
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * poly_dc_sum(k, p, 1, m)
+    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m)
     ek = poly_euler_numbers(k, p)
     e = euler_numbers(p)
     at_one = [sum(poly_euler_poly(k, n)) for n in range(p + 1)]
@@ -368,14 +480,16 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
     term by term, matching the symmetric lhs.
 
-    The lhs is read from single moments (`poly_dc_sum`), the rhs from double
-    moments: its l-th term is (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i,
-    with a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) the Theorem 3 weights
+    The lhs is read from single moments (`_poly_dc_sum_moments`), the rhs
+    from double moments: its l-th term is
+    (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with
+    a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) the Theorem 3 weights
     (`theorem3_weights`) and e_l the coefficients of E_l(x).
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    lhs = Fraction(m) ** p * poly_dc_sum(k, p, h, m) + Fraction(h) ** p * poly_dc_sum(
-        k, p, m, h
+    lhs = (
+        Fraction(m) ** p * _poly_dc_sum_moments(k, p, h, m)
+        + Fraction(h) ** p * _poly_dc_sum_moments(k, p, m, h)
     )
     n = m * h
     a, b = _double_moments(h, m, p)
@@ -407,3 +521,36 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     numerators, den = integer_coefficients(euler_poly(p))
     inner = sum(c * (a[i] + b[i]) * n ** (p - i) for i, c in enumerate(numerators))
     return Fraction(2 * inner, den * n)
+
+
+def _classical_lhs(p: int, h: int, m: int) -> Fraction:
+    """m^p·T_p(h, m) + h^p·T_p(m, h), both sums from the Horner route."""
+    return Fraction(m) ** p * _dc_sum_horner(p, h, m) + Fraction(h) ** p * _dc_sum_horner(p, m, h)
+
+
+def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:
+    """The classical (k = 1) reciprocity law against its single-sum right side.
+
+    lhs: `_classical_lhs`; rhs: `corollary15_rhs`, from the double moments.
+    Requires odd h and odd m.
+    """
+    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
+    return IdentitySides.compare(_classical_lhs(p, h, m), corollary15_rhs(p, h, m))
+
+
+def k1_collapse_sides(p: int, h: int, m: int) -> IdentitySides:
+    """T_p^(1)(h, m) from the single moments against T_p(h, m) from the Horner route."""
+    K1_COLLAPSE_HYPOTHESES.require(p=p, h=h, m=m)
+    return IdentitySides.compare(_poly_dc_sum_moments(1, p, h, m), _dc_sum_horner(p, h, m))
+
+
+def reciprocity_closed_form_sides(p: int, h: int, m: int) -> IdentitySides:
+    """The closed-form classical reciprocity law that the Euclid route unwinds.
+
+    lhs: `_classical_lhs`; rhs: 2E_p + 2E_{p+1}/(hm) - Σ_j C(p,j) E_j E_{p-j}
+    h^j m^(p-j), built once as a Fraction from `_classical_law`.  Requires odd
+    coprime h and m.
+    """
+    CLOSED_FORM_HYPOTHESES.require(p=p, h=h, m=m)
+    (numerator,) = _classical_law([p], _euler_integers(p + 1))(h, m)
+    return IdentitySides.compare(_classical_lhs(p, h, m), Fraction(numerator, 2**p * h * m))

@@ -31,7 +31,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
     BELOW_P,
+    CLOSED_FORM_HYPOTHESES,
     GE,
+    K1_COLLAPSE_HYPOTHESES,
     ODD_DEGREE_HYPOTHESES,
     ODD_POS,
     RECIPROCITY_HYPOTHESES,
@@ -40,9 +42,10 @@ from .dc_sums import (
     Hypotheses,
     IdentitySides,
     Params,
-    corollary15_rhs,
+    corollary15_sides,
     dc_sum,
-    poly_dc_sum,
+    k1_collapse_sides,
+    reciprocity_closed_form_sides,
     reciprocity_sides,
     s_pk_of_1_m,
     theorem11_sides,
@@ -259,17 +262,6 @@ def _compute_eq40(p: Params) -> IdentitySides:
     return IdentitySides.compare(lhs, Fraction(1))
 
 
-def _compute_cor15(p: Params) -> IdentitySides:
-    pp, h, m = p["p"], p["h"], p["m"]
-    lhs = Fraction(m) ** pp * dc_sum(pp, h, m) + Fraction(h) ** pp * dc_sum(pp, m, h)
-    return IdentitySides.compare(lhs, corollary15_rhs(pp, h, m))
-
-
-def _compute_k1_collapse(p: Params) -> IdentitySides:
-    pp, h, m = p["p"], p["h"], p["m"]
-    return IdentitySides.compare(poly_dc_sum(1, pp, h, m), dc_sum(pp, h, m))
-
-
 def _compute_oracle_equivalence(p: Params) -> IdentitySides:
     sides = _compute_thm3(p)
     return _compute_cor7(p) if sides.holds else sides
@@ -312,9 +304,14 @@ VERIFIERS: dict[str, _Verifier] = {
     "thm14": _Verifier(
         ("k", "p", "h", "m"), RECIPROCITY_HYPOTHESES, lambda q: reciprocity_sides(**q)
     ),
-    "cor15": _Verifier(("p", "h", "m"), RECIPROCITY_HYPOTHESES, _compute_cor15),
+    "cor15": _Verifier(
+        ("p", "h", "m"), RECIPROCITY_HYPOTHESES, lambda q: corollary15_sides(**q)
+    ),
+    "recip_closed_form": _Verifier(
+        ("p", "h", "m"), CLOSED_FORM_HYPOTHESES, lambda q: reciprocity_closed_form_sides(**q)
+    ),
     "k1_collapse": _Verifier(
-        ("p", "h", "m"), Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)}), _compute_k1_collapse
+        ("p", "h", "m"), K1_COLLAPSE_HYPOTHESES, lambda q: k1_collapse_sides(**q)
     ),
     "oracle_equivalence": _Verifier(
         ("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_oracle_equivalence

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydc import cli, identity_suite
-from polydc.cli import MAX_TABLE_N, main, parse_range
+from polydc import cli, dc_sums, identity_suite
+from polydc.cli import MAX_EVEN_DCSUM_M, MAX_TABLE_N, main, parse_range
 from polydc.exact_algebra import format_rational, parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -250,6 +250,43 @@ def test_size_above_max_table_n_is_rejected_before_any_construction(argv, monkey
         monkeypatch.setattr(cli, name, refuse)
     assert main(argv) == 2
     assert f"at most {MAX_TABLE_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dcsum", f"p={MAX_TABLE_N + 1}", "h=1", "m=3"], f"at most {MAX_TABLE_N}"),
+        (["dcsum", f"p={MAX_TABLE_N + 1}", "h=2", "m=3", "k=2"], f"at most {MAX_TABLE_N}"),
+        (["dcsum", "p=3", "h=2", f"m={MAX_EVEN_DCSUM_M + 1}"], f"at most {MAX_EVEN_DCSUM_M}"),
+        (["dcsum", "p=3", "h=1", f"m={MAX_EVEN_DCSUM_M + 2}"], f"at most {MAX_EVEN_DCSUM_M}"),
+        (
+            ["dcsum", "p=3", "h=4", f"m={10 * MAX_EVEN_DCSUM_M}", "k=-1"],
+            f"at most {MAX_EVEN_DCSUM_M}",
+        ),
+    ],
+)
+def test_unbounded_dcsum_is_rejected_before_any_work(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("_dc_sum_horner", "_poly_dc_sum_moments", "_euclid_sums", "euler_numbers"):
+        monkeypatch.setattr(dc_sums, name, refuse)
+    monkeypatch.setattr(cli, "dc_sum", refuse)
+    monkeypatch.setattr(cli, "poly_dc_sum", refuse)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_odd_dcsum_has_no_modulus_limit(capsys):
+    # Odd pairs take O(log m) steps; the O(m) kernel takes seconds here.  The
+    # check solves the closed-form law for T_3(h, m), with T_3(m, h) from the
+    # Horner kernel over the small modulus h.
+    h, m = 12345, 9999991
+    assert main(["dcsum", "p=3", f"h={h}", f"m={m}"]) == 0
+    value = parse_rational(json.loads(capsys.readouterr().out)["value"])
+    (law,) = dc_sums._classical_law([3], dc_sums._euler_integers(4))(h, m)
+    swapped = dc_sums._dc_sum_horner(3, m, h)
+    assert value == (Fraction(law, 8 * h * m) - h**3 * swapped) / m**3
 
 
 def test_module_entry_point_runs():

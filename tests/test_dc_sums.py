@@ -12,8 +12,11 @@ from polydc import dc_sums
 from polydc.dc_sums import (
     alternating_bar_eval,
     corollary15_rhs,
+    corollary15_sides,
     dc_sum,
+    k1_collapse_sides,
     poly_dc_sum,
+    reciprocity_closed_form_sides,
     reciprocity_sides,
     s_pk_of_1_m,
     theorem11_sides,
@@ -209,6 +212,67 @@ def test_sums_leave_no_alt_bar_cache_entries():
     assert dc_sums._euler_alt_bar.cache_info().currsize == 0
 
 
+# --- the Euclid route against the O(m) kernels -----------------------------------
+#
+# For odd h and m the public sums take O(log m) steps through the closed-form
+# classical reciprocity law; the kernels they replace there are the oracle.
+# Even arguments still run the kernels, which the reference tests over SMALL
+# cover.
+
+ODD_TO_45 = range(1, 46, 2)
+ODD_TO_25 = range(1, 26, 2)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_dc_sum_euclid_route_matches_horner_kernel(p):
+    for h in ODD_TO_45:
+        for m in ODD_TO_45:
+            assert dc_sum(p, h, m) == dc_sums._dc_sum_horner(p, h, m), (p, h, m)
+
+
+@pytest.mark.parametrize("k", range(-3, 5))
+def test_poly_dc_sum_euclid_route_matches_moment_kernel(k):
+    for p in range(1, 8):
+        for h in ODD_TO_25:
+            for m in ODD_TO_25:
+                served = poly_dc_sum(k, p, h, m)
+                assert served == dc_sums._poly_dc_sum_moments(k, p, h, m), (k, p, h, m)
+
+
+def test_euclid_degree_zero_matches_direct_loop():
+    # T_0, which the public sums reject, enters every poly sum with weight a_0.
+    for h in ODD_TO_45:
+        for m in ODD_TO_45:
+            (value,) = dc_sums._euclid_sums(h, m, [0])
+            assert Fraction(value, m) == reference_dc_sum(0, h, m), (h, m)
+
+
+def test_euclid_route_returns_every_requested_degree():
+    sums = dc_sums._euclid_sums(15, 49, range(7))
+    assert sums == [dc_sums._euclid_sums(15, 49, [l])[0] for l in range(7)]
+
+
+def test_euclid_route_raises_on_an_inexact_step(monkeypatch):
+    law = dc_sums._classical_law
+    monkeypatch.setattr(
+        dc_sums, "_classical_law", lambda *args: lambda h, m: [n + 1 for n in law(*args)(h, m)]
+    )
+    with pytest.raises(RuntimeError, match="inexact"):
+        dc_sum(3, 7, 11)
+
+
+@given(
+    k=st.integers(-3, 4),
+    p=st.integers(1, 8),
+    h=st.integers(0, 4_999).map(lambda v: 2 * v + 1),  # odd, < 10^4
+    m=st.integers(0, 9_999).map(lambda v: 2 * v + 1),  # odd, < 2·10^4
+)
+@settings(max_examples=50, deadline=None)
+def test_euclid_route_matches_the_kernels_at_large_moduli(k, p, h, m):
+    assert dc_sum(p, h, m) == dc_sums._dc_sum_horner(p, h, m)
+    assert poly_dc_sum(k, p, h, m) == dc_sums._poly_dc_sum_moments(k, p, h, m)
+
+
 # --- the DC sums themselves ----------------------------------------------------
 
 
@@ -226,11 +290,12 @@ def test_dc_sum_trivial_modulus(p, h):
 
 
 def test_dc_sum_rejects_bad_parameters():
-    for bad in [(0, 1, 3), (1, 0, 3), (1, 1, 0), (-2, 3, 5)]:
+    for bad in [(0, 1, 3), (0, 7, 9), (0, 2, 3), (1, 0, 3), (1, 1, 0), (-2, 3, 5)]:
         with pytest.raises(ValueError):
             dc_sum(*bad)
-    with pytest.raises(ValueError):
-        poly_dc_sum(2, 0, 1, 3)
+    for bad in [(0, 1, 3), (0, 7, 9), (0, 2, 3)]:
+        with pytest.raises(ValueError):
+            poly_dc_sum(2, *bad)
 
 
 def test_poly_dc_sum_pinned_value():
@@ -349,6 +414,18 @@ def test_classical_reciprocity_agrees_with_index_one_general_form():
         assert general.lhs == lhs == corollary15_rhs(p, h, m)
 
 
+def test_closed_form_reciprocity_degree_one():
+    # For p = 1 the closed form reads (h + m)/2 - 1.
+    for h, m in [(1, 1), (1, 3), (3, 5), (7, 9), (15, 49)]:
+        sides = reciprocity_closed_form_sides(1, h, m)
+        assert sides.holds and sides.rhs == Fraction(h + m, 2) - 1
+
+
+def test_closed_form_reciprocity_rejects_non_coprime_pairs():
+    with pytest.raises(ValueError, match="coprime"):
+        reciprocity_closed_form_sides(2, 3, 9)
+
+
 def test_corollary15_rhs_rejects_even_parameters():
     with pytest.raises(ValueError):
         corollary15_rhs(2, 2, 3)
@@ -369,6 +446,9 @@ def test_corollary15_rhs_rejects_even_parameters():
         (reciprocity_sides, "thm14", {"k": 1, "p": 3, "h": 2, "m": 3}),
         (corollary15_rhs, "cor15", {"p": 2, "h": 3, "m": 6}),
         (poly_euler_via_corollary7, "cor7", {"k": 1, "n": 3, "m": 4}),
+        (corollary15_sides, "cor15", {"p": 2, "h": 4, "m": 3}),
+        (reciprocity_closed_form_sides, "recip_closed_form", {"p": 2, "h": 3, "m": 9}),
+        (k1_collapse_sides, "k1_collapse", {"p": 0, "h": 2, "m": 3}),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -407,6 +487,30 @@ def test_coprime_expansion_holds_beyond_the_acceptance_grid(k, p, h, m):
 @settings(max_examples=50, deadline=None)
 def test_classical_reciprocity_holds_beyond_the_acceptance_grid(p, h, m):
     assert verify("cor15", {"p": p, "h": h, "m": m}).holds
+
+
+@given(p=st.integers(1, 10), h=odd_moduli, m=odd_moduli)
+@settings(max_examples=50, deadline=None)
+def test_closed_form_reciprocity_holds_beyond_the_acceptance_grid(p, h, m):
+    assume(gcd(h, m) == 1)
+    assert verify("recip_closed_form", {"p": p, "h": h, "m": m}).holds
+
+
+odd_degrees = st.integers(1, 5).map(lambda v: 2 * v + 1)  # 3..11
+odd_to_41 = st.integers(0, 20).map(lambda v: 2 * v + 1)
+
+
+@given(k=st.integers(-4, 6), p=st.integers(1, 11), m=odd_to_41)
+@settings(max_examples=50, deadline=None)
+def test_s_pk_closed_form_holds_beyond_the_acceptance_grid(k, p, m):
+    assert verify("thm10", {"k": k, "p": p, "m": m}).holds
+
+
+@given(k=st.integers(-4, 6), p=odd_degrees, m=odd_to_41)
+@settings(max_examples=50, deadline=None)
+def test_odd_degree_expansions_hold_beyond_the_acceptance_grid(k, p, m):
+    assert verify("thm11", {"k": k, "p": p, "m": m}).holds
+    assert verify("thm12", {"k": k, "p": p, "m": m}).holds
 
 
 @given(p=st.integers(1, 8), h=st.integers(13, 25), m=st.integers(13, 25))

@@ -40,6 +40,7 @@ SAMPLE_POINTS = {
     "thm13": {"k": -2, "p": 5, "h": 4, "m": 9},
     "thm14": {"k": 0, "p": 4, "h": 5, "m": 9},
     "cor15": {"p": 5, "h": 7, "m": 9},
+    "recip_closed_form": {"p": 6, "h": 7, "m": 9},
     "k1_collapse": {"p": 6, "h": 4, "m": 10},
     "oracle_equivalence": {"k": -2, "n": 9, "m": 5},
 }

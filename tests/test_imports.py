@@ -2,8 +2,8 @@
 name from another, the sequence constructions neither use the series engine
 nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
-substitution or schoolbook product, and the Stirling weight rows have four
-readers only."""
+substitution or schoolbook product, the Stirling weight rows have four
+readers only, and no identity reaches the Euclid route of the public sums."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,78 @@ def test_only_the_weight_readers_call_stirling_weights():
         "poly_genocchi_numbers",
         "theorem3_weights",
     ]
+
+
+#: The identities of dc_sums; the verifier registry serves thm10-thm14, cor15,
+#: recip_closed_form and k1_collapse through them.
+IDENTITIES = (
+    "s_pk_of_1_m",
+    "theorem11_sides",
+    "theorem12_sides",
+    "theorem13_sides",
+    "reciprocity_sides",
+    "corollary15_rhs",
+    "corollary15_sides",
+    "k1_collapse_sides",
+    "reciprocity_closed_form_sides",
+)
+SERVED_SUMS = {"dc_sum", "poly_dc_sum", "_euclid_sums"}
+
+
+def _reachable(path: Path, root: str) -> set[str]:
+    """Every name called from the module-level function root, directly or through
+    the module's other functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {
+        node.name: {
+            name
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            for name in _identifiers(call.func)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo = set(), [root]
+    while todo:
+        for name in calls.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def test_only_the_public_sums_take_the_euclid_route():
+    callers = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _callers(path, {"_euclid_sums"})
+    ]
+    assert sorted(callers) == ["dc_sum", "poly_dc_sum"]
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_no_identity_reaches_the_euclid_route(identity):
+    # The Euclid route is built on reciprocity, so an identity that read it
+    # would check reciprocity with a value that reciprocity built.
+    reached = _reachable(PACKAGE / "dc_sums.py", identity)
+    assert not reached & SERVED_SUMS, f"{identity} reaches {reached & SERVED_SUMS}"
+
+
+def test_the_reciprocity_verifiers_read_the_identities_only():
+    tree = ast.parse((PACKAGE / "identity_suite.py").read_text(encoding="utf-8"))
+    registry = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "VERIFIERS"
+    )
+    gated = (
+        "thm10", "thm11", "thm12", "thm13", "thm14", "cor15", "recip_closed_form", "k1_collapse"
+    )
+    entries = {key.value: value for key, value in zip(registry.keys, registry.values)}
+    for verifier_id in gated:
+        names = _identifiers(entries[verifier_id])
+        assert names & set(IDENTITIES) and not names & SERVED_SUMS, verifier_id
+    # The exploratory sawtooth comparison is the only other reader of a DC sum.
+    callers = _callers(PACKAGE / "identity_suite.py", SERVED_SUMS)
+    assert callers == ["_compute_sawtooth_exploratory"]
