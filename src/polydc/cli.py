@@ -14,7 +14,10 @@ Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
 `oddlo..hi` (odd values only), a comma list `1,3,9`, or a single integer.
 Rational values are canonical strings such as `-3/2`, `5`, or `0`.  The
 `max_n` of `table`, the `n` of `eval` and the `p` of `dcsum` are at most
-MAX_TABLE_N; a `dcsum` with `h` or `m` even has `m` at most MAX_EVEN_DCSUM_M.
+MAX_TABLE_N; a `dcsum` with `h` or `m` even has `m` at most MAX_EVEN_DCSUM_M;
+every index `k` has `|k|` at most MAX_INDEX_K.  Inputs are parsed under the
+interpreter's limit on integer digits; output is written without it, so every
+value these limits allow prints.  Tables are written row by row.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -24,12 +27,13 @@ gated.
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import identity_suite
 from .dc_sums import dc_sum, poly_dc_sum
@@ -60,6 +64,10 @@ MAX_RANGE_VALUES = 10_000
 #: The largest `max_n` of `table`, `n` of `eval` and `p` of `dcsum`; larger ones
 #: are usage errors.
 MAX_TABLE_N = 500
+
+#: The largest |k| of the index-k families in `table`, `eval`, `dcsum`, `verify`
+#: and `sweep`; the weights j^(1-k) grow with |k|, so larger ones are usage errors.
+MAX_INDEX_K = 16
 
 #: The largest `m` of a `dcsum` with `h` or `m` even, which runs an O(m) kernel
 #: (odd pairs take O(log m) steps); larger ones are usage errors.
@@ -116,6 +124,13 @@ def _int_param(raw: dict[str, str], name: str) -> int:
         raise ValueError(f"parameter {name!r} must be an integer") from None
 
 
+def _index_k(k: int) -> int:
+    """k itself, or ValueError when |k| is above MAX_INDEX_K."""
+    if abs(k) > MAX_INDEX_K:
+        raise ValueError(f"|k| must be at most {MAX_INDEX_K}")
+    return k
+
+
 def _rational_param(raw: dict[str, str], name: str) -> Fraction:
     if name not in raw:
         raise ValueError(f"missing required parameter {name!r}")
@@ -158,40 +173,62 @@ def _report_row(report: VerificationReport, deterministic: bool) -> list:
     ]
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+class _Echo:
+    """A file-like object whose write returns the text, so that csv.writer's
+    writerow returns each line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    return map(writer.writerow, chain([header], rows))
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _render_value(value: Fraction, fmt: str) -> str:
+# The renderers are generators, so their text is made while main writes it,
+# with the digit limit lifted.
+
+
+def _render_value(value: Fraction, fmt: str) -> Iterator[str]:
     if fmt == "csv":
-        return _csv_text(["value"], [[format_rational(value)]])
-    return _json_text({"value": format_rational(value)})
+        yield from _csv_lines(["value"], [[format_rational(value)]])
+    else:
+        yield _json_text({"value": format_rational(value)})
 
 
-def _render_table(rows: list[dict], fmt: str) -> str:
+def _render_table(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """(index, value) rows, one at a time, as CSV or as the text of
+    json.dumps([{"index": index, "value": value}, ...], indent=2) + "\n"."""
     if fmt == "csv":
-        return _csv_text(["index", "value"], [[row["index"], row["value"]] for row in rows])
-    return _json_text(rows)
+        yield from _csv_lines(["index", "value"], rows)
+        return
+    separator = "[\n"
+    for index, value in rows:
+        index, value = json.dumps(index), json.dumps(value)
+        yield f'{separator}  {{\n    "index": {index},\n    "value": {value}\n  }}'
+        separator = ",\n"
+    yield "\n]\n"
 
 
-def _render_report(report: VerificationReport, fmt: str, deterministic: bool) -> str:
+def _render_report(report: VerificationReport, fmt: str, deterministic: bool) -> Iterator[str]:
     if fmt == "csv":
-        return _csv_text(_REPORT_FIELDS, [_report_row(report, deterministic)])
-    return _json_text(_report_obj(report, deterministic))
+        yield from _csv_lines(_REPORT_FIELDS, [_report_row(report, deterministic)])
+    else:
+        yield _json_text(_report_obj(report, deterministic))
 
 
-def _render_sweep(result: identity_suite.SweepResult, fmt: str, deterministic: bool) -> str:
+def _render_sweep(
+    result: identity_suite.SweepResult, fmt: str, deterministic: bool
+) -> Iterator[str]:
     if fmt == "csv":
-        rows = [_report_row(report, deterministic) for report in result.reports]
-        return _csv_text(_REPORT_FIELDS, rows)
+        rows = (_report_row(report, deterministic) for report in result.reports)
+        yield from _csv_lines(_REPORT_FIELDS, rows)
+        return
     obj = {
         "verifier": result.verifier,
         "total": result.total,
@@ -200,13 +237,16 @@ def _render_sweep(result: identity_suite.SweepResult, fmt: str, deterministic: b
         "failing": [_report_obj(report, deterministic) for report in result.failing],
         "elapsed_ms": _elapsed_ms(result.elapsed, deterministic),
     }
-    return _json_text(obj)
+    yield _json_text(obj)
 
 
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _run_table(args: argparse.Namespace) -> tuple[str, int]:
+_Handled = tuple[Iterable[str], int]
+
+
+def _run_table(args: argparse.Namespace) -> _Handled:
     sequence = args.sequence
     raw = _parse_assignments(args.params)
     allowed = ["max_n", "k"] if sequence in _POLY_SEQUENCES else ["max_n"]
@@ -217,12 +257,11 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
     if max_n > MAX_TABLE_N:
         raise ValueError(f"max_n must be at most {MAX_TABLE_N}")
     if sequence in _POLY_SEQUENCES:
-        k = _int_param(raw, "k")
-    rows: list[dict] = []
+        k = _index_k(_int_param(raw, "k"))
     if sequence == "stirling1":
-        for n in range(max_n + 1):
-            for m in range(n + 1):
-                rows.append({"index": f"{n}:{m}", "value": str(stirling1(n, m))})
+        rows = (
+            (f"{n}:{m}", str(stirling1(n, m))) for n in range(max_n + 1) for m in range(n + 1)
+        )
     else:
         if sequence == "euler":
             values = euler_numbers(max_n)
@@ -232,14 +271,11 @@ def _run_table(args: argparse.Namespace) -> tuple[str, int]:
             values = poly_genocchi_numbers(k, max_n)
         else:
             values = poly_euler_numbers(k, max_n)
-        rows = [
-            {"index": n, "value": format_rational(value)}
-            for n, value in enumerate(values)
-        ]
+        rows = ((n, format_rational(value)) for n, value in enumerate(values))
     return _render_table(rows, args.format), 0
 
 
-def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
+def _run_eval(args: argparse.Namespace) -> _Handled:
     kind = args.kind
     raw = _parse_assignments(args.params)
     needs_k = kind in ("poly-euler-poly", "bar-poly-euler")
@@ -256,7 +292,7 @@ def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
         if n > MAX_TABLE_N:
             raise ValueError(f"n must be at most {MAX_TABLE_N}")
         if needs_k:
-            poly = poly_euler_poly(_int_param(raw, "k"), n)
+            poly = poly_euler_poly(_index_k(_int_param(raw, "k")), n)
         else:
             poly = euler_poly(n)
         if kind.startswith("bar-"):
@@ -266,7 +302,7 @@ def _run_eval(args: argparse.Namespace) -> tuple[str, int]:
     return _render_value(value, args.format), 0
 
 
-def _run_dcsum(args: argparse.Namespace) -> tuple[str, int]:
+def _run_dcsum(args: argparse.Namespace) -> _Handled:
     raw = _parse_assignments(args.params)
     _require_keys(raw, ["p", "h", "m", "k"])
     p = _int_param(raw, "p")
@@ -277,24 +313,28 @@ def _run_dcsum(args: argparse.Namespace) -> tuple[str, int]:
     if (h % 2 == 0 or m % 2 == 0) and m > MAX_EVEN_DCSUM_M:
         raise ValueError(f"m must be at most {MAX_EVEN_DCSUM_M} when h or m is even")
     if "k" in raw:
-        value = poly_dc_sum(_int_param(raw, "k"), p, h, m)
+        value = poly_dc_sum(_index_k(_int_param(raw, "k")), p, h, m)
     else:
         value = dc_sum(p, h, m)
     return _render_value(value, args.format), 0
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _run_verify(args: argparse.Namespace) -> _Handled:
     raw = _parse_assignments(args.params)
     params = {name: _int_param(raw, name) for name in raw}
+    if "k" in params:
+        _index_k(params["k"])
     report = identity_suite.verify(args.verifier, params)
     text = _render_report(report, args.format, args.deterministic)
     ok = report.holds or args.verifier in EXPLORATORY_IDS
     return text, 0 if ok else 1
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[str, int]:
+def _run_sweep(args: argparse.Namespace) -> _Handled:
     raw = _parse_assignments(args.params)
     ranges = {name: parse_range(value) for name, value in raw.items()}
+    for k in ranges.get("k", ()):
+        _index_k(k)
     result = identity_suite.sweep(args.verifier, ranges)
     text = _render_sweep(result, args.format, args.deterministic)
     ok = result.failed == 0 or args.verifier in EXPLORATORY_IDS
@@ -350,6 +390,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _all_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on the digits of int-to-str conversion, and
+    restore it on leaving."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -362,15 +414,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    with _all_digits():
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.writelines(text)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        else:
+            sys.stdout.writelines(text)
     return exit_code
 
 

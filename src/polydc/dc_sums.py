@@ -26,6 +26,9 @@ for T_p^(k)).  Every identity below reads those kernels directly, never the
 Euclid route, so no identity checks reciprocity with a value that
 reciprocity built.
 
+The kernels and identities read the cached polynomials as integer rows
+(numerators over one denominator) and the Theorem 3 weights as integers, so
+each side of an identity is one integer sum, built into a Fraction once.
 All functions return exact `Fraction` values.  Both sides of every identity,
 here and in the verifier registry, are one type: `IdentitySides`, a
 (lhs, rhs, holds) triple built by `IdentitySides.compare`, so holds ⇔ lhs = rhs
@@ -40,13 +43,13 @@ from math import comb, floor, gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exact_algebra import integer_coefficients, poly_eval
+from .exact_algebra import IntegerRow, poly_eval
 from .sequences import (
     euler_numbers,
     euler_poly,
-    poly_euler_numbers,
-    poly_euler_poly,
-    theorem3_weights,
+    euler_poly_row,
+    poly_euler_poly_row,
+    theorem3_integer_weights,
 )
 
 
@@ -157,20 +160,19 @@ def _horner(coefficients: list[int], x: int) -> int:
     return value
 
 
-def _common_numerators(polys: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """The coefficients of every poly as integers over one common denominator."""
-    rows = [integer_coefficients(poly) for poly in polys]
-    den = lcm(*(d for _, d in rows))
+def _common_numerators(rows: list[IntegerRow]) -> tuple[list[list[int]], int]:
+    """The numerators of every row over one common denominator."""
+    den = lcm(*(row.den for row in rows))
     return [[c * (den // d) for c in numerators] for numerators, d in rows], den
 
 
-def _dc_sum_horner(p: int, h: int, m: int) -> Fraction:
-    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), in O(m) integer steps.
+def _horner_total(p: int, h: int, m: int) -> tuple[int, int]:
+    """(total, den) with T_p(h, m) = 2·total / (den·m^(p+1)), in O(m) integer steps.
 
     Direct route: with d, r = divmod(hμ, m), Ê_p(hμ/m) = (-1)^d E_p(r/m), and
     den·m^p·E_p(r/m) is an integer evaluated by Horner's rule in r.
     """
-    numerators, den = integer_coefficients(euler_poly(p))
+    numerators, den = euler_poly_row(p)
     scaled = [c * m ** (p - i) for i, c in enumerate(numerators)][::-1]
     total = 0
     for mu in range(1, m):
@@ -179,6 +181,12 @@ def _dc_sum_horner(p: int, h: int, m: int) -> Fraction:
         for c in scaled:
             value = value * r + c
         total += -mu * value if (mu + d) % 2 else mu * value
+    return total, den
+
+
+def _dc_sum_horner(p: int, h: int, m: int) -> Fraction:
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m) by `_horner_total`."""
+    total, den = _horner_total(p, h, m)
     return Fraction(2 * total, den * m ** (p + 1))
 
 
@@ -194,13 +202,20 @@ def _single_moments(h: int, m: int, degree: int) -> list[int]:
     return moments
 
 
+def _moment_total(numerators: Sequence[int], h: int, m: int) -> int:
+    """Σ_i c_i S_i m^(p-i) over the numerators c_i of a degree-p polynomial over den
+    and the integer moments S_i of `_single_moments`: the DC sum over that
+    polynomial is 2·total / (den·m^(p+1))."""
+    p = len(numerators) - 1
+    moments = _single_moments(h, m, p)
+    return sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
+
+
 def _poly_dc_sum_moments(k: int, p: int, h: int, m: int) -> Fraction:
     """T_p^(k)(h, m) in O(m) integer steps: 2·Σ_i c_i S_i / m^(i+1), with c_i the
-    coefficients of E_p^(k)(x) and S_i the integer moments of `_single_moments`."""
-    numerators, den = integer_coefficients(poly_euler_poly(k, p))
-    moments = _single_moments(h, m, len(numerators) - 1)
-    total = sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
-    return Fraction(2 * total, den * m ** (p + 1))
+    coefficients of E_p^(k)(x) (`_moment_total`)."""
+    numerators, den = poly_euler_poly_row(k, p)
+    return Fraction(2 * _moment_total(numerators, h, m), den * m ** (p + 1))
 
 
 def _euler_integers(n: int) -> list[int]:
@@ -291,30 +306,34 @@ def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
     """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial.
 
     For odd h and m, Theorem 3 gives T_p^(k)(h, m) = Σ_l a_l T_l(h, m) over the
-    `theorem3_weights` a_l, with the T_l read from `_euclid_sums` in O(log m)
+    `theorem3_integer_weights` a_l, with the T_l read from `_euclid_sums` in O(log m)
     steps; otherwise the O(m) single-moment route `_poly_dc_sum_moments`.
     """
     _require_dc_params(p, h, m)
     if not (h % 2 and m % 2):
         return _poly_dc_sum_moments(k, p, h, m)
-    numerators, den = integer_coefficients(theorem3_weights(k, p))
+    numerators, den = theorem3_integer_weights(k, p)
     degrees = [l for l, a in enumerate(numerators) if a]
     sums = _euclid_sums(h, m, degrees)
     total = sum(numerators[l] * v * (2 * m) ** (p - l) for l, v in zip(degrees, sums))
     return Fraction(total, den * 2**p * m ** (p + 1))
 
 
-def _correction_sum(k: int, p: int, m: int) -> Fraction:
-    """2·Σ_{ν=0..p} C(p,ν) E_ν^(k) E_{p+1-ν} m^(ν-1)."""
-    ek = poly_euler_numbers(k, p)
-    e = euler_numbers(p + 1)
-    return 2 * sum(
-        (
-            comb(p, nu) * ek[nu] * e[p + 1 - nu] * Fraction(m) ** (nu - 1)
-            for nu in range(p + 1)
-        ),
-        Fraction(0),
-    )
+def _correction_numerator(numerators: Sequence[int], e: list[int], m: int) -> int:
+    """The correction 2·Σ_{ν=0..p} C(p,ν) E_ν^(k) E_{p+1-ν} m^(ν-1) times den·2^p·m.
+
+    numerators are those of E_p^(k)(x) over den, so c_{p-ν} = den·C(p,ν)·E_ν^(k),
+    and e = `_euler_integers` up to p + 1.
+    """
+    p = len(numerators) - 1
+    return sum(numerators[p - nu] * e[p + 1 - nu] * (2 * m) ** nu for nu in range(p + 1))
+
+
+def _s_pk_lhs(numerators: Sequence[int], den: int, e: list[int], m: int) -> Fraction:
+    """S_p^(k)(1, m) = m^p·T_p^(k)(1, m) minus the correction, from the single moments."""
+    p = len(numerators) - 1
+    total = 2 ** (p + 1) * _moment_total(numerators, 1, m)
+    return Fraction(total - _correction_numerator(numerators, e, m), den * 2**p * m)
 
 
 def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
@@ -325,25 +344,14 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     C(p-ν+1, i) E_i m^(p-i).  Requires odd m.
     """
     S_PK_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m) - _correction_sum(k, p, m)
-    ek = poly_euler_numbers(k, p)
-    e = euler_numbers(p + 1)
+    ek, den = poly_euler_poly_row(k, p)
+    e = _euler_integers(p + 1)
     rhs = sum(
-        (
-            comb(p, nu)
-            * ek[nu]
-            * sum(
-                (
-                    comb(p - nu + 1, i) * e[i] * Fraction(m) ** (p - i)
-                    for i in range(p - nu + 1)
-                ),
-                Fraction(0),
-            )
-            for nu in range(p + 1)
-        ),
-        Fraction(0),
+        ek[p - nu] * comb(p - nu + 1, i) * e[i] * (2 * m) ** (p - i)
+        for nu in range(p + 1)
+        for i in range(p - nu + 1)
     )
-    return IdentitySides.compare(lhs, rhs)
+    return IdentitySides.compare(_s_pk_lhs(ek, den, e, m), Fraction(rhs, den * 2**p))
 
 
 def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
@@ -353,19 +361,15 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     + (p+1)·E_p + m^p·E_p^(k)(1).
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m) - _correction_sum(k, p, m)
-    ek = poly_euler_numbers(k, p)
-    e = euler_numbers(p)
+    ek, den = poly_euler_poly_row(k, p)
+    e = _euler_integers(p + 1)
     rhs = sum(
-        (
-            comb(p, nu) * comb(p - nu + 1, i) * ek[nu] * e[i] * Fraction(m) ** (p - i)
-            for i in range(1, p - 1)
-            for nu in range(p - i + 1)
-        ),
-        Fraction(0),
+        ek[p - nu] * comb(p - nu + 1, i) * e[i] * (2 * m) ** (p - i)
+        for i in range(1, p - 1)
+        for nu in range(p - i + 1)
     )
-    rhs += (p + 1) * e[p] + Fraction(m) ** p * sum(poly_euler_poly(k, p))
-    return IdentitySides.compare(lhs, rhs)
+    rhs += (p + 1) * den * e[p] + (2 * m) ** p * sum(ek)
+    return IdentitySides.compare(_s_pk_lhs(ek, den, e, m), Fraction(rhs, den * 2**p))
 
 
 def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
@@ -374,31 +378,22 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     rhs: Σ_{i=0..p} C(p,i) E_{p-i}^(k)(1) E_i m^(p-i)
        + Σ_{i=1..p} C(p,i-1) (E_{p-i+1}^(k)(1) - E_{p-i+1}^(k)) m^(p-i) E_i
        + the correction sum 2·Σ C(p,ν)E_ν^(k)E_{p+1-ν}m^(ν-1).
+
+    The rhs reads E_n^(k)(1) and E_n^(k) as the sum and the constant term of
+    the rows of E_n^(k)(x), n = 0..p, over their common denominator.
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
-    lhs = Fraction(m) ** p * _poly_dc_sum_moments(k, p, 1, m)
-    ek = poly_euler_numbers(k, p)
-    e = euler_numbers(p)
-    at_one = [sum(poly_euler_poly(k, n)) for n in range(p + 1)]
-    rhs = sum(
-        (
-            comb(p, i) * at_one[p - i] * e[i] * Fraction(m) ** (p - i)
-            for i in range(p + 1)
-        ),
-        Fraction(0),
-    )
+    rows, den = _common_numerators([poly_euler_poly_row(k, n) for n in range(p + 1)])
+    lhs = Fraction(2 * _moment_total(rows[p], 1, m), den * m)
+    at_one = [sum(row) for row in rows]
+    e = _euler_integers(p + 1)
+    rhs = sum(comb(p, i) * at_one[p - i] * e[i] * (2 * m) ** (p - i) for i in range(p + 1))
     rhs += sum(
-        (
-            comb(p, i - 1)
-            * (at_one[p - i + 1] - ek[p - i + 1])
-            * Fraction(m) ** (p - i)
-            * e[i]
-            for i in range(1, p + 1)
-        ),
-        Fraction(0),
+        comb(p, i - 1) * (at_one[p - i + 1] - rows[p - i + 1][0]) * (2 * m) ** (p - i) * e[i]
+        for i in range(1, p + 1)
     )
-    rhs += _correction_sum(k, p, m)
-    return IdentitySides.compare(lhs, rhs)
+    rhs = m * rhs + _correction_numerator(rows[p], e, m)
+    return IdentitySides.compare(lhs, Fraction(rhs, den * 2**p * m))
 
 
 def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
@@ -413,11 +408,12 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     produces; with the bare sign (-1)^μ the two sides differ for h > 1.
 
     The lhs is one integer μ-loop over the numerators of E_t^(k)(x) and E_j(x),
-    each family over one common denominator, built into a Fraction once.
+    each family over one common denominator, built into a Fraction once; the
+    rhs reads E_t^(k)(1) as the row sums of the same numerators.
     """
     THEOREM13_HYPOTHESES.require(p=p, h=h, m=m)
-    ek_rows, dk = _common_numerators([poly_euler_poly(k, t) for t in range(p + 1)])
-    e_rows, de = _common_numerators([euler_poly(j) for j in range(p + 1)])
+    ek_rows, dk = _common_numerators([poly_euler_poly_row(k, t) for t in range(p + 1)])
+    e_rows, de = _common_numerators([euler_poly_row(j) for j in range(p + 1)])
     # Horner coefficients of m^t·dk·E_t^(k)(μ/m) = Σ_i q_i μ^i m^(t-i), highest first.
     ek_scaled = [
         [q * m ** (t - i) for i, q in enumerate(row)][::-1] for t, row in enumerate(ek_rows)
@@ -434,17 +430,11 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
             for t, (w, scaled) in enumerate(zip(weights, ek_scaled))
         )
         total += -inner if (h * mu + d) % 2 else inner
-    lhs = Fraction(total, dk * de)
-    e = euler_numbers(p)
-    at_one = [sum(poly_euler_poly(k, n)) for n in range(p + 1)]
+    e = _euler_integers(p)
     rhs = sum(
-        (
-            comb(p, s) * Fraction(m * h) ** (p - s) * e[s] * at_one[p - s]
-            for s in range(p + 1)
-        ),
-        Fraction(0),
+        comb(p, s) * (2 * m * h) ** (p - s) * e[s] * sum(ek_rows[p - s]) for s in range(p + 1)
     )
-    return IdentitySides.compare(lhs, rhs)
+    return IdentitySides.compare(Fraction(total, dk * de), Fraction(rhs, dk * 2**p))
 
 
 def _double_moments(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
@@ -480,30 +470,29 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
     term by term, matching the symmetric lhs.
 
-    The lhs is read from single moments (`_poly_dc_sum_moments`), the rhs
+    The lhs is read from single moments (`_moment_total`), the rhs
     from double moments: its l-th term is
     (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with
     a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) the Theorem 3 weights
-    (`theorem3_weights`) and e_l the coefficients of E_l(x).
+    (`theorem3_integer_weights`) and e_l the coefficients of E_l(x), all
+    integers over one denominator each.
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    lhs = (
-        Fraction(m) ** p * _poly_dc_sum_moments(k, p, h, m)
-        + Fraction(h) ** p * _poly_dc_sum_moments(k, p, m, h)
-    )
+    ek, den = poly_euler_poly_row(k, p)
+    lhs = Fraction(2 * (h * _moment_total(ek, h, m) + m * _moment_total(ek, m, h)), den * m * h)
     n = m * h
     a, b = _double_moments(h, m, p)
-    total = Fraction(0)
-    for l, weight in enumerate(theorem3_weights(k, p)):
+    weights, weight_den = theorem3_integer_weights(k, p)
+    rows, row_den = _common_numerators([euler_poly_row(l) for l in range(p + 1)])
+    total = 0
+    for l, (weight, numerators) in enumerate(zip(weights, rows)):
         if weight == 0:
             continue
-        numerators, den = integer_coefficients(euler_poly(l))
         m_pow, h_pow = m ** (p - l), h ** (p - l)
-        inner = sum(
+        total += weight * sum(
             c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(numerators)
         )
-        total += weight * Fraction(inner, den)
-    return IdentitySides.compare(lhs, 2 * total / n)
+    return IdentitySides.compare(lhs, Fraction(2 * total, weight_den * row_den * n))
 
 
 def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
@@ -518,14 +507,15 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     n = m * h
     a, b = _double_moments(h, m, p)
-    numerators, den = integer_coefficients(euler_poly(p))
+    numerators, den = euler_poly_row(p)
     inner = sum(c * (a[i] + b[i]) * n ** (p - i) for i, c in enumerate(numerators))
     return Fraction(2 * inner, den * n)
 
 
 def _classical_lhs(p: int, h: int, m: int) -> Fraction:
     """m^p·T_p(h, m) + h^p·T_p(m, h), both sums from the Horner route."""
-    return Fraction(m) ** p * _dc_sum_horner(p, h, m) + Fraction(h) ** p * _dc_sum_horner(p, m, h)
+    (total_hm, den), (total_mh, _) = _horner_total(p, h, m), _horner_total(p, m, h)
+    return Fraction(2 * (h * total_hm + m * total_mh), den * m * h)
 
 
 def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:

@@ -5,18 +5,23 @@ Every computation in this package runs over arbitrary-precision rationals
 dense coefficient lists in ascending degree; a truncated series of order N is
 a list of N + 1 coefficients representing a power series mod t^(N+1).
 
+A cached family keeps each polynomial as a `RationalRow`: the `Fraction`
+tuple, and with it its `IntegerRow`, the numerators over one common
+denominator, so that integer kernels read the cache without re-deriving it.
 The odd-modulus distribution sum is served in moment form, an integer kernel
-that builds one `Fraction` per returned coefficient.  `poly_affine` and
-`poly_mul` expand the same sum term by term; they stay public as the tests'
-reference route and as rungs of the benchmark's size ladders, and no serving
+that builds one `Fraction` per returned coefficient, and `poly_combination`
+is one integer pass of the same kind.  `poly_affine` and `poly_mul` expand
+the distribution sum term by term; they stay public as the tests' reference
+route and as rungs of the benchmark's size ladders, and no serving
 function calls them.  The same holds for the truncated series primitives:
 the Euler numbers come from integer tangent numbers, so the series engine is
 a test oracle only.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 def format_rational(q: Fraction) -> str:
@@ -58,15 +63,20 @@ def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
 
 
 def poly_combination(terms: Iterable[tuple[Fraction, list[Fraction]]]) -> list[Fraction]:
-    """Σ c·p over the (c, p) terms, normalized once; one product per term coefficient."""
-    out: list[Fraction] = []
-    for c, p in terms:
+    """Σ c·p over the (c, p) terms, normalized.
+
+    One integer pass over the common denominator of every product c·p_i, then
+    one Fraction per output coefficient.
+    """
+    scalars = [(Fraction(c), p) for c, p in terms]
+    den = lcm(*(c.denominator * a.denominator for c, p in scalars for a in p))
+    out = [0] * max((len(p) for _, p in scalars), default=1)
+    for c, p in scalars:
         for i, a in enumerate(p):
-            if i < len(out):
-                out[i] += c * a
-            else:
-                out.append(c * a)
-    return poly_normalize(out)
+            out[i] += c.numerator * a.numerator * (den // (c.denominator * a.denominator))
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return [Fraction(c, den) for c in out]
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -94,6 +104,27 @@ def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
     """The coefficients of poly as integers over their least common denominator."""
     den = lcm(*(c.denominator for c in poly))
     return [c.numerator * (den // c.denominator) for c in poly], den
+
+
+class IntegerRow(NamedTuple):
+    """Rationals as integer numerators over one common denominator."""
+
+    numerators: tuple[int, ...]
+    den: int
+
+
+class RationalRow(tuple):
+    """A tuple of Fractions that keeps its `IntegerRow`, derived on first read.
+
+    The caches of `sequences` keep one per entry: a reader that wants
+    Fractions copies the tuple, an integer kernel reads `integers`, so a
+    cache that no integer kernel reads never derives it.
+    """
+
+    @cached_property
+    def integers(self) -> IntegerRow:
+        numerators, den = integer_coefficients(self)
+        return IntegerRow(tuple(numerators), den)
 
 
 def alternating_power_sums(m: int, degree: int) -> list[int]:

@@ -65,13 +65,14 @@ from .sequences import (
     genocchi_poly,
     poly_euler_numbers,
     poly_euler_poly,
+    poly_euler_poly_row,
     poly_euler_via_corollary7,
     poly_euler_via_theorem3,
     poly_genocchi_numbers,
     poly_genocchi_poly,
     sawtooth,
     stirling_weights,
-    theorem3_weights,
+    theorem3_integer_weights,
 )
 
 
@@ -167,11 +168,17 @@ def _compute_thm1(p: Params) -> IdentitySides:
     return IdentitySides.compare(lhs, rhs)
 
 
+def _at_one(k: int, n: int) -> Fraction:
+    """E_n^(k)(1): the sum of the integer row of E_n^(k)(x) over its denominator."""
+    numerators, den = poly_euler_poly_row(k, n)
+    return Fraction(sum(numerators), den)
+
+
 def _compute_cor2(p: Params) -> IdentitySides:
     n, k = p["n"], p["k"]
     lhs = Fraction(2, n) * stirling_weights(k, n)[n]
-    rhs = sum(poly_euler_poly(k, n - 1)) + poly_euler_numbers(k, n - 1)[n - 1]
-    return IdentitySides.compare(lhs, rhs)
+    numerators, den = poly_euler_poly_row(k, n - 1)  # E_{n-1}^(k) is the constant term
+    return IdentitySides.compare(lhs, Fraction(sum(numerators) + numerators[0], den))
 
 
 def _compute_thm3(p: Params) -> IdentitySides:
@@ -185,8 +192,8 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
     n times it is the moment sum Σ_{m=1..n} C(n,m) w_m(k) P_{n-m} of Theorem 4.
     """
     power_sums = alternating_power_sums(x, n - 1)
-    weights = theorem3_weights(k, n - 1)
-    return sum((a * s for a, s in zip(weights, power_sums) if s), Fraction(0))
+    weights, den = theorem3_integer_weights(k, n - 1)
+    return Fraction(sum(a * s for a, s in zip(weights, power_sums)), den)
 
 
 def _compute_thm4(p: Params) -> IdentitySides:
@@ -210,9 +217,10 @@ def _compute_cor5(p: Params) -> IdentitySides:
 
 def _compute_thm6(p: Params) -> IdentitySides:
     k, n, m = p["k"], p["n"], p["m"]
+    weights, den = theorem3_integer_weights(k, n)
     rhs_poly = poly_combination(
-        (a * Fraction(m) ** (l - 1), alternating_distribution(genocchi_poly(l), m))
-        for l, a in enumerate(theorem3_weights(k, n))
+        (Fraction(a * m**l, den * m), alternating_distribution(genocchi_poly(l), m))
+        for l, a in enumerate(weights)
         if a
     )
     return _poly_witness(poly_genocchi_poly(k, n), rhs_poly)
@@ -225,14 +233,12 @@ def _compute_cor7(p: Params) -> IdentitySides:
 
 def _compute_lemma8(p: Params) -> IdentitySides:
     k, pp, s = p["k"], p["p"], p["s"]
-    ek = poly_euler_numbers(k, pp)
-    lhs = sum(
-        (comb(pp - nu + 1, s) * comb(pp, nu) * ek[nu] for nu in range(pp + 1)),
-        Fraction(0),
+    # The x^(p-ν) coefficient of E_p^(k)(x) is C(p,ν)·E_ν^(k).
+    numerators, den = poly_euler_poly_row(k, pp)
+    lhs = Fraction(
+        sum(comb(pp - nu + 1, s) * numerators[pp - nu] for nu in range(pp + 1)), den
     )
-    rhs = comb(pp, s) * sum(poly_euler_poly(k, pp - s)) + comb(pp, s - 1) * sum(
-        poly_euler_poly(k, pp - s + 1)
-    )
+    rhs = comb(pp, s) * _at_one(k, pp - s) + comb(pp, s - 1) * _at_one(k, pp - s + 1)
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -245,21 +251,17 @@ def _compute_lemma9(p: Params) -> IdentitySides:
         (Fraction(comb(pp, nu), pp - nu + 2) * ek[nu] for nu in range(pp + 1)),
         Fraction(0),
     )
-    at_one_1 = sum(poly_euler_poly(k, pp + 1))
-    at_one_2 = sum(poly_euler_poly(k, pp + 2))
-    num_2 = poly_euler_numbers(k, pp + 2)[pp + 2]
-    rhs = (
-        at_one_1 / (pp + 1)
-        - at_one_2 / ((pp + 1) * (pp + 2))
-        + num_2 / ((pp + 1) * (pp + 2))
+    # (E_{p+2}^(k) - E_{p+2}^(k)(1)) over the row of E_{p+2}^(k)(x).
+    numerators, den = poly_euler_poly_row(k, pp + 2)
+    rhs = _at_one(k, pp + 1) / (pp + 1) + Fraction(
+        numerators[0] - sum(numerators), den * (pp + 1) * (pp + 2)
     )
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_eq40(p: Params) -> IdentitySides:
-    k = p["k"]
-    lhs = sum(poly_euler_poly(k, 1)) - poly_euler_numbers(k, 1)[1]
-    return IdentitySides.compare(lhs, Fraction(1))
+    numerators, den = poly_euler_poly_row(p["k"], 1)
+    return IdentitySides.compare(Fraction(sum(numerators) - numerators[0], den), Fraction(1))
 
 
 def _compute_oracle_equivalence(p: Params) -> IdentitySides:

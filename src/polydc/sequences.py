@@ -7,8 +7,12 @@ cache-fill time against the zigzag triangle; no series arithmetic runs here.
 The other families are built from them and the Stirling weights
 w_j(k) = j!·[t^j] Ei_k(log(1+t)): G_n = n·E_{n-1} and
 G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the binomial
-convolutions of the numbers, each kept once per n.  The poly families admit
-any integer index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
+convolutions of the numbers.  The Euler, Genocchi and poly-Euler polynomials
+and the weight rows are each kept once, as a `RationalRow`: the public
+functions return a fresh Fraction list from it, and the integer kernels read
+its integer row (`euler_poly_row`, `poly_euler_poly_row`,
+`theorem3_integer_weights`).  The poly families admit any integer index k:
+for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones; the Stirling weights are checked at fill time by Stirling
@@ -23,8 +27,9 @@ from itertools import accumulate
 from math import comb, factorial, floor
 
 from .exact_algebra import (
+    IntegerRow,
+    RationalRow,
     alternating_distribution,
-    integer_coefficients,
     poly_combination,
     poly_eval,
     poly_normalize,
@@ -79,34 +84,45 @@ def _grow_stirling2(n: int) -> None:
         _stirling2_rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, len(prev))])
 
 
-_weight_rows: dict[int, tuple[Fraction, ...]] = {}
+_weight_rows: dict[int, RationalRow] = {}
 
 
-def stirling_weights(k: int, max_n: int) -> list[Fraction]:
-    """[w_0(k), ..., w_max_n(k)] with w_n(k) = Σ_{j=1..n} S_1(n, j) / j^(k-1).
+def _weight_row(k: int, max_n: int) -> RationalRow:
+    """The cached row [w_0(k), ...] of `stirling_weights`, grown past max_n if short.
 
-    This is n!·[t^n] Ei_k(log(1+t)), the weight of the index-k poly families.
     Each k has one grow-only row, extended by its missing entries only; each new
-    N is checked by Stirling inversion, Σ_{n=1..N} S_2(N, n) w_n(k) = N^(1-k),
-    or RuntimeError is raised.  Each call returns a fresh list.
+    N is checked by Stirling inversion over the row's integer form,
+    Σ_{n=1..N} S_2(N, n) w_n(k) = N^(1-k), or RuntimeError is raised.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
     row = _weight_rows.get(k, ())
     if len(row) <= max_n:
         _grow_stirling(max_n)
         _grow_stirling2(max_n)
-        grown = row + tuple(
-            sum((s1[j] * Fraction(j) ** (1 - k) for j in range(1, len(s1))), Fraction(0))
-            for s1 in _stirling_rows[len(row) : max_n + 1]
+        grown = RationalRow(
+            row
+            + tuple(
+                sum((s1[j] * Fraction(j) ** (1 - k) for j in range(1, len(s1))), Fraction(0))
+                for s1 in _stirling_rows[len(row) : max_n + 1]
+            )
         )
-        numerators, den = integer_coefficients(list(grown))
+        numerators, den = grown.integers
         for big_n in range(max(len(row), 1), max_n + 1):
             total = sum(s * w for s, w in zip(_stirling2_rows[big_n], numerators))
             if Fraction(total, den) != Fraction(big_n) ** (1 - k):
                 raise RuntimeError(f"Stirling weight row k={k} fails inversion at N={big_n}")
         row = _weight_rows[k] = grown
-    return list(row[: max_n + 1])
+    return row
+
+
+def stirling_weights(k: int, max_n: int) -> list[Fraction]:
+    """[w_0(k), ..., w_max_n(k)] with w_n(k) = Σ_{j=1..n} S_1(n, j) / j^(k-1).
+
+    This is n!·[t^n] Ei_k(log(1+t)), the weight of the index-k poly families,
+    read from the checked row of `_weight_row`.  Each call returns a fresh list.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    return list(_weight_row(k, max_n)[: max_n + 1])
 
 
 def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
@@ -183,24 +199,29 @@ def euler_numbers(max_n: int) -> list[Fraction]:
     return _euler_cache[: max_n + 1]
 
 
-_euler_poly_cache: dict[int, tuple[Fraction, ...]] = {}
-_genocchi_poly_cache: dict[int, tuple[Fraction, ...]] = {}
+_euler_poly_cache: dict[int, RationalRow] = {}
+_genocchi_poly_cache: dict[int, RationalRow] = {}
 
 
 def _convolution_poly(
-    cache: dict[int, tuple[Fraction, ...]], numbers: Callable[[int], list[Fraction]], n: int
-) -> list[Fraction]:
-    """binomial_convolution(numbers(n), n), kept as a tuple per n; a fresh list per call."""
+    cache: dict[int, RationalRow], numbers: Callable[[int], list[Fraction]], n: int
+) -> RationalRow:
+    """binomial_convolution(numbers(n), n), kept once per n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n not in cache:
-        cache[n] = tuple(binomial_convolution(numbers(n), n))
-    return list(cache[n])
+        cache[n] = RationalRow(binomial_convolution(numbers(n), n))
+    return cache[n]
 
 
 def euler_poly(n: int) -> list[Fraction]:
-    """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l)."""
-    return _convolution_poly(_euler_poly_cache, euler_numbers, n)
+    """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l), a fresh list per call."""
+    return list(_convolution_poly(_euler_poly_cache, euler_numbers, n))
+
+
+def euler_poly_row(n: int) -> IntegerRow:
+    """The coefficients of E_n(x) as integers over one denominator (cached)."""
+    return _convolution_poly(_euler_poly_cache, euler_numbers, n).integers
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
@@ -215,8 +236,8 @@ def genocchi_numbers(max_n: int) -> list[Fraction]:
 
 
 def genocchi_poly(n: int) -> list[Fraction]:
-    """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l)."""
-    return _convolution_poly(_genocchi_poly_cache, genocchi_numbers, n)
+    """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l), a fresh list per call."""
+    return list(_convolution_poly(_genocchi_poly_cache, genocchi_numbers, n))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +300,15 @@ def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
     return [genocchi[n + 1] / (n + 1) for n in range(max_n + 1)]
 
 
-_poly_euler_poly_cache: dict[tuple[int, int], list[Fraction]] = {}
+_poly_euler_poly_cache: dict[tuple[int, int], RationalRow] = {}
 
 
-def poly_euler_poly(k: int, n: int) -> list[Fraction]:
-    """E_n^(k)(x), a degree-n polynomial.
+def _poly_euler_row(k: int, n: int) -> RationalRow:
+    """E_n^(k)(x), kept once per (k, n).
 
     Computed as the binomial convolution Σ_l C(n,l) E_l^(k) x^(n-l) and
     asserted against the quotient form G_{n+1}^(k)(x)/(n+1); the two must
-    agree coefficientwise or a RuntimeError is raised.  Each call returns a
-    fresh list, so a caller cannot alter the cached polynomial.
+    agree coefficientwise or a RuntimeError is raised.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -298,14 +318,26 @@ def poly_euler_poly(k: int, n: int) -> list[Fraction]:
         quotient_form = poly_combination([(Fraction(1, n + 1), poly_genocchi_poly(k, n + 1))])
         if binomial_form != quotient_form:
             raise RuntimeError("poly-Euler construction routes disagree")
-        _poly_euler_poly_cache[key] = binomial_form
-    return list(_poly_euler_poly_cache[key])
+        _poly_euler_poly_cache[key] = RationalRow(binomial_form)
+    return _poly_euler_poly_cache[key]
+
+
+def poly_euler_poly(k: int, n: int) -> list[Fraction]:
+    """E_n^(k)(x), a degree-n polynomial, as a fresh list per call, so a caller
+    cannot alter the cached polynomial (see `_poly_euler_row`)."""
+    return list(_poly_euler_row(k, n))
+
+
+def poly_euler_poly_row(k: int, n: int) -> IntegerRow:
+    """The coefficients of E_n^(k)(x) as integers over one denominator (cached)."""
+    return _poly_euler_row(k, n).integers
 
 
 def theorem3_weights(k: int, n: int) -> list[Fraction]:
     """[a_0, ..., a_n] with a_l = C(n,l)·w_{n+1-l}(k)/(n+1-l): E_n^(k)(x) = Σ_l a_l E_l(x).
 
-    These Theorem 3 weights serve every weighted sum over the index-k families.
+    The Fraction reference for `theorem3_integer_weights`, which serves every
+    weighted sum over the index-k families.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -313,10 +345,24 @@ def theorem3_weights(k: int, n: int) -> list[Fraction]:
     return [comb(n, l) * weights[n + 1 - l] / (n + 1 - l) for l in range(n + 1)]
 
 
+def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
+    """The Theorem 3 weights a_0, ..., a_n over one denominator, read off the weight row.
+
+    With the row's numerators W over its denominator D, and
+    C(n,l)/(n+1-l) = C(n+1,l)/(n+1), a_l = C(n+1,l)·W_{n+1-l} / ((n+1)·D).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    numerators, den = _weight_row(k, n + 1).integers
+    return IntegerRow(
+        tuple(comb(n + 1, l) * numerators[n + 1 - l] for l in range(n + 1)), (n + 1) * den
+    )
+
+
 def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
-    """E_n^(k)(x) = Σ_l a_l E_l(x) over `theorem3_weights` (the Theorem 3 oracle route)."""
-    weights = theorem3_weights(k, n)
-    return poly_combination((a, euler_poly(l)) for l, a in enumerate(weights) if a)
+    """E_n^(k)(x) = Σ_l a_l E_l(x) over the Theorem 3 weights (the Theorem 3 oracle route)."""
+    weights, den = theorem3_integer_weights(k, n)
+    return poly_combination((Fraction(a, den), euler_poly(l)) for l, a in enumerate(weights) if a)
 
 
 def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
@@ -329,9 +375,10 @@ def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
         raise ValueError("n must be nonnegative")
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be a positive odd integer")
+    weights, den = theorem3_integer_weights(k, n)
     return poly_combination(
-        (a * m**l, alternating_distribution(euler_poly(l), m))
-        for l, a in enumerate(theorem3_weights(k, n))
+        (Fraction(a * m**l, den), alternating_distribution(euler_poly(l), m))
+        for l, a in enumerate(weights)
         if a
     )
 

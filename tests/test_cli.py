@@ -1,5 +1,7 @@
 """Tests for the command-line interface: formats, golden files, exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc import cli, dc_sums, identity_suite
-from polydc.cli import MAX_EVEN_DCSUM_M, MAX_TABLE_N, main, parse_range
+from polydc.cli import MAX_EVEN_DCSUM_M, MAX_INDEX_K, MAX_TABLE_N, main, parse_range
 from polydc.exact_algebra import format_rational, parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -287,6 +289,86 @@ def test_odd_dcsum_has_no_modulus_limit(capsys):
     (law,) = dc_sums._classical_law([3], dc_sums._euler_integers(4))(h, m)
     swapped = dc_sums._dc_sum_horner(3, m, h)
     assert value == (Fraction(law, 8 * h * m) - h**3 * swapped) / m**3
+
+
+def test_values_past_the_digit_limit_print_and_inputs_past_it_are_usage_errors(capsys):
+    # The value's numerator has about 4,390 digits, past the interpreter's 4,300; the
+    # limit is lifted only while output is written.
+    limit = sys.get_int_max_str_digits()
+    assert main(["dcsum", "p=500", "h=12345", "m=9999991"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = json.loads(capsys.readouterr().out)["value"]
+    with cli._all_digits():
+        assert parse_rational(text) == dc_sums.dc_sum(500, 12345, 9999991)
+    assert main(["dcsum", "p=3", "h=1", "m=" + "9" * 5000]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
+
+
+REFUSED_K = (MAX_INDEX_K + 1, -(MAX_INDEX_K + 1))
+
+
+@pytest.mark.parametrize("k", REFUSED_K)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "poly-genocchi", "max_n=3", "k={k}"],
+        ["table", "poly-euler", "max_n=3", "k={k}"],
+        ["eval", "poly-euler-poly", "n=3", "x=1/3", "k={k}"],
+        ["eval", "bar-poly-euler", "n=3", "x=1/3", "k={k}"],
+        ["dcsum", "p=3", "h=1", "m=3", "k={k}"],
+        ["dcsum", "p=3", "h=2", "m=3", "k={k}"],
+        ["verify", "thm14", "p=3", "h=1", "m=3", "k={k}"],
+        ["verify", "cor2", "n=3", "k={k}"],
+        ["sweep", "thm14", "p=1", "h=1", "m=1", "k=1,{k}"],
+        ["sweep", "thm3", "n=1..3", "k=0,{k}"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_index_k_above_the_cap_is_rejected_before_any_construction(argv, k, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("construction started")
+
+    for name in ("poly_genocchi_numbers", "poly_euler_numbers", "poly_euler_poly", "poly_dc_sum"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(identity_suite, "verify", refuse)
+    monkeypatch.setattr(identity_suite, "sweep", refuse)
+    assert main([arg.format(k=k) for arg in argv]) == 2
+    assert f"at most {MAX_INDEX_K}" in capsys.readouterr().err
+
+
+def _old_table_text(rows, fmt):
+    """The table as it was rendered whole: one JSON document, or one CSV text."""
+    if fmt == "json":
+        return json.dumps([{"index": i, "value": v} for i, v in rows], indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["index", "value"])
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "sequence, args, values",
+    [
+        ("euler", [], lambda: cli.euler_numbers(40)),
+        ("genocchi", [], lambda: cli.genocchi_numbers(40)),
+        ("poly-genocchi", ["k=-3"], lambda: cli.poly_genocchi_numbers(-3, 40)),
+        ("poly-euler", ["k=4"], lambda: cli.poly_euler_numbers(4, 40)),
+    ],
+)
+def test_streamed_table_matches_the_whole_document(sequence, args, values, fmt, capsys):
+    assert main(["table", sequence, "max_n=40", *args, "--format", fmt]) == 0
+    rows = [(n, format_rational(v)) for n, v in enumerate(values())]
+    assert capsys.readouterr().out == _old_table_text(rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_stirling_table_matches_the_whole_document(fmt, capsys):
+    assert main(["table", "stirling1", "max_n=30", "--format", fmt]) == 0
+    rows = [(f"{n}:{m}", str(cli.stirling1(n, m))) for n in range(31) for m in range(n + 1)]
+    assert capsys.readouterr().out == _old_table_text(rows, fmt)
 
 
 def test_module_entry_point_runs():

@@ -283,3 +283,41 @@ def test_distribution_relation_holds_beyond_the_acceptance_grid(n, m):
 @settings(max_examples=50, deadline=None)
 def test_distribution_constructions_hold_beyond_the_acceptance_grid(verifier_id, k, n, m):
     assert verify(verifier_id, {"k": k, "n": n, "m": m}).holds
+
+
+# Theorem 1 to Lemma 9 over k in -4..5, past the acceptance grids (n <= 12,
+# x <= 6, p <= 10).
+indices = st.integers(-4, 5)
+
+
+@pytest.mark.parametrize("verifier_id", ["thm1", "cor2"])
+@given(k=indices, n=st.integers(13, 30))
+@settings(max_examples=30, deadline=None)
+def test_value_at_one_identities_hold_beyond_the_acceptance_grid(verifier_id, k, n):
+    assert verify(verifier_id, {"n": n, "k": k}).holds
+
+
+@given(k=indices, n=st.integers(13, 24))
+@settings(max_examples=30, deadline=None)
+def test_theorem3_holds_beyond_the_acceptance_grid(k, n):
+    assert verify("thm3", {"k": k, "n": n}).holds
+
+
+@pytest.mark.parametrize("verifier_id", ["thm4", "cor5"])
+@given(k=indices, n=st.integers(1, 20), x=st.integers(7, 30))
+@settings(max_examples=30, deadline=None)
+def test_alternating_moment_identities_hold_beyond_the_acceptance_grid(verifier_id, k, n, x):
+    assert verify(verifier_id, {"x": x, "n": n, "k": k}).holds
+
+
+@given(k=indices, p=st.integers(11, 24), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_lemma8_holds_beyond_the_acceptance_grid(k, p, data):
+    s = data.draw(st.integers(1, p - 1))
+    assert verify("lemma8", {"k": k, "p": p, "s": s}).holds
+
+
+@given(k=indices, p=st.integers(11, 24))
+@settings(max_examples=30, deadline=None)
+def test_lemma9_holds_beyond_the_acceptance_grid(k, p):
+    assert verify("lemma9", {"k": k, "p": p}).holds

@@ -3,7 +3,8 @@ name from another, the sequence constructions neither use the series engine
 nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have four
-readers only, and no identity reaches the Euclid route of the public sums."""
+readers only, the integer rows are derived once, when a cache entry is
+filled, and no identity reaches the Euclid route of the public sums."""
 
 import ast
 from pathlib import Path
@@ -95,6 +96,19 @@ def test_only_the_weight_readers_call_stirling_weights():
         "poly_genocchi_numbers",
         "theorem3_weights",
     ]
+
+
+def test_only_the_row_fill_calls_integer_coefficients():
+    # The cached polynomials and weight rows keep their integer rows with
+    # them (RationalRow.integers); every other reader takes those rows instead
+    # of re-deriving them.  The distribution sum still takes a Fraction
+    # polynomial.
+    callers = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _callers(path, {"integer_coefficients"})
+    ]
+    assert sorted(callers) == ["alternating_distribution", "integers"]
 
 
 #: The identities of dc_sums; the verifier registry serves thm10-thm14, cor15,

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from polydc import sequences
 from polydc.exact_algebra import (
+    IntegerRow,
     exp_series,
+    integer_coefficients,
     log1p_series,
     poly_eval,
     poly_mul,
@@ -21,10 +23,12 @@ from polydc.sequences import (
     bar_eval,
     euler_numbers,
     euler_poly,
+    euler_poly_row,
     genocchi_numbers,
     genocchi_poly,
     poly_euler_numbers,
     poly_euler_poly,
+    poly_euler_poly_row,
     poly_euler_via_corollary7,
     poly_euler_via_theorem3,
     poly_genocchi_numbers,
@@ -34,6 +38,7 @@ from polydc.sequences import (
     stirling1,
     stirling1_row,
     stirling_weights,
+    theorem3_integer_weights,
     theorem3_weights,
 )
 
@@ -155,6 +160,53 @@ def test_theorem3_weights_are_the_stirling_ratios(k):
         expected = [comb(n + 1, l) * weights[n + 1 - l] / (n + 1) for l in range(n + 1)]
         assert theorem3_weights(k, n) == expected
         assert expected[n] == 1
+
+
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_theorem3_integer_weights_equal_the_fraction_weights(k):
+    for n in range(41):
+        weights, den = theorem3_integer_weights(k, n)
+        assert [Fraction(a, den) for a in weights] == theorem3_weights(k, n), (k, n)
+
+
+# --- integer rows of the cached polynomials -------------------------------------
+
+
+def _integer_row(poly):
+    numerators, den = integer_coefficients(poly)
+    return IntegerRow(tuple(numerators), den)
+
+
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_poly_euler_rows_are_the_integer_coefficients(k):
+    for n in range(41):
+        assert poly_euler_poly_row(k, n) == _integer_row(poly_euler_poly(k, n)), (k, n)
+
+
+def test_euler_and_genocchi_rows_are_the_integer_coefficients():
+    for n in range(61):
+        assert euler_poly_row(n) == _integer_row(euler_poly(n)), n
+        poly = genocchi_poly(n)
+        assert sequences._genocchi_poly_cache[n].integers == _integer_row(poly), n
+
+
+@pytest.mark.parametrize(
+    "poly, row",
+    [
+        (lambda: euler_poly(7), lambda: euler_poly_row(7)),
+        (lambda: genocchi_poly(7), lambda: sequences._genocchi_poly_cache[7].integers),
+        (lambda: poly_euler_poly(-3, 7), lambda: poly_euler_poly_row(-3, 7)),
+    ],
+    ids=["euler", "genocchi", "poly-euler"],
+)
+def test_mutating_a_returned_polynomial_changes_neither_cache(poly, row):
+    expected = poly()
+    first = poly()
+    first[0] += 1
+    first.append(Fraction(7))
+    assert poly() == expected
+    assert row() == _integer_row(expected)
+    assert isinstance(row().numerators, tuple)
 
 
 # --- Euler numbers and polynomials --------------------------------------------
