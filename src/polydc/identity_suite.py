@@ -1,14 +1,17 @@
 """Machine verification of the identity catalogue.
 
-Every identity is registered under a stable verifier id with an ordered
-parameter signature, its hypotheses as data (a `dc_sums.Hypotheses`: one
-predicate per constrained parameter, plus a coprimality flag; the identities
-of `dc_sums` check the very same objects), and an exact compute function.
-`verify` runs one parameter point and returns a report whose `holds` field
-is exact rational equality — never approximate.  `sweep` runs a
-verifier over a parameter grid in canonical lexicographic order, skipping
-inadmissible points, and returns an aggregate that keeps the *complete* list
-of failing points.
+Every identity is registered under a stable verifier id as an exact compute
+function whose keyword parameters are the verifier's parameters, plus its
+hypotheses as data (a `dc_sums.Hypotheses`: one predicate per constrained
+parameter, plus a coprimality flag; the identities of `dc_sums` check the
+very same objects and serve as compute functions themselves).  The order of
+the function's signature, read once at import, is the order of the
+parameters in reports and sweeps.  `verify` and `sweep` share one check of
+names and integer values and one timed point runner.  `verify` runs one
+parameter point and returns a report whose `holds` field is exact rational
+equality — never approximate.  `sweep` runs a verifier over a parameter grid
+in canonical lexicographic order, skipping inadmissible points, and returns
+an aggregate that keeps the *complete* list of failing points.
 
 For identities between polynomials, `holds` means coefficientwise equality of
 the two polynomials; the scalar lhs/rhs fields of the report are then the two
@@ -25,9 +28,10 @@ rewriting (see README) and is quarantined from pass/fail gating by its
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import signature
 from itertools import product
 from math import comb, prod
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
     BELOW_P,
@@ -109,7 +113,7 @@ class SweepResult:
 class _Verifier(NamedTuple):
     params: tuple[str, ...]
     hypotheses: Hypotheses
-    compute: Callable[[Params], IdentitySides]
+    compute: Callable[..., IdentitySides]
     exploratory: bool = False
 
 
@@ -146,23 +150,20 @@ def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> Identit
 # --- compute functions -----------------------------------------------------
 
 
-def _compute_eq4(p: Params) -> IdentitySides:
-    n, l = p["n"], p["l"]
+def _compute_eq4(n: int, l: int) -> IdentitySides:
     lhs = brute_alternating_power_sum(n, l)
     sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
     rhs = sign * poly_eval(euler_poly(l), Fraction(n)) + euler_numbers(l)[l]
     return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_eq18(p: Params) -> IdentitySides:
-    n, m = p["n"], p["m"]
+def _compute_eq18(n: int, m: int) -> IdentitySides:
     base = euler_poly(n)
     rhs_poly = poly_combination([(m**n, alternating_distribution(base, m))])
     return _poly_witness(base, rhs_poly)
 
 
-def _compute_thm1(p: Params) -> IdentitySides:
-    n, k = p["n"], p["k"]
+def _compute_thm1(n: int, k: int) -> IdentitySides:
     lhs = 2 * stirling_weights(k, n)[n]
     rhs = sum(poly_genocchi_poly(k, n)) + poly_genocchi_numbers(k, n)[n]
     return IdentitySides.compare(lhs, rhs)
@@ -174,15 +175,13 @@ def _at_one(k: int, n: int) -> Fraction:
     return Fraction(sum(numerators), den)
 
 
-def _compute_cor2(p: Params) -> IdentitySides:
-    n, k = p["n"], p["k"]
+def _compute_cor2(n: int, k: int) -> IdentitySides:
     lhs = Fraction(2, n) * stirling_weights(k, n)[n]
     numerators, den = poly_euler_poly_row(k, n - 1)  # E_{n-1}^(k) is the constant term
     return IdentitySides.compare(lhs, Fraction(sum(numerators) + numerators[0], den))
 
 
-def _compute_thm3(p: Params) -> IdentitySides:
-    k, n = p["k"], p["n"]
+def _compute_thm3(k: int, n: int) -> IdentitySides:
     return _poly_witness(poly_euler_poly(k, n), poly_euler_via_theorem3(k, n))
 
 
@@ -196,16 +195,14 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
     return Fraction(sum(a * s for a, s in zip(weights, power_sums)), den)
 
 
-def _compute_thm4(p: Params) -> IdentitySides:
-    x, n, k = p["x"], p["n"], p["k"]
+def _compute_thm4(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
     lhs = sign * poly_eval(poly_genocchi_poly(k, n), Fraction(x)) + poly_genocchi_numbers(k, n)[n]
     rhs = 2 * n * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_cor5(p: Params) -> IdentitySides:
-    x, n, k = p["x"], p["n"], p["k"]
+def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
     lhs = (
         sign * poly_eval(poly_euler_poly(k, n - 1), Fraction(x))
@@ -215,8 +212,7 @@ def _compute_cor5(p: Params) -> IdentitySides:
     return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_thm6(p: Params) -> IdentitySides:
-    k, n, m = p["k"], p["n"], p["m"]
+def _compute_thm6(k: int, n: int, m: int) -> IdentitySides:
     weights, den = theorem3_integer_weights(k, n)
     rhs_poly = poly_combination(
         (Fraction(a * m**l, den * m), alternating_distribution(genocchi_poly(l), m))
@@ -226,51 +222,45 @@ def _compute_thm6(p: Params) -> IdentitySides:
     return _poly_witness(poly_genocchi_poly(k, n), rhs_poly)
 
 
-def _compute_cor7(p: Params) -> IdentitySides:
-    k, n, m = p["k"], p["n"], p["m"]
+def _compute_cor7(k: int, n: int, m: int) -> IdentitySides:
     return _poly_witness(poly_euler_poly(k, n), poly_euler_via_corollary7(k, n, m))
 
 
-def _compute_lemma8(p: Params) -> IdentitySides:
-    k, pp, s = p["k"], p["p"], p["s"]
+def _compute_lemma8(k: int, p: int, s: int) -> IdentitySides:
     # The x^(p-ν) coefficient of E_p^(k)(x) is C(p,ν)·E_ν^(k).
-    numerators, den = poly_euler_poly_row(k, pp)
-    lhs = Fraction(
-        sum(comb(pp - nu + 1, s) * numerators[pp - nu] for nu in range(pp + 1)), den
-    )
-    rhs = comb(pp, s) * _at_one(k, pp - s) + comb(pp, s - 1) * _at_one(k, pp - s + 1)
+    numerators, den = poly_euler_poly_row(k, p)
+    lhs = Fraction(sum(comb(p - nu + 1, s) * numerators[p - nu] for nu in range(p + 1)), den)
+    rhs = comb(p, s) * _at_one(k, p - s) + comb(p, s - 1) * _at_one(k, p - s + 1)
     return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_lemma9(p: Params) -> IdentitySides:
-    k, pp = p["k"], p["p"]
+def _compute_lemma9(k: int, p: int) -> IdentitySides:
     # Σ_ν C(p,ν) E_ν^(k)/(p-ν+2) equals ∫_0^1 x·E_p^(k)(x) dx expanded
     # binomially; compute the sum directly so both sides stay independent.
-    ek = poly_euler_numbers(k, pp)
+    ek = poly_euler_numbers(k, p)
     lhs = sum(
-        (Fraction(comb(pp, nu), pp - nu + 2) * ek[nu] for nu in range(pp + 1)),
+        (Fraction(comb(p, nu), p - nu + 2) * ek[nu] for nu in range(p + 1)),
         Fraction(0),
     )
     # (E_{p+2}^(k) - E_{p+2}^(k)(1)) over the row of E_{p+2}^(k)(x).
-    numerators, den = poly_euler_poly_row(k, pp + 2)
-    rhs = _at_one(k, pp + 1) / (pp + 1) + Fraction(
-        numerators[0] - sum(numerators), den * (pp + 1) * (pp + 2)
+    numerators, den = poly_euler_poly_row(k, p + 2)
+    rhs = _at_one(k, p + 1) / (p + 1) + Fraction(
+        numerators[0] - sum(numerators), den * (p + 1) * (p + 2)
     )
     return IdentitySides.compare(lhs, rhs)
 
 
-def _compute_eq40(p: Params) -> IdentitySides:
-    numerators, den = poly_euler_poly_row(p["k"], 1)
+def _compute_eq40(k: int) -> IdentitySides:
+    numerators, den = poly_euler_poly_row(k, 1)
     return IdentitySides.compare(Fraction(sum(numerators) - numerators[0], den), Fraction(1))
 
 
-def _compute_oracle_equivalence(p: Params) -> IdentitySides:
-    sides = _compute_thm3(p)
-    return _compute_cor7(p) if sides.holds else sides
+def _compute_oracle_equivalence(k: int, n: int, m: int) -> IdentitySides:
+    sides = _compute_thm3(k, n)
+    return _compute_cor7(k, n, m) if sides.holds else sides
 
 
-def _compute_sawtooth_exploratory(p: Params) -> IdentitySides:
-    h, m = p["h"], p["m"]
+def _compute_sawtooth_exploratory(h: int, m: int) -> IdentitySides:
     lhs = dc_sum(1, h, m)
     rhs = 2 * sum(
         (
@@ -284,42 +274,40 @@ def _compute_sawtooth_exploratory(p: Params) -> IdentitySides:
 
 # --- registry --------------------------------------------------------------
 
+
+def _verifier(
+    hypotheses: Hypotheses, compute: Callable[..., IdentitySides], exploratory: bool = False
+) -> _Verifier:
+    """A registry entry whose params are compute's keyword parameters, in its order."""
+    return _Verifier(tuple(signature(compute).parameters), hypotheses, compute, exploratory)
+
+
+#: The distribution relation's hypotheses, shared by eq18, thm6, cor7 and the oracle routes.
+_DISTRIBUTION = Hypotheses({"n": GE(0), "m": ODD_POS})
+
 VERIFIERS: dict[str, _Verifier] = {
-    "eq4": _Verifier(("n", "l"), Hypotheses({"n": GE(1), "l": GE(0)}), _compute_eq4),
-    "eq18": _Verifier(("n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_eq18),
-    "thm1": _Verifier(("n", "k"), Hypotheses({"n": GE(1)}), _compute_thm1),
-    "cor2": _Verifier(("n", "k"), Hypotheses({"n": GE(1)}), _compute_cor2),
-    "thm3": _Verifier(("k", "n"), Hypotheses({"n": GE(0)}), _compute_thm3),
-    "thm4": _Verifier(("x", "n", "k"), Hypotheses({"x": GE(1), "n": GE(1)}), _compute_thm4),
-    "cor5": _Verifier(("x", "n", "k"), Hypotheses({"x": GE(1), "n": GE(1)}), _compute_cor5),
-    "thm6": _Verifier(("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_thm6),
-    "cor7": _Verifier(("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_cor7),
-    "lemma8": _Verifier(("k", "p", "s"), Hypotheses({"s": BELOW_P}), _compute_lemma8),
-    "lemma9": _Verifier(("k", "p"), Hypotheses({"p": GE(1)}), _compute_lemma9),
-    "eq40": _Verifier(("k",), Hypotheses({}), _compute_eq40),
-    "thm10": _Verifier(("k", "p", "m"), S_PK_HYPOTHESES, lambda q: s_pk_of_1_m(**q)),
-    "thm11": _Verifier(("k", "p", "m"), ODD_DEGREE_HYPOTHESES, lambda q: theorem11_sides(**q)),
-    "thm12": _Verifier(("k", "p", "m"), ODD_DEGREE_HYPOTHESES, lambda q: theorem12_sides(**q)),
-    "thm13": _Verifier(
-        ("k", "p", "h", "m"), THEOREM13_HYPOTHESES, lambda q: theorem13_sides(**q)
-    ),
-    "thm14": _Verifier(
-        ("k", "p", "h", "m"), RECIPROCITY_HYPOTHESES, lambda q: reciprocity_sides(**q)
-    ),
-    "cor15": _Verifier(
-        ("p", "h", "m"), RECIPROCITY_HYPOTHESES, lambda q: corollary15_sides(**q)
-    ),
-    "recip_closed_form": _Verifier(
-        ("p", "h", "m"), CLOSED_FORM_HYPOTHESES, lambda q: reciprocity_closed_form_sides(**q)
-    ),
-    "k1_collapse": _Verifier(
-        ("p", "h", "m"), K1_COLLAPSE_HYPOTHESES, lambda q: k1_collapse_sides(**q)
-    ),
-    "oracle_equivalence": _Verifier(
-        ("k", "n", "m"), Hypotheses({"n": GE(0), "m": ODD_POS}), _compute_oracle_equivalence
-    ),
-    "sawtooth_t1_exploratory": _Verifier(
-        ("h", "m"),
+    "eq4": _verifier(Hypotheses({"n": GE(1), "l": GE(0)}), _compute_eq4),
+    "eq18": _verifier(_DISTRIBUTION, _compute_eq18),
+    "thm1": _verifier(Hypotheses({"n": GE(1)}), _compute_thm1),
+    "cor2": _verifier(Hypotheses({"n": GE(1)}), _compute_cor2),
+    "thm3": _verifier(Hypotheses({"n": GE(0)}), _compute_thm3),
+    "thm4": _verifier(Hypotheses({"x": GE(1), "n": GE(1)}), _compute_thm4),
+    "cor5": _verifier(Hypotheses({"x": GE(1), "n": GE(1)}), _compute_cor5),
+    "thm6": _verifier(_DISTRIBUTION, _compute_thm6),
+    "cor7": _verifier(_DISTRIBUTION, _compute_cor7),
+    "lemma8": _verifier(Hypotheses({"s": BELOW_P}), _compute_lemma8),
+    "lemma9": _verifier(Hypotheses({"p": GE(1)}), _compute_lemma9),
+    "eq40": _verifier(Hypotheses({}), _compute_eq40),
+    "thm10": _verifier(S_PK_HYPOTHESES, s_pk_of_1_m),
+    "thm11": _verifier(ODD_DEGREE_HYPOTHESES, theorem11_sides),
+    "thm12": _verifier(ODD_DEGREE_HYPOTHESES, theorem12_sides),
+    "thm13": _verifier(THEOREM13_HYPOTHESES, theorem13_sides),
+    "thm14": _verifier(RECIPROCITY_HYPOTHESES, reciprocity_sides),
+    "cor15": _verifier(RECIPROCITY_HYPOTHESES, corollary15_sides),
+    "recip_closed_form": _verifier(CLOSED_FORM_HYPOTHESES, reciprocity_closed_form_sides),
+    "k1_collapse": _verifier(K1_COLLAPSE_HYPOTHESES, k1_collapse_sides),
+    "oracle_equivalence": _verifier(_DISTRIBUTION, _compute_oracle_equivalence),
+    "sawtooth_t1_exploratory": _verifier(
         Hypotheses({"h": ODD_POS, "m": ODD_POS}, coprime=True),
         _compute_sawtooth_exploratory,
         exploratory=True,
@@ -351,62 +339,76 @@ def _lookup(verifier_id: str) -> _Verifier:
         raise ValueError(f"unknown verifier {verifier_id!r}; valid ids: {valid}") from None
 
 
-def _validated_params(verifier_id: str, spec: _Verifier, params: Params) -> dict[str, int]:
-    missing = [name for name in spec.params if name not in params]
+def _checked(
+    verifier_id: str, given: Mapping[str, Any], grid: bool
+) -> tuple[_Verifier, dict[str, Any]]:
+    """The verifier, and given in the verifier's parameter order.
+
+    given maps each parameter name to its value, or to an iterable of values
+    (read once, into a list) if grid is set (a sweep).  Raises ValueError,
+    before any point runs, for an unknown id, a missing or unexpected name, or
+    a value that is not an int.
+    """
+    spec = _lookup(verifier_id)
+    missing = [name for name in spec.params if name not in given]
     if missing:
-        raise ValueError(f"verifier {verifier_id!r} missing parameters: {', '.join(missing)}")
-    extra = [name for name in params if name not in spec.params]
-    if extra:
+        names = ", ".join(missing)
         raise ValueError(
-            f"verifier {verifier_id!r} got unexpected parameters: {', '.join(sorted(extra))}"
+            f"sweep of {verifier_id!r} missing ranges for: {names}"
+            if grid
+            else f"verifier {verifier_id!r} missing parameters: {names}"
         )
-    clean: dict[str, int] = {}
-    for name in spec.params:
-        value = params[name]
+    extra = [name for name in given if name not in spec.params]
+    if extra:
+        names = ", ".join(sorted(extra))
+        raise ValueError(
+            f"sweep of {verifier_id!r} got unexpected ranges: {names}"
+            if grid
+            else f"verifier {verifier_id!r} got unexpected parameters: {names}"
+        )
+    ordered = {name: list(given[name]) if grid else given[name] for name in spec.params}
+    values = ((n, v) for n, vs in ordered.items() for v in vs) if grid else ordered.items()
+    for name, value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"parameter {name!r} must be an integer (got {value!r})")
-        clean[name] = value
-    return clean
+    return spec, ordered
+
+
+def _run(verifier_id: str, spec: _Verifier, point: dict[str, int]) -> VerificationReport:
+    """The report of the verifier at one checked, admissible point; only compute is timed."""
+    start = time.perf_counter()
+    lhs, rhs, holds = spec.compute(**point)
+    elapsed = time.perf_counter() - start
+    return VerificationReport(verifier_id, point, lhs, rhs, holds, elapsed)
 
 
 def verify(verifier_id: str, params: Params) -> VerificationReport:
     """Run one verifier at one parameter point, strictly and exactly.
 
-    Raises ValueError for unknown ids, wrong parameter names, or parameter
-    values outside the identity's stated hypotheses.
+    Raises ValueError for unknown ids, wrong parameter names, non-integer
+    values, or parameter values outside the identity's stated hypotheses.
     """
-    spec = _lookup(verifier_id)
-    clean = _validated_params(verifier_id, spec, params)
-    spec.hypotheses.require(**clean)
-    start = time.perf_counter()
-    lhs, rhs, holds = spec.compute(clean)
-    elapsed = time.perf_counter() - start
-    return VerificationReport(verifier_id, clean, lhs, rhs, holds, elapsed)
+    spec, point = _checked(verifier_id, params, grid=False)
+    spec.hypotheses.require(**point)
+    return _run(verifier_id, spec, point)
 
 
 def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     """Run a verifier over the cartesian product of per-parameter values.
 
-    Values for every declared parameter are required.  Points violating the
-    verifier's hypotheses are filtered out before computing; if nothing
-    admissible remains, that is an error, and so is a grid of more than
-    MAX_SWEEP_POINTS points (the product of the deduplicated axis lengths),
-    rejected before any point runs.  Points run in lexicographic order
-    of the parameter tuple (parameters in their declared order, values
-    ascending), and the result keeps every failing report.
+    Values for every declared parameter are required, each an integer as in
+    `verify`.  Points violating the verifier's hypotheses are filtered out
+    before computing; if nothing admissible remains, that is an error, and so
+    is a grid of more than MAX_SWEEP_POINTS points (the product of the
+    deduplicated axis lengths), rejected before any point runs.  Points run
+    in lexicographic order of the parameter tuple (parameters in their
+    declared order, values ascending), and the result keeps every failing
+    report.
     """
-    spec = _lookup(verifier_id)
-    missing = [name for name in spec.params if name not in ranges]
-    if missing:
-        raise ValueError(f"sweep of {verifier_id!r} missing ranges for: {', '.join(missing)}")
-    extra = [name for name in ranges if name not in spec.params]
-    if extra:
-        raise ValueError(
-            f"sweep of {verifier_id!r} got unexpected ranges: {', '.join(sorted(extra))}"
-        )
+    spec, ordered = _checked(verifier_id, ranges, grid=True)
     axes: list[list[int]] = []
-    for name in spec.params:
-        values = sorted(set(ranges[name]))
+    for name, values in ordered.items():
+        values = sorted(set(values))
         if not values:
             raise ValueError(f"empty range for parameter {name!r}")
         axes.append(values)
@@ -419,14 +421,8 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     reports: list[VerificationReport] = []
     for point in product(*axes):
         clean = dict(zip(spec.params, point))
-        if spec.hypotheses.violation(clean):
-            continue
-        point_start = time.perf_counter()
-        lhs, rhs, holds = spec.compute(clean)
-        point_elapsed = time.perf_counter() - point_start
-        reports.append(
-            VerificationReport(verifier_id, clean, lhs, rhs, holds, point_elapsed)
-        )
+        if not spec.hypotheses.violation(clean):
+            reports.append(_run(verifier_id, spec, clean))
     if not reports:
         raise ValueError(
             f"sweep of {verifier_id!r} has no admissible parameter points"

@@ -196,7 +196,7 @@ def test_criterion_6_cli_contract(capsys, monkeypatch):
         assert main(["table", "poly-euler", "max_n=3"]) == 2
         capsys.readouterr()
         spec = identity_suite.VERIFIERS["eq40"]
-        broken = spec._replace(compute=lambda params: (Fraction(0), Fraction(1), False))
+        broken = spec._replace(compute=lambda **params: (Fraction(0), Fraction(1), False))
         monkeypatch.setitem(identity_suite.VERIFIERS, "eq40", broken)
         assert main(["verify", "eq40", "k=1"]) == 1
         monkeypatch.undo()

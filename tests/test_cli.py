@@ -171,7 +171,7 @@ def test_exit_zero_on_passing_verify(capsys):
 
 def test_exit_one_on_violation(monkeypatch, capsys):
     spec = identity_suite.VERIFIERS["eq40"]
-    broken = spec._replace(compute=lambda params: (Fraction(0), Fraction(1), False))
+    broken = spec._replace(compute=lambda **params: (Fraction(0), Fraction(1), False))
     monkeypatch.setitem(identity_suite.VERIFIERS, "eq40", broken)
     assert main(["verify", "eq40", "k=1", "--deterministic"]) == 1
     report = json.loads(capsys.readouterr().out)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydc import identity_suite
+from polydc import dc_sums, identity_suite
 from polydc.identity_suite import (
     EXPLORATORY_IDS,
     VERIFIER_IDS,
@@ -216,6 +216,8 @@ def test_sweep_filters_inadmissible_points():
 def test_sweep_deduplicates_and_sorts_values():
     result = sweep("eq40", {"k": [3, -1, 3, 0]})
     assert [r.params["k"] for r in result.reports] == [-1, 0, 3]
+    result = sweep("eq40", {"k": iter([3, -1, 3, 0])})  # each range is read once
+    assert [r.params["k"] for r in result.reports] == [-1, 0, 3]
 
 
 def test_sweep_rejects_empty_admissible_set():
@@ -234,12 +236,40 @@ def test_sweep_rejects_missing_or_extra_ranges():
 
 def test_sweep_rejects_a_grid_beyond_the_point_limit(monkeypatch):
     # 1,001 × 100 points; the verifier is replaced so that any point run fails.
-    def refuse(params):
+    def refuse(**params):
         raise AssertionError(f"point {params} ran")
 
     monkeypatch.setitem(VERIFIERS, "thm14", VERIFIERS["thm14"]._replace(compute=refuse))
     with pytest.raises(ValueError, match="100100 points, more than 100000"):
         sweep("thm14", {"k": range(1001), "p": range(1, 101), "h": [1], "m": [1]})
+
+
+@pytest.mark.parametrize(
+    "verifier_id, ranges, name, bad",
+    [
+        ("eq40", {"k": [True]}, "k", True),
+        ("eq40", {"k": [1, True]}, "k", True),  # equal to 1, so a set would hide it
+        ("eq4", {"n": [2.0], "l": [1]}, "n", 2.0),
+        ("eq4", {"n": [1, 2], "l": [0, "3"]}, "l", "3"),
+        ("thm14", {"k": [1], "p": [Fraction(3)], "h": [1], "m": [1]}, "p", Fraction(3)),
+        ("thm14", {"k": [1], "p": [1], "h": [1], "m": [3, 1.5]}, "m", 1.5),
+    ],
+)
+def test_sweep_rejects_a_non_integer_like_verify(monkeypatch, verifier_id, ranges, name, bad):
+    # Every point is refused, so the error must come before any point runs.
+    def refuse(**params):
+        raise AssertionError(f"point {params} ran")
+
+    spec = VERIFIERS[verifier_id]
+    monkeypatch.setitem(VERIFIERS, verifier_id, spec._replace(compute=refuse))
+    message = f"parameter {name!r} must be an integer (got {bad!r})"
+    with pytest.raises(ValueError) as error:
+        sweep(verifier_id, ranges)
+    assert str(error.value) == message
+    point = {axis: values[0] for axis, values in ranges.items()} | {name: bad}
+    with pytest.raises(ValueError) as error:
+        verify(verifier_id, point)
+    assert str(error.value) == message
 
 
 def test_sweep_point_limit_counts_distinct_values(monkeypatch):
@@ -265,6 +295,29 @@ def test_exploratory_registry_flags():
     assert EXPLORATORY_IDS == {"sawtooth_t1_exploratory"}
     assert VERIFIERS["sawtooth_t1_exploratory"].exploratory
     assert not VERIFIERS["thm14"].exploratory
+
+
+def test_the_reciprocity_verifiers_are_the_dc_sums_identities():
+    identities = {
+        "thm10": dc_sums.s_pk_of_1_m,
+        "thm11": dc_sums.theorem11_sides,
+        "thm12": dc_sums.theorem12_sides,
+        "thm13": dc_sums.theorem13_sides,
+        "thm14": dc_sums.reciprocity_sides,
+        "cor15": dc_sums.corollary15_sides,
+        "recip_closed_form": dc_sums.reciprocity_closed_form_sides,
+        "k1_collapse": dc_sums.k1_collapse_sides,
+    }
+    for verifier_id, identity in identities.items():
+        assert VERIFIERS[verifier_id].compute is identity, verifier_id
+
+
+@pytest.mark.parametrize("verifier_id", VERIFIER_IDS)
+def test_every_hypothesis_names_a_parameter(verifier_id):
+    spec = VERIFIERS[verifier_id]
+    assert set(spec.hypotheses.rules) <= set(spec.params)
+    if spec.hypotheses.coprime:
+        assert {"h", "m"} <= set(spec.params)
 
 
 # --- properties beyond the acceptance grid ------------------------------------
