@@ -13,11 +13,13 @@ Every subcommand accepts --format {json,csv}, --output PATH, and
 Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
 `oddlo..hi` (odd values only), a comma list `1,3,9`, or a single integer.
 Rational values are canonical strings such as `-3/2`, `5`, or `0`.  The
-`max_n` of `table`, the `n` of `eval` and the `p` of `dcsum` are at most
-MAX_TABLE_N; a `dcsum` with `h` or `m` even has `m` at most MAX_EVEN_DCSUM_M;
-every index `k` has `|k|` at most MAX_INDEX_K.  Inputs are parsed under the
-interpreter's limit on integer digits; output is written without it, so every
-value these limits allow prints.  Tables are written row by row.
+`max_n` of `table`, the `n` of `eval`, the `p` of `dcsum` and every `p`, `n`
+and `l` of `verify` and `sweep` are at most MAX_TABLE_N; a `dcsum` with `h` or
+`m` even has `m` at most MAX_EVEN_DCSUM_M; every `m`, `h` and `x` of `verify`
+and `sweep` is at most MAX_VERIFY_M; every index `k` has `|k|` at most
+MAX_INDEX_K.  Inputs are parsed under the interpreter's limit on integer
+digits; output is written without it, so every value these limits allow
+prints.  Tables are written row by row.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -72,6 +74,11 @@ MAX_INDEX_K = 16
 #: The largest `m` of a `dcsum` with `h` or `m` even, which runs an O(m) kernel
 #: (odd pairs take O(log m) steps); larger ones are usage errors.
 MAX_EVEN_DCSUM_M = 10_000
+
+#: The largest `m`, `h` and `x` of `verify` and `sweep`, whose verifiers keep
+#: their O(m), O(m·h) and O(m·p^2) kernels; larger ones are usage errors.  It
+#: also bounds m·h, the steps of the double moments of thm14 and cor15.
+MAX_VERIFY_M = 100
 
 
 def parse_range(text: str) -> list[int]:
@@ -129,6 +136,17 @@ def _index_k(k: int) -> int:
     if abs(k) > MAX_INDEX_K:
         raise ValueError(f"|k| must be at most {MAX_INDEX_K}")
     return k
+
+
+def _verify_limits(values: dict[str, list[int]]) -> None:
+    """ValueError, before any point runs, when a k, a degree p, n or l, or a
+    length m, h or x of `verify` or `sweep` is above its cap."""
+    for k in values.get("k", ()):
+        _index_k(k)
+    for names, cap in ((("p", "n", "l"), MAX_TABLE_N), (("m", "h", "x"), MAX_VERIFY_M)):
+        for name in names:
+            if max(values.get(name, ()), default=0) > cap:
+                raise ValueError(f"{name} must be at most {cap}")
 
 
 def _rational_param(raw: dict[str, str], name: str) -> Fraction:
@@ -322,8 +340,7 @@ def _run_dcsum(args: argparse.Namespace) -> _Handled:
 def _run_verify(args: argparse.Namespace) -> _Handled:
     raw = _parse_assignments(args.params)
     params = {name: _int_param(raw, name) for name in raw}
-    if "k" in params:
-        _index_k(params["k"])
+    _verify_limits({name: [value] for name, value in params.items()})
     report = identity_suite.verify(args.verifier, params)
     text = _render_report(report, args.format, args.deterministic)
     ok = report.holds or args.verifier in EXPLORATORY_IDS
@@ -333,8 +350,7 @@ def _run_verify(args: argparse.Namespace) -> _Handled:
 def _run_sweep(args: argparse.Namespace) -> _Handled:
     raw = _parse_assignments(args.params)
     ranges = {name: parse_range(value) for name, value in raw.items()}
-    for k in ranges.get("k", ()):
-        _index_k(k)
+    _verify_limits(ranges)
     result = identity_suite.sweep(args.verifier, ranges)
     text = _render_sweep(result, args.format, args.deterministic)
     ok = result.failed == 0 or args.verifier in EXPLORATORY_IDS

@@ -8,14 +8,15 @@ a list of N + 1 coefficients representing a power series mod t^(N+1).
 A cached family keeps each polynomial as a `RationalRow`: the `Fraction`
 tuple, and with it its `IntegerRow`, the numerators over one common
 denominator, so that integer kernels read the cache without re-deriving it.
-The odd-modulus distribution sum is served in moment form, an integer kernel
-that builds one `Fraction` per returned coefficient, and `poly_combination`
-is one integer pass of the same kind.  `poly_affine` and `poly_mul` expand
-the distribution sum term by term; they stay public as the tests' reference
-route and as rungs of the benchmark's size ladders, and no serving
-function calls them.  The same holds for the truncated series primitives:
-the Euler numbers come from integer tangent numbers, so the series engine is
-a test oracle only.
+The odd-modulus distribution sum is one integer kernel on rows,
+`row_distribution`, in moment form, and `row_combination` is the integer
+linear combination of rows; the polynomial identities are checked on these
+rows end to end.  `alternating_distribution` is the `Fraction` view of the
+distribution kernel.  `poly_combination`, `poly_affine` and `poly_mul` serve
+no value: they stay public as the tests' reference routes (the distribution
+sum expanded term by term) and as rungs of the benchmark's size ladders.
+The same holds for the truncated series primitives: the Euler numbers come
+from integer tangent numbers, so the series engine is a test oracle only.
 """
 
 from fractions import Fraction
@@ -66,7 +67,8 @@ def poly_combination(terms: Iterable[tuple[Fraction, list[Fraction]]]) -> list[F
     """Σ c·p over the (c, p) terms, normalized.
 
     One integer pass over the common denominator of every product c·p_i, then
-    one Fraction per output coefficient.
+    one Fraction per output coefficient.  The Fraction reference for
+    `row_combination`; no served value calls it.
     """
     scalars = [(Fraction(c), p) for c, p in terms]
     den = lcm(*(c.denominator * a.denominator for c, p in scalars for a in p))
@@ -107,10 +109,46 @@ def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
 
 
 class IntegerRow(NamedTuple):
-    """Rationals as integer numerators over one common denominator."""
+    """Rationals as integer numerators over one common denominator.
+
+    As a polynomial, numerators[i] / den is the x^i coefficient.
+    """
 
     numerators: tuple[int, ...]
     den: int
+
+    def trimmed(self) -> "IntegerRow":
+        """The same polynomial without trailing zero numerators; zero is (0,)."""
+        end = len(self.numerators)
+        while end > 1 and self.numerators[end - 1] == 0:
+            end -= 1
+        return self if end == len(self.numerators) else IntegerRow(self.numerators[:end], self.den)
+
+    def numerator_at(self, x: int) -> int:
+        """den times the polynomial's value at the integer x, by Horner's rule."""
+        value = 0
+        for c in reversed(self.numerators):
+            value = value * x + c
+        return value
+
+    def fractions(self) -> list[Fraction]:
+        """The coefficients as a Fraction list."""
+        return [Fraction(c, self.den) for c in self.numerators]
+
+
+def row_combination(terms: Iterable[tuple[int, IntegerRow]]) -> IntegerRow:
+    """Σ c·row over the (c, row) terms with integer c, trimmed.
+
+    One integer pass over the least common multiple of the row denominators.
+    """
+    terms = list(terms)
+    den = lcm(*(row.den for _, row in terms))
+    out = [0] * max((len(row.numerators) for _, row in terms), default=1)
+    for c, (numerators, row_den) in terms:
+        scale = c * (den // row_den)
+        for i, a in enumerate(numerators):
+            out[i] += scale * a
+    return IntegerRow(tuple(out), den).trimmed()
 
 
 class RationalRow(tuple):
@@ -138,26 +176,33 @@ def alternating_power_sums(m: int, degree: int) -> list[int]:
     return power_sums
 
 
-def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
-    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the odd-modulus distribution sum.
+def row_distribution(row: IntegerRow, m: int) -> IntegerRow:
+    """m^d·Σ_{s=0..m-1} (-1)^s p((x + s)/m) for the polynomial p of row, d = len - 1.
 
-    Moment form: with p(y) = Σ_i c_i y^i, the x^j coefficient is
-    Σ_{i>=j} c_i C(i,j) P_{i-j} / m^i over the integer alternating power sums
-    P_t of `alternating_power_sums`.  Requires m >= 1.
+    The odd-modulus distribution sum, over the same denominator as row and
+    trimmed.  Moment form: with the numerators N_i of p, the x^j numerator is
+    Σ_{i>=j} N_i m^(d-i) C(i,j) P_{i-j} over the integer alternating power
+    sums P_t of `alternating_power_sums`.  Requires m >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    numerators, den = integer_coefficients(p)
+    numerators = row.numerators
     degree = len(numerators) - 1
     power_sums = alternating_power_sums(m, degree)
     scaled = [c * m ** (degree - i) for i, c in enumerate(numerators)]
-    out = [
+    out = tuple(
         sum(scaled[i] * comb(i, j) * power_sums[i - j] for i in range(j, degree + 1))
         for j in range(degree + 1)
-    ]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return [Fraction(c, den * m**degree) for c in out]
+    )
+    return IntegerRow(out, row.den).trimmed()
+
+
+def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
+    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the `Fraction` view of
+    `row_distribution`, normalized.  Requires m >= 1."""
+    numerators, den = integer_coefficients(p)
+    row = row_distribution(IntegerRow(tuple(numerators), den), m)
+    return [Fraction(c, den * m ** (len(numerators) - 1)) for c in row.numerators]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ For identities between polynomials, `holds` means coefficientwise equality of
 the two polynomials; the scalar lhs/rhs fields of the report are then the two
 polynomials evaluated at a common witness point (x = 1 when they agree, the
 first integer where they differ otherwise), so `holds == (lhs == rhs)` still
-holds for every report.
+holds for every report.  These identities (`eq18`, `thm3`, `thm6`, `cor7`,
+`oracle_equivalence`) are checked end to end on integer rows: both sides are
+an `IntegerRow` of the cached polynomials, the Theorem 3 weights and the
+integer distribution kernel, compared by cross-multiplication, and only the
+two witness values are built as Fractions.
 
 The `sawtooth_t1_exploratory` verifier is expected to fail at some points:
 it documents a genuine mismatch between the degree-1 sum and its sawtooth
@@ -56,26 +60,22 @@ from .dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
-from .exact_algebra import (
-    alternating_distribution,
-    alternating_power_sums,
-    poly_combination,
-    poly_eval,
-    poly_normalize,
-)
+from .exact_algebra import IntegerRow, alternating_power_sums, poly_eval, row_distribution
 from .sequences import (
     euler_numbers,
     euler_poly,
-    genocchi_poly,
+    euler_poly_row,
+    genocchi_poly_row,
     poly_euler_numbers,
     poly_euler_poly,
     poly_euler_poly_row,
-    poly_euler_via_corollary7,
-    poly_euler_via_theorem3,
+    poly_euler_row_via_corollary7,
     poly_genocchi_numbers,
     poly_genocchi_poly,
+    poly_genocchi_poly_row,
     sawtooth,
     stirling_weights,
+    theorem3_combination,
     theorem3_integer_weights,
 )
 
@@ -128,22 +128,26 @@ def brute_alternating_power_sum(n: int, l: int) -> Fraction:
     return Fraction(2 * sum((-1) ** j * j**l for j in range(n)))
 
 
-def _poly_witness(lhs_poly: list[Fraction], rhs_poly: list[Fraction]) -> IdentitySides:
-    """Scalar sides for a polynomial identity, preserving holds ⇔ lhs = rhs.
+def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
+    """Scalar sides for a polynomial identity between two integer rows,
+    preserving holds ⇔ lhs = rhs.
 
-    Equal polynomials are both evaluated at 1; unequal ones at the first
-    integer x >= 0 where they differ (a nonzero polynomial of degree d cannot
-    vanish at d+1 distinct points, so the search always terminates).
+    The rows are equal when their trimmed numerators agree after each is
+    multiplied by the other row's denominator; both sides are then the value
+    at 1, the sum of the numerators over the denominator.  Unequal rows are
+    evaluated, by integer Horner, at the first integer x >= 0 where they
+    differ (a nonzero polynomial of degree d cannot vanish at d+1 distinct
+    points, so the search always terminates).
     """
-    lhs_poly = poly_normalize(lhs_poly)
-    rhs_poly = poly_normalize(rhs_poly)
-    if lhs_poly == rhs_poly:
-        value = poly_eval(lhs_poly, Fraction(1))
+    lhs, rhs = lhs.trimmed(), rhs.trimmed()
+    (a, a_den), (b, b_den) = lhs, rhs
+    if len(a) == len(b) and all(p * b_den == q * a_den for p, q in zip(a, b)):
+        value = Fraction(sum(a), a_den)
         return IdentitySides.compare(value, value)
-    diff = poly_combination([(1, lhs_poly), (-1, rhs_poly)])
-    for x in map(Fraction, range(len(diff) + 1)):
-        if poly_eval(diff, x) != 0:
-            return IdentitySides.compare(poly_eval(lhs_poly, x), poly_eval(rhs_poly, x))
+    for x in range(max(len(a), len(b)) + 1):
+        left, right = lhs.numerator_at(x), rhs.numerator_at(x)
+        if left * b_den != right * a_den:
+            return IdentitySides.compare(Fraction(left, a_den), Fraction(right, b_den))
     raise RuntimeError("unequal polynomials with no witness point")
 
 
@@ -158,9 +162,9 @@ def _compute_eq4(n: int, l: int) -> IdentitySides:
 
 
 def _compute_eq18(n: int, m: int) -> IdentitySides:
-    base = euler_poly(n)
-    rhs_poly = poly_combination([(m**n, alternating_distribution(base, m))])
-    return _poly_witness(base, rhs_poly)
+    # E_n(x) has degree n, so the kernel's m^n is the m^n of the relation.
+    base = euler_poly_row(n)
+    return _row_witness(base, row_distribution(base, m))
 
 
 def _compute_thm1(n: int, k: int) -> IdentitySides:
@@ -182,7 +186,7 @@ def _compute_cor2(n: int, k: int) -> IdentitySides:
 
 
 def _compute_thm3(k: int, n: int) -> IdentitySides:
-    return _poly_witness(poly_euler_poly(k, n), poly_euler_via_theorem3(k, n))
+    return _row_witness(poly_euler_poly_row(k, n), theorem3_combination(k, n, euler_poly_row))
 
 
 def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
@@ -213,17 +217,14 @@ def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
 
 
 def _compute_thm6(k: int, n: int, m: int) -> IdentitySides:
-    weights, den = theorem3_integer_weights(k, n)
-    rhs_poly = poly_combination(
-        (Fraction(a * m**l, den * m), alternating_distribution(genocchi_poly(l), m))
-        for l, a in enumerate(weights)
-        if a
-    )
-    return _poly_witness(poly_genocchi_poly(k, n), rhs_poly)
+    # G_l(x) has degree l - 1 (and G_0 = 0), so the kernel's m^(l-1) is the
+    # m^l/m of Theorem 6.
+    rhs = theorem3_combination(k, n, lambda l: row_distribution(genocchi_poly_row(l), m))
+    return _row_witness(poly_genocchi_poly_row(k, n), rhs)
 
 
 def _compute_cor7(k: int, n: int, m: int) -> IdentitySides:
-    return _poly_witness(poly_euler_poly(k, n), poly_euler_via_corollary7(k, n, m))
+    return _row_witness(poly_euler_poly_row(k, n), poly_euler_row_via_corollary7(k, n, m))
 
 
 def _compute_lemma8(k: int, p: int, s: int) -> IdentitySides:

@@ -7,32 +7,35 @@ cache-fill time against the zigzag triangle; no series arithmetic runs here.
 The other families are built from them and the Stirling weights
 w_j(k) = j!·[t^j] Ei_k(log(1+t)): G_n = n·E_{n-1} and
 G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the binomial
-convolutions of the numbers.  The Euler, Genocchi and poly-Euler polynomials
-and the weight rows are each kept once, as a `RationalRow`: the public
-functions return a fresh Fraction list from it, and the integer kernels read
-its integer row (`euler_poly_row`, `poly_euler_poly_row`,
+convolutions of the numbers.  The Euler, Genocchi, poly-Genocchi and
+poly-Euler polynomials and the weight rows are each kept once, as a
+`RationalRow`: the public functions return a fresh Fraction list from it, and
+the integer kernels read its integer row (`euler_poly_row`,
+`genocchi_poly_row`, `poly_genocchi_poly_row`, `poly_euler_poly_row`,
 `theorem3_integer_weights`).  The poly families admit any integer index k:
 for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
-for the served ones; the Stirling weights are checked at fill time by Stirling
-inversion.  The tests check the Euler numbers against the binomial recurrence
-and the series inversion of 2/(e^t + 1), and the poly-Genocchi numbers against
-the series 2·Ei_k(log(1+t))/(e^t + 1).
+for the served ones, built as integer rows (`theorem3_combination` over the
+Euler rows and their distribution sums); the Stirling weights are checked at
+fill time by Stirling inversion.  The tests check the Euler numbers against
+the binomial recurrence and the series inversion of 2/(e^t + 1), and the
+poly-Genocchi numbers against the series 2·Ei_k(log(1+t))/(e^t + 1).
 """
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb, factorial, floor
 
 from .exact_algebra import (
     IntegerRow,
     RationalRow,
-    alternating_distribution,
-    poly_combination,
     poly_eval,
     poly_normalize,
+    row_combination,
+    row_distribution,
 )
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,11 @@ def genocchi_poly(n: int) -> list[Fraction]:
     return list(_convolution_poly(_genocchi_poly_cache, genocchi_numbers, n))
 
 
+def genocchi_poly_row(n: int) -> IntegerRow:
+    """The coefficients of G_n(x) as integers over one denominator (cached)."""
+    return _convolution_poly(_genocchi_poly_cache, genocchi_numbers, n).integers
+
+
 # ---------------------------------------------------------------------------
 # Polyexponential function and the poly-Genocchi / poly-Euler families
 # ---------------------------------------------------------------------------
@@ -285,11 +293,23 @@ def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     return cached[: max_n + 1]
 
 
+_poly_genocchi_poly_cache: dict[int, dict[int, RationalRow]] = {}
+
+
+def _poly_genocchi_row(k: int, n: int) -> RationalRow:
+    """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l), kept once per (k, n)."""
+    cache = _poly_genocchi_poly_cache.setdefault(k, {})
+    return _convolution_poly(cache, partial(poly_genocchi_numbers, k), n)
+
+
 def poly_genocchi_poly(k: int, n: int) -> list[Fraction]:
-    """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return binomial_convolution(poly_genocchi_numbers(k, n), n)
+    """G_n^(k)(x), a degree-(n-1) polynomial for n >= 1, as a fresh list per call."""
+    return list(_poly_genocchi_row(k, n))
+
+
+def poly_genocchi_poly_row(k: int, n: int) -> IntegerRow:
+    """The coefficients of G_n^(k)(x) as integers over one denominator (cached)."""
+    return _poly_genocchi_row(k, n).integers
 
 
 def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
@@ -315,7 +335,7 @@ def _poly_euler_row(k: int, n: int) -> RationalRow:
     key = (k, n)
     if key not in _poly_euler_poly_cache:
         binomial_form = binomial_convolution(poly_euler_numbers(k, n), n)
-        quotient_form = poly_combination([(Fraction(1, n + 1), poly_genocchi_poly(k, n + 1))])
+        quotient_form = [c / (n + 1) for c in _poly_genocchi_row(k, n + 1)]
         if binomial_form != quotient_form:
             raise RuntimeError("poly-Euler construction routes disagree")
         _poly_euler_poly_cache[key] = RationalRow(binomial_form)
@@ -359,28 +379,42 @@ def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
     )
 
 
+def theorem3_combination(k: int, n: int, rows: Callable[[int], IntegerRow]) -> IntegerRow:
+    """Σ_l a_l·rows(l) over the Theorem 3 weights a_0, ..., a_n of (k, n), trimmed.
+
+    One `row_combination` over the integer weights, whose denominator
+    multiplies the result's; rows(l) is read only where a_l is nonzero.
+    """
+    weights, den = theorem3_integer_weights(k, n)
+    total = row_combination((a, rows(l)) for l, a in enumerate(weights) if a)
+    return IntegerRow(total.numerators, total.den * den)
+
+
 def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
     """E_n^(k)(x) = Σ_l a_l E_l(x) over the Theorem 3 weights (the Theorem 3 oracle route)."""
-    weights, den = theorem3_integer_weights(k, n)
-    return poly_combination((Fraction(a, den), euler_poly(l)) for l, a in enumerate(weights) if a)
+    return theorem3_combination(k, n, euler_poly_row).fractions()
 
 
-def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
-    """E_n^(k)(x) by the distribution-based closed form, for odd modulus m.
+def poly_euler_row_via_corollary7(k: int, n: int, m: int) -> IntegerRow:
+    """E_n^(k)(x) by the distribution-based closed form for odd m, as an integer row.
 
-    Assembles Σ_l a_l m^l Σ_{s=0..m-1} (-1)^s E_l((s+x)/m) over the Theorem 3
-    weights a_l; must equal poly_euler_poly(k, n) for every odd m.
+    Σ_l a_l m^l Σ_{s=0..m-1} (-1)^s E_l((s+x)/m) over the Theorem 3 weights
+    a_l: E_l(x) has degree l, so `row_distribution` of its row carries the m^l.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be a positive odd integer")
-    weights, den = theorem3_integer_weights(k, n)
-    return poly_combination(
-        (Fraction(a * m**l, den), alternating_distribution(euler_poly(l), m))
-        for l, a in enumerate(weights)
-        if a
-    )
+    return theorem3_combination(k, n, lambda l: row_distribution(euler_poly_row(l), m))
+
+
+def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
+    """E_n^(k)(x) by the distribution-based closed form, for odd modulus m.
+
+    The Fraction view of `poly_euler_row_via_corollary7`; must equal
+    poly_euler_poly(k, n) for every odd m.
+    """
+    return poly_euler_row_via_corollary7(k, n, m).fractions()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc import cli, dc_sums, identity_suite
-from polydc.cli import MAX_EVEN_DCSUM_M, MAX_INDEX_K, MAX_TABLE_N, main, parse_range
+from polydc.cli import (
+    MAX_EVEN_DCSUM_M,
+    MAX_INDEX_K,
+    MAX_TABLE_N,
+    MAX_VERIFY_M,
+    main,
+    parse_range,
+)
 from polydc.exact_algebra import format_rational, parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,6 +284,66 @@ def test_unbounded_dcsum_is_rejected_before_any_work(argv, message, monkeypatch,
     monkeypatch.setattr(cli, "poly_dc_sum", refuse)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+ODD_ABOVE_M = MAX_VERIFY_M + 1 + MAX_VERIFY_M % 2  # the least odd m above the cap
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm14", "k=1", f"p={MAX_TABLE_N + 1}", "h=1", "m=3"], "p must"),
+        (["verify", "thm3", "k=1", f"n={MAX_TABLE_N + 1}"], "n must"),
+        (["verify", "eq4", "n=3", f"l={MAX_TABLE_N + 1}"], "l must"),
+        (["verify", "cor15", "p=3", "h=3", f"m={ODD_ABOVE_M}"], "m must"),
+        (["verify", "cor15", "p=3", "h=3", "m=1000003"], "m must"),
+        (["verify", "thm14", "k=2", "p=3", f"h={ODD_ABOVE_M}", "m=3"], "h must"),
+        (["verify", "cor7", "k=1", "n=3", f"m={ODD_ABOVE_M}"], "m must"),
+        (["verify", "thm13", "k=1", "p=3", f"h={MAX_VERIFY_M + 1}", "m=1"], "h must"),
+        (["verify", "thm4", f"x={MAX_VERIFY_M + 1}", "n=3", "k=1"], "x must"),
+        (["sweep", "thm14", "k=1", "p=1..3", "h=odd1..9", f"m=1,{ODD_ABOVE_M}"], "m must"),
+        (["sweep", "cor15", "p=1", f"h=odd1..{ODD_ABOVE_M}", "m=3"], "h must"),
+        (["sweep", "lemma9", "k=1", f"p=1,{MAX_TABLE_N + 1}"], "p must"),
+        (["sweep", "eq18", f"n=0..{MAX_TABLE_N + 1}", "m=3"], "n must"),
+    ],
+)
+def test_unbounded_verify_and_sweep_are_rejected_before_any_point_runs(
+    argv, message, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_double_moments", "_single_moments", "_horner_total", "theorem13_sides"):
+        monkeypatch.setattr(dc_sums, name, refuse)
+    monkeypatch.setattr(identity_suite, "verify", refuse)
+    monkeypatch.setattr(identity_suite, "sweep", refuse)
+    assert main(argv) == 2
+    cap = MAX_TABLE_N if message[0] in "pnl" else MAX_VERIFY_M
+    assert f"{message} be at most {cap}" in capsys.readouterr().err
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm13", f"k={MAX_INDEX_K}", f"p={MAX_TABLE_N}", "h=100", "m=99"],
+        ["verify", "thm4", f"x={MAX_VERIFY_M}", f"n={MAX_TABLE_N}", "k=1"],
+        ["sweep", "thm14", "k=1", f"p=1,{MAX_TABLE_N}", f"h=odd1..{MAX_VERIFY_M}", "m=1,99"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_verify_and_sweep_admit_points_at_the_caps(argv, monkeypatch):
+    # The point is handed to the library (which here refuses to run it).
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(identity_suite, "verify", admitted)
+    monkeypatch.setattr(identity_suite, "sweep", admitted)
+    with pytest.raises(_Admitted):
+        main(argv)
 
 
 def test_odd_dcsum_has_no_modulus_limit(capsys):

@@ -4,7 +4,8 @@ nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have four
 readers only, the integer rows are derived once, when a cache entry is
-filled, and no identity reaches the Euclid route of the public sums."""
+filled, no identity reaches the Euclid route of the public sums, and the
+polynomial identities reach no Fraction assembly."""
 
 import ast
 from pathlib import Path
@@ -101,8 +102,8 @@ def test_only_the_weight_readers_call_stirling_weights():
 def test_only_the_row_fill_calls_integer_coefficients():
     # The cached polynomials and weight rows keep their integer rows with
     # them (RationalRow.integers); every other reader takes those rows instead
-    # of re-deriving them.  The distribution sum still takes a Fraction
-    # polynomial.
+    # of re-deriving them.  The Fraction view of the distribution sum still
+    # takes a Fraction polynomial.
     callers = [
         name
         for path in sorted(PACKAGE.glob("*.py"))
@@ -184,3 +185,42 @@ def test_the_reciprocity_verifiers_read_the_identities_only():
     # The exploratory sawtooth comparison is the only other reader of a DC sum.
     callers = _callers(PACKAGE / "identity_suite.py", SERVED_SUMS)
     assert callers == ["_compute_sawtooth_exploratory"]
+
+
+#: The verifiers' compute functions for the polynomial identities, which
+#: compare integer rows end to end.
+POLYNOMIAL_IDENTITIES = (
+    "_compute_eq18",
+    "_compute_thm3",
+    "_compute_thm6",
+    "_compute_cor7",
+    "_compute_oracle_equivalence",
+)
+FRACTION_ASSEMBLY = {"poly_combination", "alternating_distribution"}
+
+
+def _package_reachable(root: str) -> set[str]:
+    """Every name referenced from the function root, directly or through any
+    function defined in the package, called or passed as a value."""
+    references: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                references.setdefault(node.name, set()).update(_identifiers(node))
+    seen, todo = set(), [root]
+    while todo:
+        for name in references.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+@pytest.mark.parametrize("identity", POLYNOMIAL_IDENTITIES)
+def test_polynomial_identities_reach_no_fraction_assembly(identity):
+    # Both sides are integer rows compared by cross-multiplication; the
+    # Fraction linear combination and the Fraction distribution sum are the
+    # tests' reference routes.
+    reached = _package_reachable(identity)
+    assert "row_distribution" in reached or "row_combination" in reached, identity
+    assert not reached & FRACTION_ASSEMBLY, f"{identity} reaches {reached & FRACTION_ASSEMBLY}"

@@ -26,6 +26,7 @@ from polydc.sequences import (
     euler_poly_row,
     genocchi_numbers,
     genocchi_poly,
+    genocchi_poly_row,
     poly_euler_numbers,
     poly_euler_poly,
     poly_euler_poly_row,
@@ -33,6 +34,7 @@ from polydc.sequences import (
     poly_euler_via_theorem3,
     poly_genocchi_numbers,
     poly_genocchi_poly,
+    poly_genocchi_poly_row,
     polyexp_series,
     sawtooth,
     stirling1,
@@ -183,21 +185,38 @@ def test_poly_euler_rows_are_the_integer_coefficients(k):
         assert poly_euler_poly_row(k, n) == _integer_row(poly_euler_poly(k, n)), (k, n)
 
 
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_poly_genocchi_rows_are_the_integer_coefficients(k):
+    for n in range(41):
+        assert poly_genocchi_poly_row(k, n) == _integer_row(poly_genocchi_poly(k, n)), (k, n)
+
+
+def test_poly_genocchi_poly_is_built_once_per_index_and_degree(monkeypatch):
+    poly_genocchi_poly(2, 9)
+    calls = []
+    monkeypatch.setattr(
+        sequences, "binomial_convolution", lambda *args: calls.append(args) or [Fraction(0)]
+    )
+    poly_genocchi_poly(2, 9)
+    poly_genocchi_poly_row(2, 9)
+    assert calls == []
+
+
 def test_euler_and_genocchi_rows_are_the_integer_coefficients():
     for n in range(61):
         assert euler_poly_row(n) == _integer_row(euler_poly(n)), n
-        poly = genocchi_poly(n)
-        assert sequences._genocchi_poly_cache[n].integers == _integer_row(poly), n
+        assert genocchi_poly_row(n) == _integer_row(genocchi_poly(n)), n
 
 
 @pytest.mark.parametrize(
     "poly, row",
     [
         (lambda: euler_poly(7), lambda: euler_poly_row(7)),
-        (lambda: genocchi_poly(7), lambda: sequences._genocchi_poly_cache[7].integers),
+        (lambda: genocchi_poly(7), lambda: genocchi_poly_row(7)),
         (lambda: poly_euler_poly(-3, 7), lambda: poly_euler_poly_row(-3, 7)),
+        (lambda: poly_genocchi_poly(-3, 7), lambda: poly_genocchi_poly_row(-3, 7)),
     ],
-    ids=["euler", "genocchi", "poly-euler"],
+    ids=["euler", "genocchi", "poly-euler", "poly-genocchi"],
 )
 def test_mutating_a_returned_polynomial_changes_neither_cache(poly, row):
     expected = poly()
