@@ -5,22 +5,23 @@ The Euler numbers are read off 2/(e^t + 1) = 1 - tanh(t/2) through the
 integer tangent numbers, filled by an in-place recurrence and checked at
 cache-fill time against the zigzag triangle; no series arithmetic runs here.
 The other families are built from them and the Stirling weights
-w_j(k) = j!·[t^j] Ei_k(log(1+t)): G_n = n·E_{n-1} and
-G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j}; polynomials are the binomial
-convolutions of the numbers.  The Euler, Genocchi, poly-Genocchi and
-poly-Euler polynomials and the weight rows are each kept once, as a
-`RationalRow`: the public functions return a fresh Fraction list from it, and
-the integer kernels read its integer row (`euler_poly_row`,
-`genocchi_poly_row`, `poly_genocchi_poly_row`, `poly_euler_poly_row`,
-`theorem3_integer_weights`).  The poly families admit any integer index k:
-for k <= 0 the weight 1/n^k is the integer n^{-k}.
+w_j(k) = j!·[t^j] Ei_k(log(1+t)), each by one route: G_n = n·E_{n-1},
+G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j} (one grow-only list per k, as the weight
+rows are), and the polynomials as binomial convolutions of the numbers.  The
+Euler, Genocchi, poly-Genocchi and poly-Euler polynomials and the weight rows
+are each kept once, as a `RationalRow`: the public functions return a fresh
+Fraction list from it, and the integer kernels read its integer row
+(`euler_poly_row`, `genocchi_poly_row`, `poly_genocchi_poly_row`,
+`poly_euler_poly_row`, `theorem3_integer_weights`).  The poly families admit
+any integer index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones, built as integer rows (`theorem3_combination` over the
-Euler rows and their distribution sums); the Stirling weights are checked at
-fill time by Stirling inversion.  The tests check the Euler numbers against
-the binomial recurrence and the series inversion of 2/(e^t + 1), and the
-poly-Genocchi numbers against the series 2·Ei_k(log(1+t))/(e^t + 1).
+Euler rows and their distribution sums) and compared by the verifiers; the
+Stirling weights are checked at fill time by Stirling inversion.  The tests
+check the Euler numbers against the binomial recurrence and the series
+inversion of 2/(e^t + 1), and the poly-Genocchi numbers against the series
+2·Ei_k(log(1+t))/(e^t + 1).
 """
 
 from collections.abc import Callable
@@ -277,19 +278,18 @@ def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
 
     Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! with w_j(k) from `stirling_weights`, and
     2/(e^t + 1) = Σ_n E_n t^n/n!, so G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}.
+    The cached list grows by its missing entries only; each call copies it.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    cached = _poly_genocchi_cache.get(k, [])
+    cached = _poly_genocchi_cache.setdefault(k, [])
     if len(cached) <= max_n:
-        order = max(max_n, 2 * len(cached) + 4)
-        euler = euler_numbers(order)
-        weights = stirling_weights(k, order)
-        cached = [
+        euler = euler_numbers(max_n)
+        weights = stirling_weights(k, max_n)
+        cached += [
             sum((comb(n, j) * weights[j] * euler[n - j] for j in range(1, n + 1)), Fraction(0))
-            for n in range(order + 1)
+            for n in range(len(cached), max_n + 1)
         ]
-        _poly_genocchi_cache[k] = cached
     return cached[: max_n + 1]
 
 
@@ -320,31 +320,19 @@ def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
     return [genocchi[n + 1] / (n + 1) for n in range(max_n + 1)]
 
 
-_poly_euler_poly_cache: dict[tuple[int, int], RationalRow] = {}
+_poly_euler_poly_cache: dict[int, dict[int, RationalRow]] = {}
 
 
 def _poly_euler_row(k: int, n: int) -> RationalRow:
-    """E_n^(k)(x), kept once per (k, n).
-
-    Computed as the binomial convolution Σ_l C(n,l) E_l^(k) x^(n-l) and
-    asserted against the quotient form G_{n+1}^(k)(x)/(n+1); the two must
-    agree coefficientwise or a RuntimeError is raised.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    key = (k, n)
-    if key not in _poly_euler_poly_cache:
-        binomial_form = binomial_convolution(poly_euler_numbers(k, n), n)
-        quotient_form = [c / (n + 1) for c in _poly_genocchi_row(k, n + 1)]
-        if binomial_form != quotient_form:
-            raise RuntimeError("poly-Euler construction routes disagree")
-        _poly_euler_poly_cache[key] = RationalRow(binomial_form)
-    return _poly_euler_poly_cache[key]
+    """E_n^(k)(x) = Σ_{l=0..n} C(n,l) E_l^(k) x^(n-l), kept once per (k, n)."""
+    cache = _poly_euler_poly_cache.setdefault(k, {})
+    return _convolution_poly(cache, partial(poly_euler_numbers, k), n)
 
 
 def poly_euler_poly(k: int, n: int) -> list[Fraction]:
     """E_n^(k)(x), a degree-n polynomial, as a fresh list per call, so a caller
-    cannot alter the cached polynomial (see `_poly_euler_row`)."""
+    cannot alter the cached polynomial.  No fill-time check guards it: `thm3`,
+    `cor7`, `cor2` and `thm1` catch a wrong poly-Genocchi number."""
     return list(_poly_euler_row(k, n))
 
 

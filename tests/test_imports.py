@@ -4,13 +4,17 @@ nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have four
 readers only, the integer rows are derived once, when a cache entry is
-filled, no identity reaches the Euclid route of the public sums, and the
-polynomial identities reach no Fraction assembly."""
+filled, no identity reaches the Euclid route of the public sums, the
+polynomial identities reach no Fraction assembly, and every package name the
+benchmark reads exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from polydc import dc_sums
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polydc"
 
@@ -224,3 +228,53 @@ def test_polynomial_identities_reach_no_fraction_assembly(identity):
     reached = _package_reachable(identity)
     assert "row_distribution" in reached or "row_combination" in reached, identity
     assert not reached & FRACTION_ASSEMBLY, f"{identity} reaches {reached & FRACTION_ASSEMBLY}"
+
+
+BENCH = PACKAGE.parents[1] / "bench"
+BENCH_MODULES = ("exact_algebra", "sequences", "dc_sums", "identity_suite")
+#: The benchmark's helpers that call a module's function by its string name.
+BENCH_NAME_CALLS = {"_seq": "sequences", "_dcs": "dc_sums"}
+
+
+def _bench_names() -> set[tuple[str, str]]:
+    """Every (module, name) of the package that a file under bench/ reads: an
+    attribute of a module, a name passed to `_seq`/`_dcs`, or a getattr string."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in BENCH_MODULES
+            ):
+                names.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                args = node.args
+                if node.func.id in BENCH_NAME_CALLS and args:
+                    module, name = BENCH_NAME_CALLS[node.func.id], args[0]
+                elif node.func.id == "getattr" and len(args) > 1 and isinstance(args[0], ast.Name):
+                    module, name = args[0].id, args[1]
+                else:
+                    continue
+                if (
+                    module in BENCH_MODULES
+                    and isinstance(name, ast.Constant)
+                    and isinstance(name.value, str)
+                ):
+                    names.add((module, name.value))
+    return names
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # A traced benchmark run reads private names (the alt-bar cache, the Euler
+    # recurrence) and the ladders time oracle functions; deleting one of them
+    # turns a run into an error with no result line.
+    names = _bench_names()
+    assert ("dc_sums", "_euler_alt_bar") in names
+    missing = sorted(
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"polydc.{module}"), name)
+    )
+    assert missing == []
+    assert hasattr(dc_sums._euler_alt_bar, "cache_info")

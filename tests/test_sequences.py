@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc import sequences
+from polydc.identity_suite import verify
 from polydc.exact_algebra import (
     IntegerRow,
     exp_series,
@@ -392,6 +393,19 @@ def test_poly_genocchi_low_entries(k):
     assert numbers[2] == -2 + Fraction(2) ** (1 - k)
 
 
+def test_poly_genocchi_numbers_grow_by_their_missing_entries(monkeypatch):
+    monkeypatch.setattr(sequences, "_poly_genocchi_cache", {})
+    pieces = [poly_genocchi_numbers(3, n) for n in (0, 4, 4, 11, 2, 25)]
+    whole = poly_genocchi_numbers(3, 25)
+    assert len(sequences._poly_genocchi_cache[3]) == 26
+    assert all(piece == whole[: len(piece)] for piece in pieces)
+    # The cached list is extended in place, so no caller may hold it.
+    whole[5] = Fraction(999)
+    whole.append(Fraction(7))
+    assert poly_genocchi_numbers(3, 25) == pieces[-1]
+    assert len(sequences._poly_genocchi_cache[3]) == 26
+
+
 @pytest.mark.parametrize("k", range(-4, 6))
 def test_poly_genocchi_numbers_match_series_composition(k, series_oracle):
     # The generating function itself, with no Stirling number: Ei_k composed
@@ -438,6 +452,28 @@ def test_poly_euler_route_distribution(k, m):
 def test_poly_euler_distribution_route_rejects_even_modulus():
     with pytest.raises(ValueError):
         poly_euler_via_corollary7(1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "verifier_id, params",
+    [
+        ("thm3", {"k": 2, "n": 6}),
+        ("cor7", {"k": 2, "n": 6, "m": 3}),
+        ("oracle_equivalence", {"k": 2, "n": 6, "m": 3}),
+        ("thm1", {"n": 7, "k": 2}),
+        ("cor2", {"n": 7, "k": 2}),
+    ],
+)
+def test_the_identities_catch_a_wrong_poly_genocchi_number(monkeypatch, verifier_id, params):
+    # The poly-Euler polynomials are built once, with no fill-time check; a
+    # G_7^(2) off by 5/3 reaches E_6^(2)(x) and G_7^(2)(x), and these
+    # identities compare both with sides that never read it.
+    monkeypatch.setattr(sequences, "_poly_genocchi_cache", {})
+    monkeypatch.setattr(sequences, "_poly_genocchi_poly_cache", {})
+    monkeypatch.setattr(sequences, "_poly_euler_poly_cache", {})
+    poly_genocchi_numbers(2, 20)
+    sequences._poly_genocchi_cache[2][7] += Fraction(5, 3)
+    assert verify(verifier_id, params).holds is False
 
 
 def test_poly_euler_poly_cache_is_not_shared_with_callers():
