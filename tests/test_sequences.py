@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc import sequences
-from polydc.identity_suite import verify
 from polydc.exact_algebra import (
     IntegerRow,
     exp_series,
@@ -20,6 +19,7 @@ from polydc.exact_algebra import (
     series_mul,
     series_reciprocal,
 )
+from polydc.identity_suite import verify
 from polydc.sequences import (
     bar_eval,
     euler_numbers,
