@@ -8,7 +8,6 @@ anywhere, so every equality check in this package is exact.
 
 from .dc_sums import (
     IdentitySides,
-    alternating_bar_eval,
     corollary15_rhs,
     corollary15_sides,
     dc_sum,
@@ -61,7 +60,6 @@ __all__ = [
     "SweepResult",
     "VERIFIER_IDS",
     "VerificationReport",
-    "alternating_bar_eval",
     "bar_eval",
     "brute_alternating_power_sum",
     "corollary15_rhs",

@@ -15,11 +15,13 @@ Ranges are `lo..hi` (inclusive, at most MAX_RANGE_VALUES integers wide),
 Rational values are canonical strings such as `-3/2`, `5`, or `0`.  The
 `max_n` of `table`, the `n` of `eval`, the `p` of `dcsum` and every `p`, `n`
 and `l` of `verify` and `sweep` are at most MAX_TABLE_N; a `dcsum` with `h` or
-`m` even has `m` at most MAX_EVEN_DCSUM_M; every `m`, `h` and `x` of `verify`
-and `sweep` is at most MAX_VERIFY_M; every index `k` has `|k|` at most
-MAX_INDEX_K.  Inputs are parsed under the interpreter's limit on integer
-digits; output is written without it, so every value these limits allow
-prints.  Tables are written row by row.
+`m` even has `m` at most MAX_EVEN_DCSUM_M, one with both odd costs at most
+MAX_EUCLID_COST; `n` times the digits of an `eval` `x` is at most
+MAX_EVAL_DIGITS; every `m`, `h` and `x` of `verify` and `sweep` is at most
+MAX_VERIFY_M; every index `k` has `|k|` at most MAX_INDEX_K.  Inputs are
+parsed under the interpreter's limit on integer digits; output is written
+without it, so every value these limits allow prints.  Tables are written
+row by row.
 
 Exit codes: 0 all verified / success, 1 at least one identity violation,
 2 usage error (bad arguments or parameters outside an identity's hypotheses).
@@ -38,7 +40,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import identity_suite
-from .dc_sums import dc_sum, poly_dc_sum
+from .dc_sums import DC_SUM_HYPOTHESES, dc_sum, euclid_chain, poly_dc_sum
 from .exact_algebra import format_rational, parse_rational, poly_eval
 from .identity_suite import EXPLORATORY_IDS, VERIFIER_IDS, VerificationReport
 from .sequences import (
@@ -71,9 +73,17 @@ MAX_TABLE_N = 500
 #: and `sweep`; the weights j^(1-k) grow with |k|, so larger ones are usage errors.
 MAX_INDEX_K = 16
 
-#: The largest `m` of a `dcsum` with `h` or `m` even, which runs an O(m) kernel
-#: (odd pairs take O(log m) steps); larger ones are usage errors.
+#: The largest `m` of a `dcsum` with `h` or `m` even, which runs an O(m) kernel;
+#: larger ones are usage errors.
 MAX_EVEN_DCSUM_M = 10_000
+
+#: The most a `dcsum` with `h` and `m` odd may cost: (p+1)^2, its products per
+#: link of `euclid_chain`, times Σ bits(m)^2 over the links; dearer is a usage error.
+MAX_EUCLID_COST = 2**29
+
+#: The largest `n` of `eval` times the digits of `x` (numerator and denominator);
+#: larger ones are usage errors.
+MAX_EVAL_DIGITS = 200_000
 
 #: The largest `m`, `h` and `x` of `verify` and `sweep`, whose verifiers keep
 #: their O(m), O(m·h) and O(m·p^2) kernels; larger ones are usage errors.  It
@@ -309,6 +319,8 @@ def _run_eval(args: argparse.Namespace) -> _Handled:
             raise ValueError("n must be >= 0")
         if n > MAX_TABLE_N:
             raise ValueError(f"n must be at most {MAX_TABLE_N}")
+        if n * (len(str(abs(x.numerator))) + len(str(x.denominator))) > MAX_EVAL_DIGITS:
+            raise ValueError(f"n times the digits of x must be at most {MAX_EVAL_DIGITS}")
         if needs_k:
             poly = poly_euler_poly(_index_k(_int_param(raw, "k")), n)
         else:
@@ -330,6 +342,13 @@ def _run_dcsum(args: argparse.Namespace) -> _Handled:
         raise ValueError(f"p must be at most {MAX_TABLE_N}")
     if (h % 2 == 0 or m % 2 == 0) and m > MAX_EVEN_DCSUM_M:
         raise ValueError(f"m must be at most {MAX_EVEN_DCSUM_M} when h or m is even")
+    DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
+    if h % 2 and m % 2:
+        budget = MAX_EUCLID_COST // (p + 1) ** 2
+        for _, link_m, _ in euclid_chain(h, m):
+            budget -= link_m.bit_length() ** 2
+            if budget < 0:
+                raise ValueError(f"odd h and m cost more than {MAX_EUCLID_COST} in Euclid links")
     if "k" in raw:
         value = poly_dc_sum(_index_k(_int_param(raw, "k")), p, h, m)
     else:

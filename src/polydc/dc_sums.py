@@ -20,11 +20,14 @@ route: the closed-form classical reciprocity law
     m^l T_l(h, m) + h^l T_l(m, h) = 2E_l + 2E_{l+1}/(hm) - Σ_j C(l,j) E_j E_{l-j} h^j m^(l-j)
 
 for odd coprime h, m, alternated with reduction of h mod 2m as in the
-Euclidean algorithm, so a sum costs O(log m) integer steps.  With an even
+Euclidean algorithm (`euclid_chain`): one integer step of O(p^2) products
+per link.  Links are few for most pairs, but one with m/2 < h < m lowers the
+pair by m - h only, so (m - 2, m) takes (m - 1)/2 of them.  With an even
 argument they run the O(m) integer kernels (Horner for T_p, single moments
 for T_p^(k)).  Every identity below reads those kernels directly, never the
 Euclid route, so no identity checks reciprocity with a value that
-reciprocity built.
+reciprocity built.  The Fraction loops that define the sums are the tests'
+oracles (`tests/oracles.py`, `tests/test_dc_sums.py`).
 
 The kernels and identities read the cached polynomials as integer rows
 (numerators over one denominator) and the Theorem 3 weights as integers, so
@@ -41,7 +44,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, floor, gcd, lcm
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_algebra import IntegerRow, poly_eval
 from .sequences import (
@@ -64,17 +67,6 @@ class IdentitySides(NamedTuple):
     def compare(cls, lhs: Fraction, rhs: Fraction) -> "IdentitySides":
         """The sides with holds set by exact equality."""
         return cls(lhs, rhs, lhs == rhs)
-
-
-def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    """(-1)^floor(x) · p(x - floor(x)): the sign-alternating periodic extension.
-
-    Agrees with p on [0, 1) and flips sign on each successive unit interval
-    (period 2, antiperiod 1).
-    """
-    d = floor(x)
-    value = poly_eval(p, x - d)
-    return -value if d % 2 else value
 
 
 Params = Mapping[str, int]
@@ -134,22 +126,16 @@ ODD_DEGREE_HYPOTHESES = Hypotheses({"p": ODD_GT1, "m": ODD_POS})
 THEOREM13_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
 RECIPROCITY_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
 CLOSED_FORM_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS}, coprime=True)
-K1_COLLAPSE_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)})
+DC_SUM_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)})
 
 
 @lru_cache(maxsize=None)
 def _euler_alt_bar(degree: int, x: Fraction) -> Fraction:
-    """Memoized Ê_degree(x) over the ordinary Euler polynomial.
-
-    Not on any serving path (the sums below use integer kernels); kept because
-    the benchmark worker reads its cache_info().
-    """
-    return alternating_bar_eval(euler_poly(degree), x)
-
-
-def _require_dc_params(p: int, h: int, m: int) -> None:
-    if p < 1 or h < 1 or m < 1:
-        raise ValueError("DC sum requires p >= 1, h >= 1, m >= 1")
+    """Memoized Ê_degree(x) = (-1)^floor(x)·E_degree(x - floor(x)), on no serving
+    path (the sums use integer kernels); kept for the benchmark's cache_info()."""
+    d = floor(x)
+    value = poly_eval(euler_poly(degree), x - d)
+    return -value if d % 2 else value
 
 
 def _horner(coefficients: list[int], x: int) -> int:
@@ -254,32 +240,39 @@ def _classical_law(degrees: Sequence[int], e: list[int]) -> Callable[[int, int],
     return numerators
 
 
-def _euclid_sums(h: int, m: int, degrees: Sequence[int]) -> list[int]:
-    """[2^l·m^(l+1)·T_l(h, m) for l in degrees], integers, for odd h and m.
+def euclid_chain(h: int, m: int) -> Iterator[tuple[int, int, bool]]:
+    """The links (h, m, flip) by which `_euclid_sums` reduces T_l(h, m), odd h, m.
 
-    O(log m) steps, as the Euclidean algorithm computes classical Dedekind
-    sums.  For coprime h, m: reduce h mod 2m (Ê has period 2); if h > m,
-    use T_l(2m - h, m) = T_l(-h, m) = (-1)^(l+1) T_l(h, m); swap to (m, h);
-    stop at T_l(h, 1) = 0.  Unwinding solves `_classical_law` for
-    V_l(h, m) = (N_l - m·V_l(m, h)) / h, a division that must be exact or
-    RuntimeError is raised.  A common factor g = gcd(h, m) adds a constant:
-    T_l(gh', gm') = T_l(h', m') + (g - 1)·E_l / m'^l.
+    Over g = gcd(h, m): reduce h mod 2m (Ê has period 2); if h > m, use
+    T_l(2m - h, m) = T_l(-h, m) = (-1)^(l+1) T_l(h, m) and set flip; yield;
+    swap to (m, h); stop at T_l(h, 1) = 0.
     """
-    e = _euler_integers(max(degrees) + 1)
-    law = _classical_law(degrees, e)
     g = gcd(h, m)
     h, m = h // g, m // g
-    reduced_m = m
-    chain = []
     while m > 1:
         h %= 2 * m
         flip = h > m
         if flip:
             h = 2 * m - h
-        chain.append((h, m, flip))
+        yield h, m, flip
         h, m = m, h
+
+
+def _euclid_sums(h: int, m: int, degrees: Sequence[int]) -> list[int]:
+    """[2^l·m^(l+1)·T_l(h, m) for l in degrees], integers, for odd h and m.
+
+    One integer step per link of `euclid_chain`, as the Euclidean algorithm
+    computes classical Dedekind sums.  Unwinding the chain solves
+    `_classical_law` for V_l(h, m) = (N_l - m·V_l(m, h)) / h, a division
+    that must be exact or RuntimeError is raised.  A common factor
+    g = gcd(h, m) adds a constant: T_l(gh', gm') = T_l(h', m') + (g - 1)·E_l / m'^l.
+    """
+    e = _euler_integers(max(degrees) + 1)
+    law = _classical_law(degrees, e)
+    g = gcd(h, m)
+    reduced_m = m // g
     sums = [0] * len(degrees)
-    for h, m, flip in reversed(chain):
+    for h, m, flip in reversed(list(euclid_chain(h, m))):
         step = []
         for l, n, swapped in zip(degrees, law(h, m), sums):
             value, rest = divmod(n - m * swapped, h)
@@ -293,10 +286,10 @@ def _euclid_sums(h: int, m: int, degrees: Sequence[int]) -> list[int]:
 def dc_sum(p: int, h: int, m: int) -> Fraction:
     """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly.
 
-    For odd h and m, read from `_euclid_sums` in O(log m) steps; otherwise the
-    O(m) Horner route `_dc_sum_horner`.
+    For odd h and m, read from `_euclid_sums`, one step per link of
+    `euclid_chain`; otherwise the O(m) Horner route `_dc_sum_horner`.
     """
-    _require_dc_params(p, h, m)
+    DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     if h % 2 and m % 2:
         return Fraction(_euclid_sums(h, m, [p])[0], 2**p * m ** (p + 1))
     return _dc_sum_horner(p, h, m)
@@ -306,10 +299,10 @@ def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
     """T_p^(k)(h, m): the degree-p sum over the index-k poly-Euler polynomial.
 
     For odd h and m, Theorem 3 gives T_p^(k)(h, m) = Σ_l a_l T_l(h, m) over the
-    `theorem3_integer_weights` a_l, with the T_l read from `_euclid_sums` in O(log m)
-    steps; otherwise the O(m) single-moment route `_poly_dc_sum_moments`.
+    `theorem3_integer_weights` a_l, with the T_l read from `_euclid_sums`;
+    otherwise the O(m) single-moment route `_poly_dc_sum_moments`.
     """
-    _require_dc_params(p, h, m)
+    DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     if not (h % 2 and m % 2):
         return _poly_dc_sum_moments(k, p, h, m)
     numerators, den = theorem3_integer_weights(k, p)
@@ -530,7 +523,7 @@ def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:
 
 def k1_collapse_sides(p: int, h: int, m: int) -> IdentitySides:
     """T_p^(1)(h, m) from the single moments against T_p(h, m) from the Horner route."""
-    K1_COLLAPSE_HYPOTHESES.require(p=p, h=h, m=m)
+    DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     return IdentitySides.compare(_poly_dc_sum_moments(1, p, h, m), _dc_sum_horner(p, h, m))
 
 

@@ -11,12 +11,12 @@ denominator, so that integer kernels read the cache without re-deriving it.
 The odd-modulus distribution sum is one integer kernel on rows,
 `row_distribution`, in moment form, and `row_combination` is the integer
 linear combination of rows; the polynomial identities are checked on these
-rows end to end.  `alternating_distribution` is the `Fraction` view of the
-distribution kernel.  `poly_combination`, `poly_affine` and `poly_mul` serve
-no value: they stay public as the tests' reference routes (the distribution
-sum expanded term by term) and as rungs of the benchmark's size ladders.
-The same holds for the truncated series primitives: the Euler numbers come
-from integer tangent numbers, so the series engine is a test oracle only.
+rows end to end.  Their `Fraction` references, the linear combination
+`poly_combination` and the distribution sum expanded term by term, live in
+`tests/oracles.py`.  `poly_affine`, `poly_mul` and the truncated series
+primitives serve no value either (the Euler numbers come from integer
+tangent numbers): the tests read them as oracles, and they stay here only
+because the benchmark's size ladders time them.
 """
 
 from fractions import Fraction
@@ -33,10 +33,13 @@ def format_rational(q: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical wire form back to a Fraction.
 
-    Accepts integer strings ("5", "-7") and "p/q" strings ("-3/2").
-    Raises ValueError on anything else.
+    Accepts integer strings ("5", "-7"), "p/q" strings ("-3/2") and decimals.
+    Raises ValueError on anything else, such as an exponent ("1e9"), which
+    could ask for any size in a few characters.
     """
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
@@ -61,24 +64,6 @@ def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_combination(terms: Iterable[tuple[Fraction, list[Fraction]]]) -> list[Fraction]:
-    """Σ c·p over the (c, p) terms, normalized.
-
-    One integer pass over the common denominator of every product c·p_i, then
-    one Fraction per output coefficient.  The Fraction reference for
-    `row_combination`; no served value calls it.
-    """
-    scalars = [(Fraction(c), p) for c, p in terms]
-    den = lcm(*(c.denominator * a.denominator for c, p in scalars for a in p))
-    out = [0] * max((len(p) for _, p in scalars), default=1)
-    for c, p in scalars:
-        for i, a in enumerate(p):
-            out[i] += c.numerator * a.numerator * (den // (c.denominator * a.denominator))
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return [Fraction(c, den) for c in out]
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -195,14 +180,6 @@ def row_distribution(row: IntegerRow, m: int) -> IntegerRow:
         for j in range(degree + 1)
     )
     return IntegerRow(out, row.den).trimmed()
-
-
-def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
-    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the `Fraction` view of
-    `row_distribution`, normalized.  Requires m >= 1."""
-    numerators, den = integer_coefficients(p)
-    row = row_distribution(IntegerRow(tuple(numerators), den), m)
-    return [Fraction(c, den * m ** (len(numerators) - 1)) for c in row.numerators]
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 from .dc_sums import (
     BELOW_P,
     CLOSED_FORM_HYPOTHESES,
+    DC_SUM_HYPOTHESES,
     GE,
-    K1_COLLAPSE_HYPOTHESES,
     ODD_DEGREE_HYPOTHESES,
     ODD_POS,
     RECIPROCITY_HYPOTHESES,
@@ -306,7 +306,7 @@ VERIFIERS: dict[str, _Verifier] = {
     "thm14": _verifier(RECIPROCITY_HYPOTHESES, reciprocity_sides),
     "cor15": _verifier(RECIPROCITY_HYPOTHESES, corollary15_sides),
     "recip_closed_form": _verifier(CLOSED_FORM_HYPOTHESES, reciprocity_closed_form_sides),
-    "k1_collapse": _verifier(K1_COLLAPSE_HYPOTHESES, k1_collapse_sides),
+    "k1_collapse": _verifier(DC_SUM_HYPOTHESES, k1_collapse_sides),
     "oracle_equivalence": _verifier(_DISTRIBUTION, _compute_oracle_equivalence),
     "sawtooth_t1_exploratory": _verifier(
         Hypotheses({"h": ODD_POS, "m": ODD_POS}, coprime=True),

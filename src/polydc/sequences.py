@@ -20,8 +20,10 @@ for the served ones, built as integer rows (`theorem3_combination` over the
 Euler rows and their distribution sums) and compared by the verifiers; the
 Stirling weights are checked at fill time by Stirling inversion.  The tests
 check the Euler numbers against the binomial recurrence and the series
-inversion of 2/(e^t + 1), and the poly-Genocchi numbers against the series
-2·Ei_k(log(1+t))/(e^t + 1).
+inversion of 2/(e^t + 1), the poly-Genocchi numbers against the series
+2·Ei_k(log(1+t))/(e^t + 1), and the Theorem 3 weights against their
+`Fraction` form in `tests/oracles.py`; the oracles kept here
+(`_euler_numbers_recurrence`, `polyexp_series`) are read by the benchmark.
 """
 
 from collections.abc import Callable
@@ -339,18 +341,6 @@ def poly_euler_poly(k: int, n: int) -> list[Fraction]:
 def poly_euler_poly_row(k: int, n: int) -> IntegerRow:
     """The coefficients of E_n^(k)(x) as integers over one denominator (cached)."""
     return _poly_euler_row(k, n).integers
-
-
-def theorem3_weights(k: int, n: int) -> list[Fraction]:
-    """[a_0, ..., a_n] with a_l = C(n,l)·w_{n+1-l}(k)/(n+1-l): E_n^(k)(x) = Σ_l a_l E_l(x).
-
-    The Fraction reference for `theorem3_integer_weights`, which serves every
-    weighted sum over the index-k families.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    weights = stirling_weights(k, n + 1)
-    return [comb(n, l) * weights[n + 1 - l] / (n + 1 - l) for l in range(n + 1)]
 
 
 def theorem3_integer_weights(k: int, n: int) -> IntegerRow:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from polydc import cli, dc_sums, identity_suite
 from polydc.cli import (
+    MAX_EUCLID_COST,
+    MAX_EVAL_DIGITS,
     MAX_EVEN_DCSUM_M,
     MAX_INDEX_K,
     MAX_TABLE_N,
@@ -286,6 +288,104 @@ def test_unbounded_dcsum_is_rejected_before_any_work(argv, message, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+def _euclid_cost(p: int, h: int, m: int) -> int:
+    """(p+1)^2 times the sum of bits(m)^2 over the links of the chain of (h, m)."""
+    links = dc_sums.euclid_chain(h, m)
+    return (p + 1) ** 2 * sum(link_m.bit_length() ** 2 for _, link_m, _ in links)
+
+
+#: (p, the dearest pair dcsum admits at p, the next pair of its family).
+EUCLID_CAP_PAIRS = [
+    (1, (768077, 768079), (768079, 768081)),
+    (3, (233821, 233823), (233823, 233825)),
+    (500, (1, 2**46 - 1), (1, 2**47 - 1)),
+]
+
+
+@pytest.mark.parametrize("p, admitted, refused", EUCLID_CAP_PAIRS)
+def test_the_euclid_cap_pairs_straddle_the_cost_cap(p, admitted, refused):
+    assert _euclid_cost(p, *admitted) <= MAX_EUCLID_COST < _euclid_cost(p, *refused)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dcsum", "p=1", "h=7777777771", "m=3333333337"], "Euclid links"),
+        (["dcsum", "p=1", "h=9999997", "m=9999999", "k=2"], "Euclid links"),
+        *(
+            (["dcsum", f"p={p}", f"h={h}", f"m={m}"] + k, "Euclid links")
+            for p, _, (h, m) in EUCLID_CAP_PAIRS
+            for k in ([], ["k=16"])
+        ),
+        (["dcsum", "p=3", "h=-3", "m=5"], "h must be >= 1"),
+        (["dcsum", "p=0", "h=3", "m=5", "k=2"], "p must be >= 1"),
+    ],
+)
+def test_costly_odd_dcsum_is_rejected_before_any_work(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("_euclid_sums", "_dc_sum_horner", "_poly_dc_sum_moments", "euler_numbers"):
+        monkeypatch.setattr(dc_sums, name, refuse)
+    monkeypatch.setattr(cli, "dc_sum", refuse)
+    monkeypatch.setattr(cli, "poly_dc_sum", refuse)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, admitted, refused", EUCLID_CAP_PAIRS)
+@pytest.mark.parametrize("k", [[], ["k=16"]])
+def test_odd_dcsum_at_the_euclid_cap_is_admitted(p, admitted, refused, k, monkeypatch):
+    def admit(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "dc_sum", admit)
+    monkeypatch.setattr(cli, "poly_dc_sum", admit)
+    h, m = admitted
+    with pytest.raises(_Admitted):
+        main(["dcsum", f"p={p}", f"h={h}", f"m={m}"] + k)
+
+
+def _digits(count: int) -> str:
+    return "1" + "0" * (count - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "euler-poly", f"n={MAX_TABLE_N}", f"x={_digits(401)}/3"],
+        ["eval", "poly-euler-poly", "k=16", "n=500", f"x=7/{_digits(400)}"],
+        ["eval", "bar-poly-euler", "k=2", "n=50", f"x={_digits(2000)}/{_digits(2000)}1"],
+        ["eval", "bar-euler", "n=100", f"x=-{_digits(2001)}"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_eval_of_an_oversize_x_is_rejected_before_any_construction(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("construction started")
+
+    for name in ("euler_poly", "poly_euler_poly", "poly_eval", "bar_eval"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert f"at most {MAX_EVAL_DIGITS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "euler-poly", f"n={MAX_TABLE_N}", f"x={_digits(399)}/3"],
+        ["eval", "bar-poly-euler", "k=2", "n=50", f"x={_digits(2000)}/{_digits(1999)}1"],
+        ["eval", "sawtooth", f"x={_digits(4000)}/7"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_eval_admits_x_at_the_digit_cap(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "euler_poly", lambda n: [Fraction(1)])
+    monkeypatch.setattr(cli, "poly_euler_poly", lambda k, n: [Fraction(1)])
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 ODD_ABOVE_M = MAX_VERIFY_M + 1 + MAX_VERIFY_M % 2  # the least odd m above the cap
 
 
@@ -347,8 +447,8 @@ def test_verify_and_sweep_admit_points_at_the_caps(argv, monkeypatch):
 
 
 def test_odd_dcsum_has_no_modulus_limit(capsys):
-    # Odd pairs take O(log m) steps; the O(m) kernel takes seconds here.  The
-    # check solves the closed-form law for T_3(h, m), with T_3(m, h) from the
+    # Odd pairs are capped by their Euclid links, not by m; the O(m) kernel
+    # takes seconds here.  The check solves the closed-form law for T_3(h, m), with T_3(m, h) from the
     # Horner kernel over the small modulus h.
     h, m = 12345, 9999991
     assert main(["dcsum", "p=3", f"h={h}", f"m={m}"]) == 0

@@ -1,7 +1,6 @@
 """Tests for Dedekind-type DC sums and the reciprocity-law machinery."""
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from polydc import dc_sums
 from polydc.dc_sums import (
-    alternating_bar_eval,
     corollary15_rhs,
     corollary15_sides,
     dc_sum,
@@ -32,6 +30,8 @@ from polydc.sequences import (
     poly_euler_via_corollary7,
     stirling1_row,
 )
+
+from oracles import alternating_bar_eval, euler_alt_bar
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
@@ -65,22 +65,25 @@ def test_alternating_bar_matches_bar_on_unit_interval(x):
     assert alternating_bar_eval(p, x) == bar_eval(p, x)
 
 
+@given(st.integers(0, 8), rationals)
+@settings(deadline=None)
+def test_the_memoized_alt_bar_is_the_alternating_extension(degree, x):
+    # The benchmark reads the cache of dc_sums._euler_alt_bar; its values stay Ê.
+    assert dc_sums._euler_alt_bar(degree, x) == alternating_bar_eval(euler_poly(degree), x)
+
+
 # --- reference routes: the defining Fraction loops ------------------------------
 #
 # The served sums read integer moments; these evaluate each definition term by
-# term with `alternating_bar_eval`, a route that shares no kernel with them.
-
-
-@lru_cache(maxsize=None)
-def _reference_alt_bar(degree, x):
-    return alternating_bar_eval(euler_poly(degree), x)
+# term with `alternating_bar_eval` (over E_n(x), memoized as `euler_alt_bar`),
+# a route that shares no kernel with them.
 
 
 def reference_dc_sum(p, h, m):
     """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m)."""
     total = Fraction(0)
     for mu in range(1, m):
-        term = Fraction(mu, m) * _reference_alt_bar(p, Fraction(h * mu, m))
+        term = Fraction(mu, m) * euler_alt_bar(p, Fraction(h * mu, m))
         total += -term if mu % 2 else term
     return 2 * total
 
@@ -112,7 +115,7 @@ def reference_reciprocity_rhs(k, p, h, m):
                 weight = (mu * h) * m_pow + (nu * m) * h_pow
                 if weight == 0:
                     continue
-                term = base * weight * _reference_alt_bar(l, Fraction(nu, h) + Fraction(mu, m))
+                term = base * weight * euler_alt_bar(l, Fraction(nu, h) + Fraction(mu, m))
                 total += -term if (mu + nu) % 2 else term
     return 2 * total
 
@@ -125,7 +128,7 @@ def reference_corollary15_rhs(p, h, m):
             weight = mu * h + nu * m
             if weight == 0:
                 continue
-            term = weight * _reference_alt_bar(p, Fraction(nu, h) + Fraction(mu, m))
+            term = weight * euler_alt_bar(p, Fraction(nu, h) + Fraction(mu, m))
             total += -term if (mu + nu) % 2 else term
     return 2 * Fraction(m * h) ** (p - 1) * total
 
@@ -296,6 +299,32 @@ def test_dc_sum_rejects_bad_parameters():
     for bad in [(0, 1, 3), (0, 7, 9), (0, 2, 3)]:
         with pytest.raises(ValueError):
             poly_dc_sum(2, *bad)
+
+
+@pytest.mark.parametrize("p, h, m", [(0, 7, 9), (1, 0, 3), (3, -3, 5), (1, 1, 0), (-2, -3, -5)])
+def test_the_public_sums_reject_like_k1_collapse(p, h, m):
+    # One declared Hypotheses value serves dc_sum, poly_dc_sum and k1_collapse.
+    messages = set()
+    for reject in (
+        lambda: dc_sum(p, h, m),
+        lambda: poly_dc_sum(2, p, h, m),
+        lambda: verify("k1_collapse", {"p": p, "h": h, "m": m}),
+    ):
+        with pytest.raises(ValueError) as error:
+            reject()
+        messages.add(str(error.value))
+    assert len(messages) == 1 and " must be >= 1" in messages.pop()
+
+
+def test_euclid_chain_links():
+    # Near h = m each link lowers the pair by m - h only; a common factor is
+    # divided out first.
+    assert sum(1 for _ in dc_sums.euclid_chain(9997, 9999)) == 4999
+    assert len(list(dc_sums.euclid_chain(12345, 9999991))) == 20
+    assert list(dc_sums.euclid_chain(3 * 12345, 3 * 9999991)) == list(
+        dc_sums.euclid_chain(12345, 9999991)
+    )
+    assert list(dc_sums.euclid_chain(7, 1)) == list(dc_sums.euclid_chain(3, 3)) == []
 
 
 def test_poly_dc_sum_pinned_value():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc.exact_algebra import (
-    alternating_distribution,
     exp_series,
     format_rational,
     alternating_power_sums,
@@ -16,7 +15,6 @@ from polydc.exact_algebra import (
     log1p_series,
     parse_rational,
     poly_affine,
-    poly_combination,
     poly_eval,
     poly_mul,
     poly_normalize,
@@ -25,6 +23,8 @@ from polydc.exact_algebra import (
     series_reciprocal,
 )
 from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly
+
+from oracles import affine_distribution, alternating_distribution, poly_combination
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=16)
 small_polys = st.lists(rationals, min_size=1, max_size=7)
@@ -41,12 +41,17 @@ def test_make_and_format_rational(num, den, text):
     assert format_rational(Fraction(num, den)) == text
 
 
-@pytest.mark.parametrize("text, value", [("-3/2", Fraction(-3, 2)), ("5", 5), ("0", 0)])
+@pytest.mark.parametrize(
+    "text, value", [("-3/2", Fraction(-3, 2)), ("5", 5), ("0", 0), ("-0.25", Fraction(-1, 4))]
+)
 def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "a/b", "3/2/1", "1/0", "--2", "1 2"])
+# An exponent is refused: a few characters of one could ask for any size.
+@pytest.mark.parametrize(
+    "text", ["", "a/b", "3/2/1", "1/0", "--2", "1 2", "1e9", "-2E-5", "3/1e2", "1e100000000"]
+)
 def test_parse_rational_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -107,16 +112,9 @@ def test_integer_coefficients_share_the_least_common_denominator():
 
 # --- the odd-modulus distribution sum ------------------------------------------
 #
-# The served sum reads integer alternating power sums; the reference expands
-# each term p((x + s)/m) by affine substitution, a route that shares no kernel
-# with it.
-
-
-def reference_alternating_distribution(p, m):
-    """Σ_{s=0..m-1} (-1)^s p((x + s)/m), one `poly_affine` expansion per s."""
-    return poly_combination(
-        ((-1) ** s, poly_affine(p, Fraction(1, m), Fraction(s, m))) for s in range(m)
-    )
+# The served sum reads integer alternating power sums; the reference
+# (`affine_distribution`) expands each term p((x + s)/m) by affine
+# substitution, a route that shares no kernel with it.
 
 
 DISTRIBUTION_MODULI = [*range(1, 16, 2), 2, 4, 6]
@@ -133,13 +131,13 @@ def test_alternating_distribution_matches_reference(family):
         poly = DISTRIBUTION_FAMILIES[family](n)
         for m in DISTRIBUTION_MODULI:
             served = alternating_distribution(poly, m)
-            assert served == reference_alternating_distribution(poly, m), (family, n, m)
+            assert served == affine_distribution(poly, m), (family, n, m)
 
 
 @given(small_polys, st.integers(min_value=1, max_value=15))
 @settings(deadline=None)
 def test_alternating_distribution_matches_reference_on_random_polys(p, m):
-    assert alternating_distribution(p, m) == reference_alternating_distribution(p, m)
+    assert alternating_distribution(p, m) == affine_distribution(p, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 10])

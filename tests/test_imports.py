@@ -5,8 +5,9 @@ sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have four
 readers only, the integer rows are derived once, when a cache entry is
 filled, no identity reaches the Euclid route of the public sums, the
-polynomial identities reach no Fraction assembly, and every package name the
-benchmark reads exists."""
+polynomial identities reach no Fraction assembly, the Fraction oracles live in
+tests/oracles.py, every package name the benchmark reads exists, and the
+package keeps an oracle only while the benchmark reads it."""
 
 import ast
 import importlib
@@ -99,21 +100,19 @@ def test_only_the_weight_readers_call_stirling_weights():
         "_compute_cor2",
         "_compute_thm1",
         "poly_genocchi_numbers",
-        "theorem3_weights",
     ]
 
 
 def test_only_the_row_fill_calls_integer_coefficients():
     # The cached polynomials and weight rows keep their integer rows with
     # them (RationalRow.integers); every other reader takes those rows instead
-    # of re-deriving them.  The Fraction view of the distribution sum still
-    # takes a Fraction polynomial.
+    # of re-deriving them.
     callers = [
         name
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _callers(path, {"integer_coefficients"})
     ]
-    assert sorted(callers) == ["alternating_distribution", "integers"]
+    assert callers == ["integers"]
 
 
 #: The identities of dc_sums; the verifier registry serves thm10-thm14, cor15,
@@ -230,6 +229,19 @@ def test_polynomial_identities_reach_no_fraction_assembly(identity):
     assert not reached & FRACTION_ASSEMBLY, f"{identity} reaches {reached & FRACTION_ASSEMBLY}"
 
 
+def test_the_fraction_oracles_live_in_the_tests_only():
+    # Without this, the test above would pass with the oracles back in the package
+    # and nothing calling them.
+    moved = FRACTION_ASSEMBLY | {"theorem3_weights", "alternating_bar_eval"}
+    defined = {
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & moved
+
+
 BENCH = PACKAGE.parents[1] / "bench"
 BENCH_MODULES = ("exact_algebra", "sequences", "dc_sums", "identity_suite")
 #: The benchmark's helpers that call a module's function by its string name.
@@ -278,3 +290,37 @@ def test_every_package_name_the_benchmark_reads_exists():
     )
     assert missing == []
     assert hasattr(dc_sums._euler_alt_bar, "cache_info")
+
+
+#: The reference routes still defined in the package, each because bench/ reads
+#: it or (series_mul, poly_mul) calls it from one that bench/ reads; every
+#: other oracle lives in tests/oracles.py.  The set only shrinks.
+BENCH_HELD_ORACLES = {
+    ("exact_algebra", "series_mul"),
+    ("exact_algebra", "series_reciprocal"),
+    ("exact_algebra", "series_compose"),
+    ("exact_algebra", "exp_series"),
+    ("exact_algebra", "log1p_series"),
+    ("exact_algebra", "poly_mul"),
+    ("exact_algebra", "poly_affine"),
+    ("sequences", "polyexp_series"),
+    ("sequences", "_euler_numbers_recurrence"),
+    ("sequences", "poly_euler_via_theorem3"),
+    ("sequences", "poly_euler_via_corollary7"),
+    ("dc_sums", "_euler_alt_bar"),
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(BENCH_HELD_ORACLES))
+def test_the_package_keeps_an_oracle_only_while_the_benchmark_reads_it(module, name):
+    bench = _bench_names()
+    callers = {
+        caller
+        for path in sorted(PACKAGE.glob("*.py"))
+        for caller in _callers(path, {name})
+    }
+    assert hasattr(importlib.import_module(f"polydc.{module}"), name)
+    # No served function calls an oracle ...
+    assert callers <= {held for _, held in BENCH_HELD_ORACLES}, callers
+    # ... and bench/ reads it, or calls it through one that it reads.
+    assert (module, name) in bench or callers and {(module, c) for c in callers} <= bench

@@ -3,10 +3,11 @@
 `eq18`, `thm3`, `thm6`, `cor7` and `oracle_equivalence` compare integer rows
 built by `row_distribution` and `row_combination`.  The references here
 expand every distribution term p((x + s)/m) by affine substitution
-(`poly_affine`), assemble with `poly_combination` over the `Fraction` Theorem 3
-weights, and pick the witness with the `Fraction` witness the row witness
-replaced; none of them shares a kernel with the served rows.  The grids
-(k -4..5, n <= 15, odd m <= 13) are wider than the acceptance grids.
+(`affine_distribution`), assemble with `poly_combination` over the `Fraction`
+Theorem 3 weights (all three from `tests/oracles.py`), and pick the witness
+with the `Fraction` witness the row witness replaced; none of them shares a
+kernel with the served rows.  The grids (k -4..5, n <= 15, odd m <= 13) are
+wider than the acceptance grids.
 """
 
 from fractions import Fraction
@@ -21,8 +22,6 @@ from polydc.dc_sums import IdentitySides
 from polydc.exact_algebra import (
     IntegerRow,
     integer_coefficients,
-    poly_affine,
-    poly_combination,
     poly_eval,
     poly_normalize,
     row_combination,
@@ -41,8 +40,9 @@ from polydc.sequences import (
     poly_euler_via_theorem3,
     poly_genocchi_poly,
     theorem3_combination,
-    theorem3_weights,
 )
+
+from oracles import affine_distribution, poly_combination, theorem3_weights
 
 INDICES = range(-4, 6)
 DEGREES = range(16)
@@ -60,14 +60,8 @@ FAMILIES = {
 
 @cache
 def reference_distribution(family: str, n: int, m: int) -> tuple[Fraction, ...]:
-    """Σ_{s<m} (-1)^s p((x + s)/m) for p the family's degree-n member, one
-    `poly_affine` expansion per s."""
-    p = FAMILIES[family][0](n)
-    return tuple(
-        poly_combination(
-            ((-1) ** s, poly_affine(p, Fraction(1, m), Fraction(s, m))) for s in range(m)
-        )
-    )
+    """`affine_distribution` of the family's degree-n member, kept per (family, n, m)."""
+    return tuple(affine_distribution(FAMILIES[family][0](n), m))
 
 
 def reference_theorem3(k, n):
@@ -148,10 +142,7 @@ def test_row_helpers():
 @settings(deadline=None)
 def test_row_distribution_matches_the_affine_reference_on_random_rows(row, m):
     poly = row.fractions()
-    expected = poly_combination(
-        ((-1) ** s * m ** (len(poly) - 1), poly_affine(poly, Fraction(1, m), Fraction(s, m)))
-        for s in range(m)
-    )
+    expected = [c * m ** (len(poly) - 1) for c in affine_distribution(poly, m)]
     assert row_distribution(row, m).fractions() == expected
 
 

@@ -42,8 +42,9 @@ from polydc.sequences import (
     stirling1_row,
     stirling_weights,
     theorem3_integer_weights,
-    theorem3_weights,
 )
+
+from oracles import theorem3_weights
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
