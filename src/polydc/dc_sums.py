@@ -23,11 +23,12 @@ for odd coprime h, m, alternated with reduction of h mod 2m as in the
 Euclidean algorithm (`euclid_chain`): one integer step of O(p^2) products
 per link.  Links are few for most pairs, but one with m/2 < h < m lowers the
 pair by m - h only, so (m - 2, m) takes (m - 1)/2 of them.  With an even
-argument they run the O(m) integer kernels (Horner for T_p, single moments
-for T_p^(k)).  Every identity below reads those kernels directly, never the
-Euclid route, so no identity checks reciprocity with a value that
-reciprocity built.  The Fraction loops that define the sums are the tests'
-oracles (`tests/oracles.py`, `tests/test_dc_sums.py`).
+argument they run the one O(m) integer kernel, the single moments over the
+row of E_p(x) or E_p^(k)(x) (`_row_dc_sum`).  Every identity below reads that
+kernel or the O(mh) double moments directly, never the Euclid route, so no
+identity checks reciprocity with a value that reciprocity built.  The
+Fraction loops that define the sums are the tests' oracles
+(`tests/oracles.py`, `tests/test_dc_sums.py`).
 
 The kernels and identities read the cached polynomials as integer rows
 (numerators over one denominator) and the Theorem 3 weights as integers, so
@@ -152,30 +153,6 @@ def _common_numerators(rows: list[IntegerRow]) -> tuple[list[list[int]], int]:
     return [[c * (den // d) for c in numerators] for numerators, d in rows], den
 
 
-def _horner_total(p: int, h: int, m: int) -> tuple[int, int]:
-    """(total, den) with T_p(h, m) = 2·total / (den·m^(p+1)), in O(m) integer steps.
-
-    Direct route: with d, r = divmod(hμ, m), Ê_p(hμ/m) = (-1)^d E_p(r/m), and
-    den·m^p·E_p(r/m) is an integer evaluated by Horner's rule in r.
-    """
-    numerators, den = euler_poly_row(p)
-    scaled = [c * m ** (p - i) for i, c in enumerate(numerators)][::-1]
-    total = 0
-    for mu in range(1, m):
-        d, r = divmod(h * mu, m)
-        value = 0
-        for c in scaled:
-            value = value * r + c
-        total += -mu * value if (mu + d) % 2 else mu * value
-    return total, den
-
-
-def _dc_sum_horner(p: int, h: int, m: int) -> Fraction:
-    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m) by `_horner_total`."""
-    total, den = _horner_total(p, h, m)
-    return Fraction(2 * total, den * m ** (p + 1))
-
-
 def _single_moments(h: int, m: int, degree: int) -> list[int]:
     """S_i = Σ_{μ=1..m-1} (-1)^(μ+d) μ r^i for i = 0..degree, d, r = divmod(hμ, m)."""
     moments = [0] * (degree + 1)
@@ -197,11 +174,11 @@ def _moment_total(numerators: Sequence[int], h: int, m: int) -> int:
     return sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
 
 
-def _poly_dc_sum_moments(k: int, p: int, h: int, m: int) -> Fraction:
-    """T_p^(k)(h, m) in O(m) integer steps: 2·Σ_i c_i S_i / m^(i+1), with c_i the
-    coefficients of E_p^(k)(x) (`_moment_total`)."""
-    numerators, den = poly_euler_poly_row(k, p)
-    return Fraction(2 * _moment_total(numerators, h, m), den * m ** (p + 1))
+def _row_dc_sum(row: IntegerRow, h: int, m: int) -> Fraction:
+    """The DC sum 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê(hμ/m) over the polynomial of one
+    integer row, 2·`_moment_total` / (den·m^(p+1)), in O(m) integer steps."""
+    numerators, den = row
+    return Fraction(2 * _moment_total(numerators, h, m), den * m ** len(numerators))
 
 
 def _euler_integers(n: int) -> list[int]:
@@ -287,12 +264,12 @@ def dc_sum(p: int, h: int, m: int) -> Fraction:
     """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), exactly.
 
     For odd h and m, read from `_euclid_sums`, one step per link of
-    `euclid_chain`; otherwise the O(m) Horner route `_dc_sum_horner`.
+    `euclid_chain`; otherwise the O(m) kernel `_row_dc_sum` over E_p(x).
     """
     DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     if h % 2 and m % 2:
         return Fraction(_euclid_sums(h, m, [p])[0], 2**p * m ** (p + 1))
-    return _dc_sum_horner(p, h, m)
+    return _row_dc_sum(euler_poly_row(p), h, m)
 
 
 def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
@@ -300,11 +277,11 @@ def poly_dc_sum(k: int, p: int, h: int, m: int) -> Fraction:
 
     For odd h and m, Theorem 3 gives T_p^(k)(h, m) = Σ_l a_l T_l(h, m) over the
     `theorem3_integer_weights` a_l, with the T_l read from `_euclid_sums`;
-    otherwise the O(m) single-moment route `_poly_dc_sum_moments`.
+    otherwise the O(m) kernel `_row_dc_sum` over E_p^(k)(x).
     """
     DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     if not (h % 2 and m % 2):
-        return _poly_dc_sum_moments(k, p, h, m)
+        return _row_dc_sum(poly_euler_poly_row(k, p), h, m)
     numerators, den = theorem3_integer_weights(k, p)
     degrees = [l for l, a in enumerate(numerators) if a]
     sums = _euclid_sums(h, m, degrees)
@@ -451,6 +428,40 @@ def _double_moments(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
     return a_moments, b_moments
 
 
+def _reciprocity_lhs(row: IntegerRow, h: int, m: int) -> Fraction:
+    """m^p·T(h, m) + h^p·T(m, h) over the degree-p polynomial of one integer row,
+    both sums from the single moments (`_moment_total`)."""
+    numerators, den = row
+    total = h * _moment_total(numerators, h, m) + m * _moment_total(numerators, m, h)
+    return Fraction(2 * total, den * m * h)
+
+
+def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
+    """The double-sum right side of reciprocity over the weights a_0, ..., a_p:
+
+        2 Σ_{l=0..p} a_l (mh)^(l-1) Σ_{μ=0..m-1} Σ_{ν=0..h-1} (-1)^(μ+ν)
+          · ((μh)·m^(p-l) + (νm)·h^(p-l)) · Ê_l(ν/h + μ/m).
+
+    Read from the double moments A, B of `_double_moments`: the l-th term is
+    (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with e_l
+    the coefficients of E_l(x), all integers over one denominator; E_l(x) is
+    read only where a_l is nonzero.
+    """
+    numerators, weight_den = weights
+    p = len(numerators) - 1
+    degrees = [l for l, a in enumerate(numerators) if a]
+    rows, row_den = _common_numerators([euler_poly_row(l) for l in degrees])
+    n = m * h
+    a, b = _double_moments(h, m, p)
+    total = 0
+    for l, row in zip(degrees, rows):
+        m_pow, h_pow = m ** (p - l), h ** (p - l)
+        total += numerators[l] * sum(
+            c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(row)
+        )
+    return Fraction(2 * total, weight_den * row_den * n)
+
+
 def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     """Both sides of the reciprocity law for the degree-p index-k sums.
 
@@ -463,29 +474,14 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
     term by term, matching the symmetric lhs.
 
-    The lhs is read from single moments (`_moment_total`), the rhs
-    from double moments: its l-th term is
-    (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with
-    a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) the Theorem 3 weights
-    (`theorem3_integer_weights`) and e_l the coefficients of E_l(x), all
-    integers over one denominator each.
+    The lhs is `_reciprocity_lhs` over E_p^(k)(x), from the single moments;
+    the rhs is `_reciprocity_rhs` over the Theorem 3 weights
+    a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) (`theorem3_integer_weights`), from the
+    double moments.
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    ek, den = poly_euler_poly_row(k, p)
-    lhs = Fraction(2 * (h * _moment_total(ek, h, m) + m * _moment_total(ek, m, h)), den * m * h)
-    n = m * h
-    a, b = _double_moments(h, m, p)
-    weights, weight_den = theorem3_integer_weights(k, p)
-    rows, row_den = _common_numerators([euler_poly_row(l) for l in range(p + 1)])
-    total = 0
-    for l, (weight, numerators) in enumerate(zip(weights, rows)):
-        if weight == 0:
-            continue
-        m_pow, h_pow = m ** (p - l), h ** (p - l)
-        total += weight * sum(
-            c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(numerators)
-        )
-    return IdentitySides.compare(lhs, Fraction(2 * total, weight_den * row_den * n))
+    lhs = _reciprocity_lhs(poly_euler_poly_row(k, p), h, m)
+    return IdentitySides.compare(lhs, _reciprocity_rhs(theorem3_integer_weights(k, p), h, m))
 
 
 def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
@@ -494,46 +490,42 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     2·(mh)^(p-1) Σ_{μ=0..m-1} Σ_{ν=0..h-1} (-1)^(μ+ν) (μh + νm) Ê_p(ν/h + μ/m).
     The sign is (-1)^(μ+ν): that choice agrees exactly with the general law
     at k = 1 on the full odd grid (the (-1)^(μ+ν-1) variant does not).
-    Evaluated as 2·(mh)^(p-1) Σ_i e_i (A_i + B_i) / (mh)^i over the double
-    moments A, B of `_double_moments` and the coefficients e_i of E_p(x).
+    It is `_reciprocity_rhs` over the one weight a_p = 1, which is what the
+    Theorem 3 weights are at k = 1.
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    n = m * h
-    a, b = _double_moments(h, m, p)
-    numerators, den = euler_poly_row(p)
-    inner = sum(c * (a[i] + b[i]) * n ** (p - i) for i, c in enumerate(numerators))
-    return Fraction(2 * inner, den * n)
-
-
-def _classical_lhs(p: int, h: int, m: int) -> Fraction:
-    """m^p·T_p(h, m) + h^p·T_p(m, h), both sums from the Horner route."""
-    (total_hm, den), (total_mh, _) = _horner_total(p, h, m), _horner_total(p, m, h)
-    return Fraction(2 * (h * total_hm + m * total_mh), den * m * h)
+    return _reciprocity_rhs(IntegerRow((0,) * p + (1,), 1), h, m)
 
 
 def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:
     """The classical (k = 1) reciprocity law against its single-sum right side.
 
-    lhs: `_classical_lhs`; rhs: `corollary15_rhs`, from the double moments.
-    Requires odd h and odd m.
+    lhs: `_reciprocity_lhs` over E_p(x), from the single moments; rhs:
+    `corollary15_rhs`, from the double moments.  Requires odd h and odd m.
     """
     RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    return IdentitySides.compare(_classical_lhs(p, h, m), corollary15_rhs(p, h, m))
+    lhs = _reciprocity_lhs(euler_poly_row(p), h, m)
+    return IdentitySides.compare(lhs, corollary15_rhs(p, h, m))
 
 
 def k1_collapse_sides(p: int, h: int, m: int) -> IdentitySides:
-    """T_p^(1)(h, m) from the single moments against T_p(h, m) from the Horner route."""
+    """T_p^(1)(h, m) against T_p(h, m): one kernel, `_row_dc_sum`, over two rows
+    built independently, E_p^(1)(x) from the Stirling weights and E_p(x) from
+    the tangent numbers."""
     DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
-    return IdentitySides.compare(_poly_dc_sum_moments(1, p, h, m), _dc_sum_horner(p, h, m))
+    return IdentitySides.compare(
+        _row_dc_sum(poly_euler_poly_row(1, p), h, m), _row_dc_sum(euler_poly_row(p), h, m)
+    )
 
 
 def reciprocity_closed_form_sides(p: int, h: int, m: int) -> IdentitySides:
     """The closed-form classical reciprocity law that the Euclid route unwinds.
 
-    lhs: `_classical_lhs`; rhs: 2E_p + 2E_{p+1}/(hm) - Σ_j C(p,j) E_j E_{p-j}
-    h^j m^(p-j), built once as a Fraction from `_classical_law`.  Requires odd
-    coprime h and m.
+    lhs: `_reciprocity_lhs` over E_p(x), from the single moments; rhs: 2E_p +
+    2E_{p+1}/(hm) - Σ_j C(p,j) E_j E_{p-j} h^j m^(p-j), built once as a
+    Fraction from `_classical_law`.  Requires odd coprime h and m.
     """
     CLOSED_FORM_HYPOTHESES.require(p=p, h=h, m=m)
     (numerator,) = _classical_law([p], _euler_integers(p + 1))(h, m)
-    return IdentitySides.compare(_classical_lhs(p, h, m), Fraction(numerator, 2**p * h * m))
+    lhs = _reciprocity_lhs(euler_poly_row(p), h, m)
+    return IdentitySides.compare(lhs, Fraction(numerator, 2**p * h * m))

@@ -24,6 +24,7 @@ from polydc.cli import (
     parse_range,
 )
 from polydc.exact_algebra import format_rational, parse_rational
+from polydc.sequences import euler_poly_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -280,7 +281,7 @@ def test_unbounded_dcsum_is_rejected_before_any_work(argv, message, monkeypatch,
     def refuse(*args):
         raise AssertionError("work started")
 
-    for name in ("_dc_sum_horner", "_poly_dc_sum_moments", "_euclid_sums", "euler_numbers"):
+    for name in ("_row_dc_sum", "_moment_total", "_euclid_sums", "euler_numbers"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(cli, "dc_sum", refuse)
     monkeypatch.setattr(cli, "poly_dc_sum", refuse)
@@ -325,7 +326,7 @@ def test_costly_odd_dcsum_is_rejected_before_any_work(argv, message, monkeypatch
     def refuse(*args):
         raise AssertionError("work started")
 
-    for name in ("_euclid_sums", "_dc_sum_horner", "_poly_dc_sum_moments", "euler_numbers"):
+    for name in ("_euclid_sums", "_row_dc_sum", "_moment_total", "euler_numbers"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(cli, "dc_sum", refuse)
     monkeypatch.setattr(cli, "poly_dc_sum", refuse)
@@ -413,7 +414,7 @@ def test_unbounded_verify_and_sweep_are_rejected_before_any_point_runs(
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_double_moments", "_single_moments", "_horner_total", "theorem13_sides"):
+    for name in ("_double_moments", "_single_moments", "_moment_total", "theorem13_sides"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(identity_suite, "verify", refuse)
     monkeypatch.setattr(identity_suite, "sweep", refuse)
@@ -448,13 +449,13 @@ def test_verify_and_sweep_admit_points_at_the_caps(argv, monkeypatch):
 
 def test_odd_dcsum_has_no_modulus_limit(capsys):
     # Odd pairs are capped by their Euclid links, not by m; the O(m) kernel
-    # takes seconds here.  The check solves the closed-form law for T_3(h, m), with T_3(m, h) from the
-    # Horner kernel over the small modulus h.
+    # takes seconds here.  The check solves the closed-form law for T_3(h, m), with
+    # T_3(m, h) from the moment kernel over the small modulus h.
     h, m = 12345, 9999991
     assert main(["dcsum", "p=3", f"h={h}", f"m={m}"]) == 0
     value = parse_rational(json.loads(capsys.readouterr().out)["value"])
     (law,) = dc_sums._classical_law([3], dc_sums._euler_integers(4))(h, m)
-    swapped = dc_sums._dc_sum_horner(3, m, h)
+    swapped = dc_sums._row_dc_sum(euler_poly_row(3), m, h)
     assert value == (Fraction(law, 8 * h * m) - h**3 * swapped) / m**3
 
 

@@ -26,7 +26,9 @@ from polydc.identity_suite import verify
 from polydc.sequences import (
     bar_eval,
     euler_poly,
+    euler_poly_row,
     poly_euler_poly,
+    poly_euler_poly_row,
     poly_euler_via_corollary7,
     stirling1_row,
 )
@@ -200,6 +202,10 @@ def test_theorem13_lhs_matches_reference(k):
 def test_large_points_match_reference():
     assert poly_dc_sum(2, 10, 7, 4001) == reference_poly_dc_sum(2, 10, 7, 4001)
     assert dc_sum(10, 7, 4001) == reference_dc_sum(10, 7, 4001)
+    # Even arguments at a large modulus run the O(m) moment kernel.
+    assert dc_sum(10, 8, 4001) == reference_dc_sum(10, 8, 4001)
+    assert dc_sum(10, 7, 4000) == reference_dc_sum(10, 7, 4000)
+    assert poly_dc_sum(2, 10, 8, 4001) == reference_poly_dc_sum(2, 10, 8, 4001)
     assert reciprocity_sides(2, 3, 41, 43).rhs == reference_reciprocity_rhs(2, 3, 41, 43)
     assert corollary15_rhs(5, 39, 41) == reference_corollary15_rhs(5, 39, 41)
     assert theorem13_sides(2, 6, 40, 41).lhs == reference_theorem13_lhs(2, 6, 40, 41)
@@ -217,29 +223,32 @@ def test_sums_leave_no_alt_bar_cache_entries():
 
 # --- the Euclid route against the O(m) kernels -----------------------------------
 #
-# For odd h and m the public sums take O(log m) steps through the closed-form
-# classical reciprocity law; the kernels they replace there are the oracle.
-# Even arguments still run the kernels, which the reference tests over SMALL
-# cover.
+# For odd h and m the public sums take one step per link of `euclid_chain`
+# through the closed-form classical reciprocity law (few links for most pairs,
+# but (m - 2, m) has (m - 1)/2); the moment kernel they replace there is the
+# oracle.  Even arguments still run the kernel, which the reference tests over
+# SMALL and the large points cover.
 
 ODD_TO_45 = range(1, 46, 2)
 ODD_TO_25 = range(1, 26, 2)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
-def test_dc_sum_euclid_route_matches_horner_kernel(p):
+def test_dc_sum_euclid_route_matches_moment_kernel(p):
+    row = euler_poly_row(p)
     for h in ODD_TO_45:
         for m in ODD_TO_45:
-            assert dc_sum(p, h, m) == dc_sums._dc_sum_horner(p, h, m), (p, h, m)
+            assert dc_sum(p, h, m) == dc_sums._row_dc_sum(row, h, m), (p, h, m)
 
 
 @pytest.mark.parametrize("k", range(-3, 5))
 def test_poly_dc_sum_euclid_route_matches_moment_kernel(k):
     for p in range(1, 8):
+        row = poly_euler_poly_row(k, p)
         for h in ODD_TO_25:
             for m in ODD_TO_25:
                 served = poly_dc_sum(k, p, h, m)
-                assert served == dc_sums._poly_dc_sum_moments(k, p, h, m), (k, p, h, m)
+                assert served == dc_sums._row_dc_sum(row, h, m), (k, p, h, m)
 
 
 def test_euclid_degree_zero_matches_direct_loop():
@@ -272,8 +281,8 @@ def test_euclid_route_raises_on_an_inexact_step(monkeypatch):
 )
 @settings(max_examples=50, deadline=None)
 def test_euclid_route_matches_the_kernels_at_large_moduli(k, p, h, m):
-    assert dc_sum(p, h, m) == dc_sums._dc_sum_horner(p, h, m)
-    assert poly_dc_sum(k, p, h, m) == dc_sums._poly_dc_sum_moments(k, p, h, m)
+    assert dc_sum(p, h, m) == dc_sums._row_dc_sum(euler_poly_row(p), h, m)
+    assert poly_dc_sum(k, p, h, m) == dc_sums._row_dc_sum(poly_euler_poly_row(k, p), h, m)
 
 
 # --- the DC sums themselves ----------------------------------------------------

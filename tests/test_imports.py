@@ -2,10 +2,10 @@
 name from another, the sequence constructions neither use the series engine
 nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
-substitution or schoolbook product, the Stirling weight rows have four
+substitution or schoolbook product, the Stirling weight rows have three
 readers only, the integer rows are derived once, when a cache entry is
-filled, no identity reaches the Euclid route of the public sums, the
-polynomial identities reach no Fraction assembly, the Fraction oracles live in
+filled, no identity reaches the Euclid route of the public sums, every single
+DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the Fraction oracles live in
 tests/oracles.py, every package name the benchmark reads exists, and the
 package keeps an oracle only while the benchmark reads it."""
 
@@ -169,6 +169,31 @@ def test_no_identity_reaches_the_euclid_route(identity):
     # would check reciprocity with a value that reciprocity built.
     reached = _reachable(PACKAGE / "dc_sums.py", identity)
     assert not reached & SERVED_SUMS, f"{identity} reaches {reached & SERVED_SUMS}"
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        "dc_sum",
+        "poly_dc_sum",
+        "reciprocity_sides",
+        "corollary15_sides",
+        "reciprocity_closed_form_sides",
+        "k1_collapse_sides",
+    ],
+)
+def test_every_single_sum_reads_the_one_moment_kernel(reader):
+    # The even-argument sums and the left sides of both reciprocity laws share
+    # one O(m) kernel; a second route to the same single sum is not served.
+    assert "_moment_total" in _reachable(PACKAGE / "dc_sums.py", reader)
+
+
+def test_each_moment_loop_has_one_caller():
+    # The single and the double moments are each entered through one function,
+    # so a faster kernel for either replaces that one function.
+    path = PACKAGE / "dc_sums.py"
+    assert _callers(path, {"_single_moments"}) == ["_moment_total"]
+    assert _callers(path, {"_double_moments"}) == ["_reciprocity_rhs"]
 
 
 def test_the_reciprocity_verifiers_read_the_identities_only():
