@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_algebra import IntegerRow, poly_eval
 from .sequences import (
-    euler_numbers,
+    euler_integers,
     euler_poly,
     euler_poly_row,
     poly_euler_poly_row,
@@ -181,13 +181,6 @@ def _row_dc_sum(row: IntegerRow, h: int, m: int) -> Fraction:
     return Fraction(2 * _moment_total(numerators, h, m), den * m ** len(numerators))
 
 
-def _euler_integers(n: int) -> list[int]:
-    """[e_0, ..., e_n] with e_j = 2^j·E_j, all integers (E_j's denominator divides 2^j)."""
-    return [
-        (value.numerator << j) // value.denominator for j, value in enumerate(euler_numbers(n))
-    ]
-
-
 def _classical_law(degrees: Sequence[int], e: list[int]) -> Callable[[int, int], list[int]]:
     """The closed-form classical reciprocity law at the given degrees.
 
@@ -196,7 +189,7 @@ def _classical_law(degrees: Sequence[int], e: list[int]) -> Callable[[int, int],
 
         N_l = 2hm·e_l + e_{l+1} - hm·Σ_j C(l,j) e_j e_{l-j} h^j m^(l-j),
 
-    with e = `_euler_integers` up to max(degrees) + 1.  Only the terms with
+    with e = `euler_integers` up to max(degrees) + 1.  Only the terms with
     e_j·e_{l-j} ≠ 0 are kept, once for every (h, m).
     """
     top = max(degrees)
@@ -244,7 +237,7 @@ def _euclid_sums(h: int, m: int, degrees: Sequence[int]) -> list[int]:
     that must be exact or RuntimeError is raised.  A common factor
     g = gcd(h, m) adds a constant: T_l(gh', gm') = T_l(h', m') + (g - 1)·E_l / m'^l.
     """
-    e = _euler_integers(max(degrees) + 1)
+    e = euler_integers(max(degrees) + 1)
     law = _classical_law(degrees, e)
     g = gcd(h, m)
     reduced_m = m // g
@@ -293,7 +286,7 @@ def _correction_numerator(numerators: Sequence[int], e: list[int], m: int) -> in
     """The correction 2·Σ_{ν=0..p} C(p,ν) E_ν^(k) E_{p+1-ν} m^(ν-1) times den·2^p·m.
 
     numerators are those of E_p^(k)(x) over den, so c_{p-ν} = den·C(p,ν)·E_ν^(k),
-    and e = `_euler_integers` up to p + 1.
+    and e = `euler_integers` up to p + 1.
     """
     p = len(numerators) - 1
     return sum(numerators[p - nu] * e[p + 1 - nu] * (2 * m) ** nu for nu in range(p + 1))
@@ -315,7 +308,7 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     """
     S_PK_HYPOTHESES.require(p=p, m=m)
     ek, den = poly_euler_poly_row(k, p)
-    e = _euler_integers(p + 1)
+    e = euler_integers(p + 1)
     rhs = sum(
         ek[p - nu] * comb(p - nu + 1, i) * e[i] * (2 * m) ** (p - i)
         for nu in range(p + 1)
@@ -332,7 +325,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
     ek, den = poly_euler_poly_row(k, p)
-    e = _euler_integers(p + 1)
+    e = euler_integers(p + 1)
     rhs = sum(
         ek[p - nu] * comb(p - nu + 1, i) * e[i] * (2 * m) ** (p - i)
         for i in range(1, p - 1)
@@ -356,7 +349,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     rows, den = _common_numerators([poly_euler_poly_row(k, n) for n in range(p + 1)])
     lhs = Fraction(2 * _moment_total(rows[p], 1, m), den * m)
     at_one = [sum(row) for row in rows]
-    e = _euler_integers(p + 1)
+    e = euler_integers(p + 1)
     rhs = sum(comb(p, i) * at_one[p - i] * e[i] * (2 * m) ** (p - i) for i in range(p + 1))
     rhs += sum(
         comb(p, i - 1) * (at_one[p - i + 1] - rows[p - i + 1][0]) * (2 * m) ** (p - i) * e[i]
@@ -400,7 +393,7 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
             for t, (w, scaled) in enumerate(zip(weights, ek_scaled))
         )
         total += -inner if (h * mu + d) % 2 else inner
-    e = _euler_integers(p)
+    e = euler_integers(p)
     rhs = sum(
         comb(p, s) * (2 * m * h) ** (p - s) * e[s] * sum(ek_rows[p - s]) for s in range(p + 1)
     )
@@ -526,6 +519,6 @@ def reciprocity_closed_form_sides(p: int, h: int, m: int) -> IdentitySides:
     Fraction from `_classical_law`.  Requires odd coprime h and m.
     """
     CLOSED_FORM_HYPOTHESES.require(p=p, h=h, m=m)
-    (numerator,) = _classical_law([p], _euler_integers(p + 1))(h, m)
+    (numerator,) = _classical_law([p], euler_integers(p + 1))(h, m)
     lhs = _reciprocity_lhs(euler_poly_row(p), h, m)
     return IdentitySides.compare(lhs, Fraction(numerator, 2**p * h * m))

@@ -1,13 +1,14 @@
 """Exact rational scalars, dense polynomials, and truncated formal power series.
 
-Every computation in this package runs over arbitrary-precision rationals
-(`fractions.Fraction`) — there is no floating point anywhere.  Polynomials are
-dense coefficient lists in ascending degree; a truncated series of order N is
-a list of N + 1 coefficients representing a power series mod t^(N+1).
+Every computation in this package is exact, over Python integers and
+`fractions.Fraction` rationals — there is no floating point anywhere.
+Polynomials are dense coefficient lists in ascending degree; a truncated
+series of order N is a list of N + 1 coefficients representing a power series
+mod t^(N+1).
 
-A cached family keeps each polynomial as a `RationalRow`: the `Fraction`
-tuple, and with it its `IntegerRow`, the numerators over one common
-denominator, so that integer kernels read the cache without re-deriving it.
+A cached family keeps each polynomial as a `RationalRow`: its `IntegerRow`,
+the numerators over their least common denominator, built in integers, and
+the `Fraction` tuple derived from it once, on the first read that wants it.
 The odd-modulus distribution sum is one integer kernel on rows,
 `row_distribution`, in moment form, and `row_combination` is the integer
 linear combination of rows; the polynomial identities are checked on these
@@ -87,12 +88,6 @@ def poly_affine(p: list[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
     return poly_normalize(out)
 
 
-def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
-    """The coefficients of poly as integers over their least common denominator."""
-    den = lcm(*(c.denominator for c in poly))
-    return [c.numerator * (den // c.denominator) for c in poly], den
-
-
 class IntegerRow(NamedTuple):
     """Rationals as integer numerators over one common denominator.
 
@@ -136,18 +131,20 @@ def row_combination(terms: Iterable[tuple[int, IntegerRow]]) -> IntegerRow:
     return IntegerRow(tuple(out), den).trimmed()
 
 
-class RationalRow(tuple):
-    """A tuple of Fractions that keeps its `IntegerRow`, derived on first read.
+class RationalRow:
+    """An `IntegerRow` that derives its `Fraction` tuple once, on first read.
 
-    The caches of `sequences` keep one per entry: a reader that wants
-    Fractions copies the tuple, an integer kernel reads `integers`, so a
-    cache that no integer kernel reads never derives it.
+    The caches of `sequences` keep one per entry: an integer kernel reads
+    `integers`, a reader that wants Fractions copies `fractions`, so a cache
+    entry that no Fraction reader reads never derives it.
     """
 
+    def __init__(self, integers: IntegerRow) -> None:
+        self.integers = integers
+
     @cached_property
-    def integers(self) -> IntegerRow:
-        numerators, den = integer_coefficients(self)
-        return IntegerRow(tuple(numerators), den)
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(self.integers.fractions())
 
 
 def alternating_power_sums(m: int, degree: int) -> list[int]:

@@ -1,42 +1,44 @@
 """Special numbers and polynomials: Stirling (both kinds), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
-The Euler numbers are read off 2/(e^t + 1) = 1 - tanh(t/2) through the
-integer tangent numbers, filled by an in-place recurrence and checked at
-cache-fill time against the zigzag triangle; no series arithmetic runs here.
-The other families are built from them and the Stirling weights
-w_j(k) = j!·[t^j] Ei_k(log(1+t)), each by one route: G_n = n·E_{n-1},
-G_n^(k) = Σ_j C(n,j) w_j(k) E_{n-j} (one grow-only list per k, as the weight
-rows are), and the polynomials as binomial convolutions of the numbers.  The
-Euler, Genocchi, poly-Genocchi and poly-Euler polynomials and the weight rows
-are each kept once, as a `RationalRow`: the public functions return a fresh
-Fraction list from it, and the integer kernels read its integer row
-(`euler_poly_row`, `genocchi_poly_row`, `poly_genocchi_poly_row`,
-`poly_euler_poly_row`, `theorem3_integer_weights`).  The poly families admit
-any integer index k: for k <= 0 the weight 1/n^k is the integer n^{-k}.
+Every family is built in integers; `Fraction`s appear only in the views the
+public functions return, each derived once per cached entry.  The Euler
+numbers are E_n = e_n/2^n over the signed tangent numbers e_n, filled by an
+in-place recurrence and checked at cache-fill time against the zigzag
+triangle; no series arithmetic runs here.  The index-k families are built
+from them and the Stirling weights w_j(k) = j!·[t^j] Ei_k(log(1+t)), one
+grow-only `_IndexFamily` per k: the weight numerators W_j = L·w_j(k) over one
+scale L, checked by Stirling inversion, and the poly-Genocchi numerators
+g_n = Σ_j C(n,j)·W_j·2^j·e_{n-j} = L·2^n·G_n^(k).  One integer binomial
+convolution, `_convolution_row`, turns the numbers into the Euler, Genocchi,
+poly-Genocchi and poly-Euler polynomials, each kept once as a `RationalRow`:
+the integer kernels read its `IntegerRow` (`euler_poly_row`,
+`genocchi_poly_row`, `poly_genocchi_poly_row`, `poly_euler_poly_row`,
+`theorem3_integer_weights`), and the public functions return a fresh
+Fraction list from its view.  The poly families admit any integer index k:
+for k <= 1 the weight j^(1-k) is an integer and L = 1.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones, built as integer rows (`theorem3_combination` over the
-Euler rows and their distribution sums) and compared by the verifiers; the
-Stirling weights are checked at fill time by Stirling inversion.  The tests
-check the Euler numbers against the binomial recurrence and the series
+Euler rows and their distribution sums) and compared by the verifiers.  The
+tests check the Euler numbers against the binomial recurrence and the series
 inversion of 2/(e^t + 1), the poly-Genocchi numbers against the series
-2·Ei_k(log(1+t))/(e^t + 1), and the Theorem 3 weights against their
-`Fraction` form in `tests/oracles.py`; the oracles kept here
-(`_euler_numbers_recurrence`, `polyexp_series`) are read by the benchmark.
+2·Ei_k(log(1+t))/(e^t + 1), and the weights, the poly-Genocchi numbers, the
+rows and the Theorem 3 weights against the `Fraction` loops of
+`tests/oracles.py`; the oracles kept here (`_euler_numbers_recurrence`,
+`polyexp_series`) are read by the benchmark.
 """
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
-from math import comb, factorial, floor
+from math import comb, factorial, floor, gcd, lcm
+from operator import mul
 
 from .exact_algebra import (
     IntegerRow,
     RationalRow,
     poly_eval,
-    poly_normalize,
     row_combination,
     row_distribution,
 )
@@ -90,57 +92,157 @@ def _grow_stirling2(n: int) -> None:
         _stirling2_rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, len(prev))])
 
 
-_weight_rows: dict[int, RationalRow] = {}
+class _IndexFamily:
+    """The index-k families in integers, one grow-only instance per k.
 
-
-def _weight_row(k: int, max_n: int) -> RationalRow:
-    """The cached row [w_0(k), ...] of `stirling_weights`, grown past max_n if short.
-
-    Each k has one grow-only row, extended by its missing entries only; each new
-    N is checked by Stirling inversion over the row's integer form,
-    Σ_{n=1..N} S_2(N, n) w_n(k) = N^(1-k), or RuntimeError is raised.
+    weights[n] = L·w_n(k) for n = 0..N and numbers[n] = L·2^n·G_n^(k) for
+    n = 0..M, M <= N, share one scale L: lcm(1..N)^(k-1) for k >= 2, and 1
+    for k <= 1, where j^(1-k) is an integer.  Both lists grow by their missing
+    entries only; when N passes a prime power, L grows and the kept entries
+    are multiplied by the ratio.  The `Fraction` views of the weights and of
+    both families' numbers, and the polynomial rows, are derived once each.
     """
-    row = _weight_rows.get(k, ())
-    if len(row) <= max_n:
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.base = 1  # lcm(1..N)
+        self.scale = 1  # L
+        self.powers = [0]  # L·j^(1-k)
+        self.weights = [0]
+        self.numbers = [0]
+        self.weight_view: list[Fraction] = []
+        self.genocchi_view: list[Fraction] = []
+        self.euler_view: list[Fraction] = []
+        self.genocchi_rows: dict[int, RationalRow] = {}
+        self.euler_rows: dict[int, RationalRow] = {}
+
+    def grow_weights(self, max_n: int) -> None:
+        """Extend the weights past max_n: W_n = Σ_{j=1..n} S_1(n, j)·L·j^(1-k).
+
+        Each new N is checked by Stirling inversion in integers,
+        Σ_{n=1..N} S_2(N, n)·W_n = L·N^(1-k), or RuntimeError is raised with
+        the row left at its last checked length.
+        """
+        start = len(self.weights)
+        if start > max_n:
+            return
         _grow_stirling(max_n)
         _grow_stirling2(max_n)
-        grown = RationalRow(
-            row
-            + tuple(
-                sum((s1[j] * Fraction(j) ** (1 - k) for j in range(1, len(s1))), Fraction(0))
-                for s1 in _stirling_rows[len(row) : max_n + 1]
-            )
-        )
-        numerators, den = grown.integers
-        for big_n in range(max(len(row), 1), max_n + 1):
-            total = sum(s * w for s, w in zip(_stirling2_rows[big_n], numerators))
-            if Fraction(total, den) != Fraction(big_n) ** (1 - k):
+        k, new = self.k, range(start, max_n + 1)
+        if k >= 2:
+            base = lcm(self.base, *new)
+            ratio = (base // self.base) ** (k - 1)
+            fresh = [(base // j) ** (k - 1) for j in new]
+        else:
+            base, ratio = 1, 1
+            fresh = [j ** (1 - k) for j in new]
+        kept = (self.powers, self.weights, self.numbers)
+        if ratio > 1:
+            kept = tuple([v * ratio for v in values] for values in kept)
+        powers, weights, numbers = kept
+        powers = powers + fresh
+        weights = weights + [sum(map(mul, s1, powers)) for s1 in _stirling_rows[start : max_n + 1]]
+        for big_n in new:
+            if sum(map(mul, _stirling2_rows[big_n], weights)) != powers[big_n]:
                 raise RuntimeError(f"Stirling weight row k={k} fails inversion at N={big_n}")
-        row = _weight_rows[k] = grown
-    return row
+        self.powers, self.weights, self.numbers = powers, weights, numbers
+        self.base, self.scale = base, self.scale * ratio
+
+    def grow_numbers(self, max_n: int) -> None:
+        """Extend the numbers past max_n: g_n = Σ_{j=1..n} C(n,j)·W_j·2^j·e_{n-j}.
+
+        With e_i = 2^i·E_i, g_n/(L·2^n) = Σ_j C(n,j) w_j(k) E_{n-j} = G_n^(k);
+        e_i vanishes at even i > 0, and e_0 = 1.
+        """
+        start = len(self.numbers)
+        if start > max_n:
+            return
+        self.grow_weights(max_n)
+        signed = _signed_tangent_numbers(max_n)
+        shifted = [w << j for j, w in enumerate(self.weights[: max_n + 1])]
+        self.numbers += [
+            shifted[n] + sum(comb(n, i) * signed[i] * shifted[n - i] for i in range(1, n, 2))
+            for n in range(start, max_n + 1)
+        ]
+
+    def genocchi_row(self, n: int) -> IntegerRow:
+        """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l)."""
+        self.grow_numbers(n)
+        return _convolution_row(self.numbers, n, self.scale)
+
+    def euler_row(self, n: int) -> IntegerRow:
+        """E_n^(k)(x) = G_{n+1}^(k)(x)/(n+1), as C(n,l)/(l+1) = C(n+1,l+1)/(n+1)."""
+        self.grow_numbers(n + 1)
+        return _convolution_row(self.numbers, n + 1, (n + 1) * self.scale)
+
+
+_families: dict[int, _IndexFamily] = {}
+
+
+def _family(k: int) -> _IndexFamily:
+    family = _families.get(k)
+    if family is None:
+        family = _families[k] = _IndexFamily(k)
+    return family
+
+
+def _grown_view(
+    view: list[Fraction], max_n: int, value: Callable[[int], Fraction]
+) -> list[Fraction]:
+    """view[: max_n + 1] as a fresh list, after extending view by value(n) for its missing n."""
+    view += map(value, range(len(view), max_n + 1))
+    return view[: max_n + 1]
 
 
 def stirling_weights(k: int, max_n: int) -> list[Fraction]:
     """[w_0(k), ..., w_max_n(k)] with w_n(k) = Σ_{j=1..n} S_1(n, j) / j^(k-1).
 
     This is n!·[t^n] Ei_k(log(1+t)), the weight of the index-k poly families,
-    read from the checked row of `_weight_row`.  Each call returns a fresh list.
+    read from the checked integer row of its `_IndexFamily`.  Each call
+    returns a fresh list.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    return list(_weight_row(k, max_n)[: max_n + 1])
+    family = _family(k)
+    family.grow_weights(max_n)
+    return _grown_view(
+        family.weight_view, max_n, lambda n: Fraction(family.weights[n], family.scale)
+    )
 
 
-def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
-    """Σ_{l=0..n} C(n,l) a_l x^(n-l) for numbers = [a_0, ..., a_n, ...], normalized."""
-    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+def _reduced(numerators: list[int], den: int) -> IntegerRow:
+    """numerators/den over the least common denominator: both divided by their gcd."""
+    g = gcd(den, *numerators)
+    return IntegerRow(tuple(c // g for c in numerators), den // g)
+
+
+def _convolution_row(numbers: list[int], n: int, den: int) -> IntegerRow:
+    """Σ_{l=0..n} C(n,l)·a_l·x^(n-l) for a_l = numbers[l]/(den·2^l), reduced and trimmed.
+
+    The one binomial convolution of the cached rows: the x^i numerator is
+    C(n,i)·2^i·numbers[n-i] over den·2^n.
+    """
+    return _reduced([comb(n, i) * numbers[n - i] << i for i in range(n + 1)], den << n).trimmed()
+
+
+def _cached_row(
+    cache: dict[int, RationalRow], n: int, fill: Callable[[int], IntegerRow]
+) -> RationalRow:
+    """fill(n), kept once per n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    row = cache.get(n)
+    if row is None:
+        row = cache[n] = RationalRow(fill(n))
+    return row
 
 
 # ---------------------------------------------------------------------------
 # Euler and Genocchi numbers/polynomials
 # ---------------------------------------------------------------------------
 
-_euler_cache: list[Fraction] = []
+_euler_cache: list[int] = []  # e_n = 2^n·E_n, the signed tangent numbers
+_euler_view: list[Fraction] = []
 
 
 def _euler_numbers_recurrence(max_n: int) -> list[Fraction]:
@@ -182,52 +284,69 @@ def _zigzag_tangent_numbers(count: int) -> list[int]:
     return odd
 
 
-def euler_numbers(max_n: int) -> list[Fraction]:
-    """[E_0, ..., E_max_n], the coefficients of 2/(e^t + 1) = 1 - tanh(t/2).
+def _signed_tangent_numbers(max_n: int) -> list[int]:
+    """The cache [e_0, e_1, ...] of e_n = 2^n·E_n, filled past max_n (not a copy).
 
-    E_0 = 1, E_n = 0 for even n >= 2, and E_{2j-1} = (-1)^j T_{2j-1}/2^(2j-1)
-    for the integer tangent numbers T.  These come from an in-place integer
-    recurrence and are checked against the zigzag (boustrophedon) triangle,
-    which shares no arithmetic with it; disagreement raises RuntimeError.
+    e_0 = 1, e_n = 0 for even n >= 2, and e_{2j-1} = (-1)^j T_{2j-1} for the
+    integer tangent numbers T.  These come from an in-place recurrence and are
+    checked against the zigzag (boustrophedon) triangle, which shares no
+    arithmetic with it; disagreement raises RuntimeError.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
     if len(_euler_cache) <= max_n:
         order = max(max_n, 2 * len(_euler_cache) + 4)
         count = (order + 1) // 2  # odd indices 1, 3, ..., <= order
         tangent = _tangent_numbers(count)
         if tangent != _zigzag_tangent_numbers(count):
             raise RuntimeError("Euler number routes disagree: tangent recurrence vs zigzag")
-        filled = [Fraction(1)] + [Fraction(0)] * order
+        filled = [1] + [0] * order
         for j, t in enumerate(tangent, 1):
-            filled[2 * j - 1] = Fraction((-1) ** j * t, 2 ** (2 * j - 1))
+            filled[2 * j - 1] = (-1) ** j * t
         _euler_cache[:] = filled
-    return _euler_cache[: max_n + 1]
+    return _euler_cache
+
+
+def euler_integers(max_n: int) -> list[int]:
+    """[e_0, ..., e_max_n] with e_n = 2^n·E_n, the signed tangent numbers, a fresh list."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    return _signed_tangent_numbers(max_n)[: max_n + 1]
+
+
+def euler_numbers(max_n: int) -> list[Fraction]:
+    """[E_0, ..., E_max_n], the coefficients of 2/(e^t + 1) = 1 - tanh(t/2).
+
+    E_n = e_n/2^n over the checked signed tangent numbers e_n of
+    `_signed_tangent_numbers`; each call returns a fresh list.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    signed = _signed_tangent_numbers(max_n)
+    return _grown_view(_euler_view, max_n, lambda n: Fraction(signed[n], 1 << n))
 
 
 _euler_poly_cache: dict[int, RationalRow] = {}
 _genocchi_poly_cache: dict[int, RationalRow] = {}
 
 
-def _convolution_poly(
-    cache: dict[int, RationalRow], numbers: Callable[[int], list[Fraction]], n: int
-) -> RationalRow:
-    """binomial_convolution(numbers(n), n), kept once per n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n not in cache:
-        cache[n] = RationalRow(binomial_convolution(numbers(n), n))
-    return cache[n]
+def _euler_row(n: int) -> IntegerRow:
+    """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l), with E_l = e_l/2^l."""
+    return _convolution_row(_signed_tangent_numbers(n), n, 1)
+
+
+def _genocchi_row(n: int) -> IntegerRow:
+    """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l), with G_l = l·E_{l-1} = 2l·e_{l-1}/2^l."""
+    signed = _signed_tangent_numbers(n)
+    return _convolution_row([0] + [2 * l * signed[l - 1] for l in range(1, n + 1)], n, 1)
 
 
 def euler_poly(n: int) -> list[Fraction]:
     """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l), a fresh list per call."""
-    return list(_convolution_poly(_euler_poly_cache, euler_numbers, n))
+    return list(_cached_row(_euler_poly_cache, n, _euler_row).fractions)
 
 
 def euler_poly_row(n: int) -> IntegerRow:
     """The coefficients of E_n(x) as integers over one denominator (cached)."""
-    return _convolution_poly(_euler_poly_cache, euler_numbers, n).integers
+    return _cached_row(_euler_poly_cache, n, _euler_row).integers
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
@@ -243,12 +362,12 @@ def genocchi_numbers(max_n: int) -> list[Fraction]:
 
 def genocchi_poly(n: int) -> list[Fraction]:
     """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l), a fresh list per call."""
-    return list(_convolution_poly(_genocchi_poly_cache, genocchi_numbers, n))
+    return list(_cached_row(_genocchi_poly_cache, n, _genocchi_row).fractions)
 
 
 def genocchi_poly_row(n: int) -> IntegerRow:
     """The coefficients of G_n(x) as integers over one denominator (cached)."""
-    return _convolution_poly(_genocchi_poly_cache, genocchi_numbers, n).integers
+    return _cached_row(_genocchi_poly_cache, n, _genocchi_row).integers
 
 
 # ---------------------------------------------------------------------------
@@ -272,88 +391,76 @@ def polyexp_series(k: int, order: int) -> list[Fraction]:
     return coeffs
 
 
-_poly_genocchi_cache: dict[int, list[Fraction]] = {}
-
-
 def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     """[G_0^(k), ..., G_max_n^(k)] from 2·Ei_k(log(1+t))/(e^t + 1).
 
-    Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! with w_j(k) from `stirling_weights`, and
-    2/(e^t + 1) = Σ_n E_n t^n/n!, so G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}.
-    The cached list grows by its missing entries only; each call copies it.
+    Ei_k(log(1+t)) = Σ_j w_j(k) t^j/j! and 2/(e^t + 1) = Σ_n E_n t^n/n!, so
+    G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}: the integer g_n/(L·2^n) of
+    `_IndexFamily.grow_numbers`.  Each call returns a fresh list.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    cached = _poly_genocchi_cache.setdefault(k, [])
-    if len(cached) <= max_n:
-        euler = euler_numbers(max_n)
-        weights = stirling_weights(k, max_n)
-        cached += [
-            sum((comb(n, j) * weights[j] * euler[n - j] for j in range(1, n + 1)), Fraction(0))
-            for n in range(len(cached), max_n + 1)
-        ]
-    return cached[: max_n + 1]
-
-
-_poly_genocchi_poly_cache: dict[int, dict[int, RationalRow]] = {}
-
-
-def _poly_genocchi_row(k: int, n: int) -> RationalRow:
-    """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l), kept once per (k, n)."""
-    cache = _poly_genocchi_poly_cache.setdefault(k, {})
-    return _convolution_poly(cache, partial(poly_genocchi_numbers, k), n)
+    family = _family(k)
+    family.grow_numbers(max_n)
+    return _grown_view(
+        family.genocchi_view, max_n, lambda n: Fraction(family.numbers[n], family.scale << n)
+    )
 
 
 def poly_genocchi_poly(k: int, n: int) -> list[Fraction]:
     """G_n^(k)(x), a degree-(n-1) polynomial for n >= 1, as a fresh list per call."""
-    return list(_poly_genocchi_row(k, n))
+    family = _family(k)
+    return list(_cached_row(family.genocchi_rows, n, family.genocchi_row).fractions)
 
 
 def poly_genocchi_poly_row(k: int, n: int) -> IntegerRow:
     """The coefficients of G_n^(k)(x) as integers over one denominator (cached)."""
-    return _poly_genocchi_row(k, n).integers
+    family = _family(k)
+    return _cached_row(family.genocchi_rows, n, family.genocchi_row).integers
 
 
 def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
-    """[E_0^(k), ..., E_max_n^(k)] via E_n^(k) = G_{n+1}^(k) / (n+1)."""
+    """[E_0^(k), ..., E_max_n^(k)] via E_n^(k) = G_{n+1}^(k) / (n+1), a fresh list per call."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    genocchi = poly_genocchi_numbers(k, max_n + 1)
-    return [genocchi[n + 1] / (n + 1) for n in range(max_n + 1)]
-
-
-_poly_euler_poly_cache: dict[int, dict[int, RationalRow]] = {}
-
-
-def _poly_euler_row(k: int, n: int) -> RationalRow:
-    """E_n^(k)(x) = Σ_{l=0..n} C(n,l) E_l^(k) x^(n-l), kept once per (k, n)."""
-    cache = _poly_euler_poly_cache.setdefault(k, {})
-    return _convolution_poly(cache, partial(poly_euler_numbers, k), n)
+    family = _family(k)
+    family.grow_numbers(max_n + 1)
+    return _grown_view(
+        family.euler_view,
+        max_n,
+        lambda n: Fraction(family.numbers[n + 1], (n + 1) * family.scale << (n + 1)),
+    )
 
 
 def poly_euler_poly(k: int, n: int) -> list[Fraction]:
     """E_n^(k)(x), a degree-n polynomial, as a fresh list per call, so a caller
     cannot alter the cached polynomial.  No fill-time check guards it: `thm3`,
     `cor7`, `cor2` and `thm1` catch a wrong poly-Genocchi number."""
-    return list(_poly_euler_row(k, n))
+    family = _family(k)
+    return list(_cached_row(family.euler_rows, n, family.euler_row).fractions)
 
 
 def poly_euler_poly_row(k: int, n: int) -> IntegerRow:
     """The coefficients of E_n^(k)(x) as integers over one denominator (cached)."""
-    return _poly_euler_row(k, n).integers
+    family = _family(k)
+    return _cached_row(family.euler_rows, n, family.euler_row).integers
 
 
 def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
-    """The Theorem 3 weights a_0, ..., a_n over one denominator, read off the weight row.
+    """The Theorem 3 weights a_0, ..., a_n over their least common denominator.
 
-    With the row's numerators W over its denominator D, and
-    C(n,l)/(n+1-l) = C(n+1,l)/(n+1), a_l = C(n+1,l)·W_{n+1-l} / ((n+1)·D).
+    With the weight row's numerators W over its scale L, and
+    C(n,l)/(n+1-l) = C(n+1,l)/(n+1), a_l = C(n+1,l)·W_{n+1-l} / ((n+1)·L),
+    read off W_1..W_{n+1} and reduced, so the result does not depend on how
+    far the row has been filled.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numerators, den = _weight_row(k, n + 1).integers
-    return IntegerRow(
-        tuple(comb(n + 1, l) * numerators[n + 1 - l] for l in range(n + 1)), (n + 1) * den
+    family = _family(k)
+    family.grow_weights(n + 1)
+    weights = family.weights
+    return _reduced(
+        [comb(n + 1, l) * weights[n + 1 - l] for l in range(n + 1)], (n + 1) * family.scale
     )
 
 

@@ -8,8 +8,15 @@ route that shares no kernel with the integer kernel it checks:
 - `affine_distribution`, the odd-modulus distribution sum with each term
   p((x + s)/m) expanded by affine substitution, for `row_distribution`, and
   `alternating_distribution`, the `Fraction` view of `row_distribution`;
-- `theorem3_weights`, the Theorem 3 weights as `Fraction` products, for
-  `theorem3_integer_weights`;
+- `integer_coefficients`, a `Fraction` list over its least common
+  denominator, for the reduced integer rows of the caches;
+- `stirling_weight`, the weight w_n(k) = Σ_j S_1(n, j)/j^(k-1) summed in
+  `Fraction`s, for the integer weight rows; `poly_genocchi_sums`, the
+  poly-Genocchi numbers Σ_j C(n,j)·w_j(k)·E_{n-j} over it, for the integer
+  poly-Genocchi numbers; and `binomial_convolution`, Σ_l C(n,l) a_l x^(n-l)
+  in `Fraction`s, for the integer rows of the four polynomial families;
+- `theorem3_weights`, the Theorem 3 weights as `Fraction` products over
+  `stirling_weight`, for `theorem3_integer_weights`;
 - `alternating_bar_eval`, the sign-alternating periodic extension Ê, and
   `euler_alt_bar`, its memoized value over E_n(x), which the defining loops
   of the DC sums read.
@@ -22,12 +29,18 @@ from typing import Iterable
 
 from polydc.exact_algebra import (
     IntegerRow,
-    integer_coefficients,
     poly_affine,
     poly_eval,
+    poly_normalize,
     row_distribution,
 )
-from polydc.sequences import euler_poly, stirling_weights
+from polydc.sequences import euler_numbers, euler_poly, stirling1_row
+
+
+def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
+    """The coefficients of poly as integers over their least common denominator."""
+    den = lcm(*(c.denominator for c in poly))
+    return [c.numerator * (den // c.denominator) for c in poly], den
 
 
 def poly_combination(terms: Iterable[tuple[Fraction, list[Fraction]]]) -> list[Fraction]:
@@ -62,12 +75,35 @@ def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
     return [Fraction(c, den * m ** (len(numerators) - 1)) for c in row.numerators]
 
 
+@lru_cache(maxsize=None)
+def stirling_weight(k: int, n: int) -> Fraction:
+    """w_n(k) = Σ_{j=1..n} S_1(n, j)·j^(1-k), summed term by term in Fractions."""
+    row = stirling1_row(n)
+    return sum((row[j] * Fraction(j) ** (1 - k) for j in range(1, n + 1)), Fraction(0))
+
+
+def poly_genocchi_sums(k: int, max_n: int) -> list[Fraction]:
+    """[G_0^(k), ..., G_max_n^(k)] with G_n^(k) = Σ_{j=1..n} C(n,j)·w_j(k)·E_{n-j}."""
+    euler = euler_numbers(max_n)
+    return [
+        sum(
+            (comb(n, j) * stirling_weight(k, j) * euler[n - j] for j in range(1, n + 1)),
+            Fraction(0),
+        )
+        for n in range(max_n + 1)
+    ]
+
+
+def binomial_convolution(numbers: list[Fraction], n: int) -> list[Fraction]:
+    """Σ_{l=0..n} C(n,l) a_l x^(n-l) for numbers = [a_0, ..., a_n, ...], normalized."""
+    return poly_normalize([comb(n, n - i) * numbers[n - i] for i in range(n + 1)])
+
+
 def theorem3_weights(k: int, n: int) -> list[Fraction]:
     """[a_0, ..., a_n] with a_l = C(n,l)·w_{n+1-l}(k)/(n+1-l): E_n^(k)(x) = Σ_l a_l E_l(x)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    weights = stirling_weights(k, n + 1)
-    return [comb(n, l) * weights[n + 1 - l] / (n + 1 - l) for l in range(n + 1)]
+    return [comb(n, l) * stirling_weight(k, n + 1 - l) / (n + 1 - l) for l in range(n + 1)]
 
 
 def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:

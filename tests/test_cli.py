@@ -24,7 +24,7 @@ from polydc.cli import (
     parse_range,
 )
 from polydc.exact_algebra import format_rational, parse_rational
-from polydc.sequences import euler_poly_row
+from polydc.sequences import euler_integers, euler_poly_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -281,7 +281,7 @@ def test_unbounded_dcsum_is_rejected_before_any_work(argv, message, monkeypatch,
     def refuse(*args):
         raise AssertionError("work started")
 
-    for name in ("_row_dc_sum", "_moment_total", "_euclid_sums", "euler_numbers"):
+    for name in ("_row_dc_sum", "_moment_total", "_euclid_sums", "euler_integers"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(cli, "dc_sum", refuse)
     monkeypatch.setattr(cli, "poly_dc_sum", refuse)
@@ -326,7 +326,7 @@ def test_costly_odd_dcsum_is_rejected_before_any_work(argv, message, monkeypatch
     def refuse(*args):
         raise AssertionError("work started")
 
-    for name in ("_euclid_sums", "_row_dc_sum", "_moment_total", "euler_numbers"):
+    for name in ("_euclid_sums", "_row_dc_sum", "_moment_total", "euler_integers"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(cli, "dc_sum", refuse)
     monkeypatch.setattr(cli, "poly_dc_sum", refuse)
@@ -454,7 +454,7 @@ def test_odd_dcsum_has_no_modulus_limit(capsys):
     h, m = 12345, 9999991
     assert main(["dcsum", "p=3", f"h={h}", f"m={m}"]) == 0
     value = parse_rational(json.loads(capsys.readouterr().out)["value"])
-    (law,) = dc_sums._classical_law([3], dc_sums._euler_integers(4))(h, m)
+    (law,) = dc_sums._classical_law([3], euler_integers(4))(h, m)
     swapped = dc_sums._row_dc_sum(euler_poly_row(3), m, h)
     assert value == (Fraction(law, 8 * h * m) - h**3 * swapped) / m**3
 

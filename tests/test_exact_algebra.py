@@ -11,7 +11,6 @@ from polydc.exact_algebra import (
     exp_series,
     format_rational,
     alternating_power_sums,
-    integer_coefficients,
     log1p_series,
     parse_rational,
     poly_affine,
@@ -24,7 +23,12 @@ from polydc.exact_algebra import (
 )
 from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly
 
-from oracles import affine_distribution, alternating_distribution, poly_combination
+from oracles import (
+    affine_distribution,
+    alternating_distribution,
+    integer_coefficients,
+    poly_combination,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=16)
 small_polys = st.lists(rationals, min_size=1, max_size=7)

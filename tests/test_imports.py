@@ -3,8 +3,7 @@ name from another, the sequence constructions neither use the series engine
 nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have three
-readers only, the integer rows are derived once, when a cache entry is
-filled, no identity reaches the Euclid route of the public sums, every single
+readers only, one integer binomial convolution fills every cached row, no identity reaches the Euclid route of the public sums, every single
 DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the Fraction oracles live in
 tests/oracles.py, every package name the benchmark reads exists, and the
 package keeps an oracle only while the benchmark reads it."""
@@ -88,31 +87,36 @@ def test_only_poly_affine_expands_polynomial_products(path):
     assert callers == [], f"{path.name}: {callers} call poly_affine or poly_mul"
 
 
+def _package_callers(names: set[str]) -> list[str]:
+    return sorted(
+        name for path in sorted(PACKAGE.glob("*.py")) for name in _callers(path, names)
+    )
+
+
 def test_only_the_weight_readers_call_stirling_weights():
     # Every weighted sum over the index-k families reads the Theorem 3 weights;
-    # only they, the poly-Genocchi numbers and thm1/cor2 read the row itself.
-    callers = [
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _callers(path, {"stirling_weights"})
-    ]
-    assert sorted(callers) == [
-        "_compute_cor2",
-        "_compute_thm1",
-        "poly_genocchi_numbers",
+    # only they, the poly-Genocchi numbers and thm1/cor2 read the row itself:
+    # the integer row through `grow_weights`, thm1/cor2 its Fraction view.
+    assert _package_callers({"stirling_weights"}) == ["_compute_cor2", "_compute_thm1"]
+    assert _package_callers({"grow_weights"}) == [
+        "grow_numbers",
+        "stirling_weights",
+        "theorem3_integer_weights",
     ]
 
 
-def test_only_the_row_fill_calls_integer_coefficients():
-    # The cached polynomials and weight rows keep their integer rows with
-    # them (RationalRow.integers); every other reader takes those rows instead
-    # of re-deriving them.
-    callers = [
-        name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in _callers(path, {"integer_coefficients"})
+def test_one_integer_convolution_fills_every_cached_row():
+    # The Euler, Genocchi, poly-Genocchi and poly-Euler rows are built from
+    # integers by one binomial convolution, each once per entry; no served
+    # function derives a row from Fractions.
+    assert _package_callers({"_convolution_row"}) == [
+        "_euler_row",
+        "_genocchi_row",
+        "euler_row",
+        "genocchi_row",
     ]
-    assert callers == ["integers"]
+    assert _package_callers({"RationalRow"}) == ["_cached_row"]
+    assert _package_callers({"integer_coefficients", "binomial_convolution"}) == []
 
 
 #: The identities of dc_sums; the verifier registry serves thm10-thm14, cor15,
@@ -257,7 +261,14 @@ def test_polynomial_identities_reach_no_fraction_assembly(identity):
 def test_the_fraction_oracles_live_in_the_tests_only():
     # Without this, the test above would pass with the oracles back in the package
     # and nothing calling them.
-    moved = FRACTION_ASSEMBLY | {"theorem3_weights", "alternating_bar_eval"}
+    moved = FRACTION_ASSEMBLY | {
+        "theorem3_weights",
+        "alternating_bar_eval",
+        "integer_coefficients",
+        "binomial_convolution",
+        "stirling_weight",
+        "poly_genocchi_sums",
+    }
     defined = {
         node.name
         for path in sorted(PACKAGE.glob("*.py"))

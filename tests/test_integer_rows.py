@@ -21,7 +21,6 @@ from polydc import identity_suite
 from polydc.dc_sums import IdentitySides
 from polydc.exact_algebra import (
     IntegerRow,
-    integer_coefficients,
     poly_eval,
     poly_normalize,
     row_combination,
@@ -42,7 +41,12 @@ from polydc.sequences import (
     theorem3_combination,
 )
 
-from oracles import affine_distribution, poly_combination, theorem3_weights
+from oracles import (
+    affine_distribution,
+    integer_coefficients,
+    poly_combination,
+    theorem3_weights,
+)
 
 INDICES = range(-4, 6)
 DEGREES = range(16)

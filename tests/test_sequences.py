@@ -1,5 +1,7 @@
 """Tests for the Stirling/Euler/Genocchi families and their poly generalizations."""
 
+import functools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -11,7 +13,6 @@ from polydc import sequences
 from polydc.exact_algebra import (
     IntegerRow,
     exp_series,
-    integer_coefficients,
     log1p_series,
     poly_eval,
     poly_mul,
@@ -44,7 +45,13 @@ from polydc.sequences import (
     theorem3_integer_weights,
 )
 
-from oracles import theorem3_weights
+from oracles import (
+    binomial_convolution,
+    integer_coefficients,
+    poly_genocchi_sums,
+    stirling_weight,
+    theorem3_weights,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
@@ -129,10 +136,10 @@ def test_stirling_weights_are_first_kind_sums(k):
 
 
 def test_stirling_weight_row_grows_by_its_missing_entries(monkeypatch):
-    monkeypatch.setattr(sequences, "_weight_rows", {})
+    monkeypatch.setattr(sequences, "_families", {})
     pieces = [stirling_weights(3, n) for n in (0, 4, 4, 11, 2, 25)]
     whole = stirling_weights(3, 25)
-    assert len(sequences._weight_rows[3]) == 26
+    assert len(sequences._families[3].weights) == 26
     assert all(piece == whole[: len(piece)] for piece in pieces)
 
 
@@ -150,11 +157,11 @@ def test_stirling_weight_row_fill_check_catches_a_wrong_stirling_number(monkeypa
     rows = [stirling1_row(n) for n in range(6)]
     rows[5][2] += 7
     monkeypatch.setattr(sequences, "_stirling_rows", rows)
-    monkeypatch.setattr(sequences, "_weight_rows", {})
+    monkeypatch.setattr(sequences, "_families", {})
     stirling_weights(2, 4)  # rows 0..4 are intact
     with pytest.raises(RuntimeError):
         stirling_weights(2, 6)
-    assert len(sequences._weight_rows[2]) == 5
+    assert len(sequences._families[2].weights) == 5
 
 
 @pytest.mark.parametrize("k", [-3, 0, 1, 4])
@@ -171,6 +178,68 @@ def test_theorem3_integer_weights_equal_the_fraction_weights(k):
     for n in range(41):
         weights, den = theorem3_integer_weights(k, n)
         assert [Fraction(a, den) for a in weights] == theorem3_weights(k, n), (k, n)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 3, 16])
+def test_theorem3_integer_weights_do_not_depend_on_the_fill(monkeypatch, k):
+    # The weights are read off W_1..W_{n+1} and reduced, so a row filled far
+    # past n + 1 (a larger scale L) gives the same integers.
+    monkeypatch.setattr(sequences, "_families", {})
+    fresh = [theorem3_integer_weights(k, n) for n in range(8)]
+    stirling_weights(k, 60)
+    assert [theorem3_integer_weights(k, n) for n in range(8)] == fresh
+    for n, (weights, den) in enumerate(fresh):
+        assert (list(weights), den) == integer_coefficients(theorem3_weights(k, n)), n
+
+
+def test_theorem3_integer_weights_pinned_value(monkeypatch):
+    monkeypatch.setattr(sequences, "_families", {})
+    stirling_weights(3, 60)
+    assert theorem3_integer_weights(3, 3) == IntegerRow((-555, 784, -648, 576), 576)
+
+
+# --- the integer fill against the Fraction loops --------------------------------
+
+
+def _fill_orders(n):
+    jumping = list(range(n + 1))
+    random.Random(n).shuffle(jumping)
+    return {
+        "ascending": list(range(n + 1)),
+        "descending": list(range(n, -1, -1)),
+        "jumping": jumping,
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_fill(k, n):
+    """The weights, the poly-Genocchi numbers and the poly-Euler numbers to n + 1,
+    summed in Fractions."""
+    weights = [stirling_weight(k, j) for j in range(n + 2)]
+    genocchi = poly_genocchi_sums(k, n + 1)
+    return weights, genocchi, [genocchi[i + 1] / (i + 1) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
+@pytest.mark.parametrize(
+    "k, n", [(k, 60) for k in range(-4, 6)] + [(16, 100), (-16, 100)], ids=str
+)
+def test_integer_fill_matches_the_fraction_loops(monkeypatch, k, n, order):
+    # Every order grows the row and the numbers from an empty cache; the
+    # ascending and jumping ones grow the scale L while entries are kept.
+    weights, genocchi, euler = _fraction_fill(k, n)
+    monkeypatch.setattr(sequences, "_families", {})
+    for m in _fill_orders(n)[order]:
+        assert stirling_weights(k, m) == weights[: m + 1], m
+        assert poly_genocchi_numbers(k, m) == genocchi[: m + 1], m
+        assert poly_euler_numbers(k, m) == euler[: m + 1], m
+        poly_euler = binomial_convolution(euler, m)
+        assert poly_euler_poly(k, m) == poly_euler, m
+        assert poly_euler_poly_row(k, m) == _integer_row(poly_euler), m
+        poly_genocchi = binomial_convolution(genocchi, m)
+        assert poly_genocchi_poly(k, m) == poly_genocchi, m
+        assert poly_genocchi_poly_row(k, m) == _integer_row(poly_genocchi), m
+        assert theorem3_integer_weights(k, m) == _integer_row(theorem3_weights(k, m)), m
 
 
 # --- integer rows of the cached polynomials -------------------------------------
@@ -197,7 +266,7 @@ def test_poly_genocchi_poly_is_built_once_per_index_and_degree(monkeypatch):
     poly_genocchi_poly(2, 9)
     calls = []
     monkeypatch.setattr(
-        sequences, "binomial_convolution", lambda *args: calls.append(args) or [Fraction(0)]
+        sequences, "_convolution_row", lambda *args: calls.append(args) or IntegerRow((0,), 1)
     )
     poly_genocchi_poly(2, 9)
     poly_genocchi_poly_row(2, 9)
@@ -263,6 +332,15 @@ def test_euler_numbers_match_the_series_inversion():
     assert euler_numbers(order) == [2 * factorial(n) * inverse[n] for n in range(order + 1)]
 
 
+def test_euler_integers_are_the_scaled_euler_numbers():
+    # e_n = 2^n·E_n, the integers the DC sums' Euclid route and every row read.
+    expected = [value * 2**n for n, value in enumerate(sequences._euler_numbers_recurrence(60))]
+    assert sequences.euler_integers(60) == expected
+    first = sequences.euler_integers(5)
+    first[1] = 999
+    assert sequences.euler_integers(5) == expected[:6]
+
+
 def test_tangent_numbers_initial_segment():
     expected = [1, 2, 16, 272, 7936, 353792]
     assert sequences._tangent_numbers(6) == expected
@@ -319,7 +397,7 @@ def test_euler_and_genocchi_poly_cache_is_not_shared_with_callers(poly, cache):
     first[0] = Fraction(999)
     first.append(Fraction(7))
     assert poly(5) == expected
-    assert getattr(sequences, cache)[5] == tuple(expected)
+    assert getattr(sequences, cache)[5].fractions == tuple(expected)
 
 
 def test_euler_poly_known_values():
@@ -395,16 +473,16 @@ def test_poly_genocchi_low_entries(k):
 
 
 def test_poly_genocchi_numbers_grow_by_their_missing_entries(monkeypatch):
-    monkeypatch.setattr(sequences, "_poly_genocchi_cache", {})
+    monkeypatch.setattr(sequences, "_families", {})
     pieces = [poly_genocchi_numbers(3, n) for n in (0, 4, 4, 11, 2, 25)]
     whole = poly_genocchi_numbers(3, 25)
-    assert len(sequences._poly_genocchi_cache[3]) == 26
+    assert len(sequences._families[3].numbers) == 26
     assert all(piece == whole[: len(piece)] for piece in pieces)
     # The cached list is extended in place, so no caller may hold it.
     whole[5] = Fraction(999)
     whole.append(Fraction(7))
     assert poly_genocchi_numbers(3, 25) == pieces[-1]
-    assert len(sequences._poly_genocchi_cache[3]) == 26
+    assert len(sequences._families[3].numbers) == 26
 
 
 @pytest.mark.parametrize("k", range(-4, 6))
@@ -468,12 +546,15 @@ def test_poly_euler_distribution_route_rejects_even_modulus():
 def test_the_identities_catch_a_wrong_poly_genocchi_number(monkeypatch, verifier_id, params):
     # The poly-Euler polynomials are built once, with no fill-time check; a
     # G_7^(2) off by 5/3 reaches E_6^(2)(x) and G_7^(2)(x), and these
-    # identities compare both with sides that never read it.
-    monkeypatch.setattr(sequences, "_poly_genocchi_cache", {})
-    monkeypatch.setattr(sequences, "_poly_genocchi_poly_cache", {})
-    monkeypatch.setattr(sequences, "_poly_euler_poly_cache", {})
-    poly_genocchi_numbers(2, 20)
-    sequences._poly_genocchi_cache[2][7] += Fraction(5, 3)
+    # identities compare both with sides that never read it.  The fault goes
+    # into the integer numbers g_n = L·2^n·G_n^(2) before any view is derived.
+    monkeypatch.setattr(sequences, "_families", {})
+    family = sequences._family(2)
+    family.grow_numbers(20)
+    fault = Fraction(5, 3) * family.scale * 2**7
+    assert fault.denominator == 1
+    family.numbers[7] += fault.numerator
+    assert poly_genocchi_numbers(2, 7)[7] == poly_genocchi_sums(2, 7)[7] + Fraction(5, 3)
     assert verify(verifier_id, params).holds is False
 
 
