@@ -47,7 +47,7 @@ from math import comb, floor, gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_algebra import IntegerRow, poly_eval
+from .exact_algebra import IntegerRow, horner, poly_eval
 from .sequences import (
     euler_integers,
     euler_poly,
@@ -139,18 +139,12 @@ def _euler_alt_bar(degree: int, x: Fraction) -> Fraction:
     return -value if d % 2 else value
 
 
-def _horner(coefficients: list[int], x: int) -> int:
-    """Σ_i a_i x^i for coefficients [a_n, ..., a_0], highest degree first."""
-    value = 0
-    for c in coefficients:
-        value = value * x + c
-    return value
-
-
-def _common_numerators(rows: list[IntegerRow]) -> tuple[list[list[int]], int]:
-    """The numerators of every row over one common denominator."""
+def _common_scales(rows: Sequence[IntegerRow]) -> tuple[list[int], int]:
+    """The least common denominator D of the rows and the factor D/d of each
+    row over its own d: a sum over the rows takes them to D by one scalar per
+    row, without a scaled copy of their numerators."""
     den = lcm(*(row.den for row in rows))
-    return [[c * (den // d) for c in numerators] for numerators, d in rows], den
+    return [den // row.den for row in rows], den
 
 
 def _single_moments(h: int, m: int, degree: int) -> list[int]:
@@ -343,19 +337,22 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
        + the correction sum 2·Σ C(p,ν)E_ν^(k)E_{p+1-ν}m^(ν-1).
 
     The rhs reads E_n^(k)(1) and E_n^(k) as the sum and the constant term of
-    the rows of E_n^(k)(x), n = 0..p, over their common denominator.
+    the rows of E_n^(k)(x), n = 0..p, each scaled to their common denominator.
     """
     ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
-    rows, den = _common_numerators([poly_euler_poly_row(k, n) for n in range(p + 1)])
-    lhs = Fraction(2 * _moment_total(rows[p], 1, m), den * m)
-    at_one = [sum(row) for row in rows]
+    rows = [poly_euler_poly_row(k, n) for n in range(p + 1)]
+    scales, den = _common_scales(rows)
+    top, top_den = rows[p]
+    lhs = Fraction(2 * _moment_total(top, 1, m), top_den * m)
+    at_one = [scale * sum(row.numerators) for scale, row in zip(scales, rows)]
+    constant = [scale * row.numerators[0] for scale, row in zip(scales, rows)]
     e = euler_integers(p + 1)
     rhs = sum(comb(p, i) * at_one[p - i] * e[i] * (2 * m) ** (p - i) for i in range(p + 1))
     rhs += sum(
-        comb(p, i - 1) * (at_one[p - i + 1] - rows[p - i + 1][0]) * (2 * m) ** (p - i) * e[i]
+        comb(p, i - 1) * (at_one[p - i + 1] - constant[p - i + 1]) * (2 * m) ** (p - i) * e[i]
         for i in range(1, p + 1)
     )
-    rhs = m * rhs + _correction_numerator(rows[p], e, m)
+    rhs = m * rhs + scales[p] * _correction_numerator(top, e, m)
     return IdentitySides.compare(lhs, Fraction(rhs, den * 2**p * m))
 
 
@@ -371,32 +368,39 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     produces; with the bare sign (-1)^μ the two sides differ for h > 1.
 
     The lhs is one integer μ-loop over the numerators of E_t^(k)(x) and E_j(x),
-    each family over one common denominator, built into a Fraction once; the
-    rhs reads E_t^(k)(1) as the row sums of the same numerators.
+    built into a Fraction once over the common denominators dk and de of the
+    two families.  Each row keeps its own denominator d: its factor dk/d rides
+    on the weight of E_t^(k), and de/d on each value of E_j.  The rhs reads
+    E_t^(k)(1) as the row sums of the same numerators.
     """
     THEOREM13_HYPOTHESES.require(p=p, h=h, m=m)
-    ek_rows, dk = _common_numerators([poly_euler_poly_row(k, t) for t in range(p + 1)])
-    e_rows, de = _common_numerators([euler_poly_row(j) for j in range(p + 1)])
-    # Horner coefficients of m^t·dk·E_t^(k)(μ/m) = Σ_i q_i μ^i m^(t-i), highest first.
+    ek_rows = [poly_euler_poly_row(k, t) for t in range(p + 1)]
+    e_rows = [euler_poly_row(j) for j in range(p + 1)]
+    ek_scales, dk = _common_scales(ek_rows)
+    e_scales, de = _common_scales(e_rows)
+    m_pow = list(accumulate(repeat(m, p), mul, initial=1))
+    # m^t·d_t·E_t^(k)(μ/m) = Σ_i q_i μ^i m^(t-i): the row's numerators, scaled by m^(t-i).
     ek_scaled = [
-        [q * m ** (t - i) for i, q in enumerate(row)][::-1] for t, row in enumerate(ek_rows)
+        [q * m_pow[t - i] for i, q in enumerate(row.numerators)] for t, row in enumerate(ek_rows)
     ]
     # de·E_j(h - d) for every d = floor(hμ/m) in 0..h-1.
-    e_at = [[_horner(row[::-1], h - d) for row in e_rows] for d in range(h)]
-    weights = [comb(p, t) * h**t * m ** (p - t) for t in range(p + 1)]
+    e_at = [
+        [scale * horner(numerators, h - d) for scale, (numerators, _) in zip(e_scales, e_rows)]
+        for d in range(h)
+    ]
+    weights = [comb(p, t) * h**t * m_pow[p - t] * scale for t, scale in enumerate(ek_scales)]
     total = 0
     for mu in range(m):
         d = (h * mu) // m
         e_row = e_at[d]
         inner = sum(
-            w * _horner(scaled, mu) * e_row[p - t]
+            w * horner(scaled, mu) * e_row[p - t]
             for t, (w, scaled) in enumerate(zip(weights, ek_scaled))
         )
         total += -inner if (h * mu + d) % 2 else inner
     e = euler_integers(p)
-    rhs = sum(
-        comb(p, s) * (2 * m * h) ** (p - s) * e[s] * sum(ek_rows[p - s]) for s in range(p + 1)
-    )
+    at_one = [scale * sum(row.numerators) for scale, row in zip(ek_scales, ek_rows)]
+    rhs = sum(comb(p, s) * (2 * m * h) ** (p - s) * e[s] * at_one[p - s] for s in range(p + 1))
     return IdentitySides.compare(Fraction(total, dk * de), Fraction(rhs, dk * 2**p))
 
 
@@ -443,14 +447,16 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
     numerators, weight_den = weights
     p = len(numerators) - 1
     degrees = [l for l, a in enumerate(numerators) if a]
-    rows, row_den = _common_numerators([euler_poly_row(l) for l in degrees])
+    rows = [euler_poly_row(l) for l in degrees]
+    scales, row_den = _common_scales(rows)
     n = m * h
     a, b = _double_moments(h, m, p)
     total = 0
-    for l, row in zip(degrees, rows):
+    for l, scale, row in zip(degrees, scales, rows):
         m_pow, h_pow = m ** (p - l), h ** (p - l)
-        total += numerators[l] * sum(
-            c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i) for i, c in enumerate(row)
+        total += scale * numerators[l] * sum(
+            c * (m_pow * a[i] + h_pow * b[i]) * n ** (l - i)
+            for i, c in enumerate(row.numerators)
         )
     return Fraction(2 * total, weight_den * row_den * n)
 

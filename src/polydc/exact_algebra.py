@@ -6,6 +6,13 @@ Polynomials are dense coefficient lists in ascending degree; a truncated
 series of order N is a list of N + 1 coefficients representing a power series
 mod t^(N+1).
 
+Polynomials are evaluated in integers: `horner` is the package's one Horner
+loop, Σ_i N_i a^i b^(d-i) over integer numerators N_i at x = a/b.
+`IntegerRow.numerator_at` is its b = 1 case, and `poly_eval` runs it over
+the coefficients' numerators over their least common denominator and builds
+one Fraction at the end; Horner's rule on Fractions, with its two
+normalising gcds per coefficient, is the tests' oracle (`tests/oracles.py`).
+
 A cached family keeps each polynomial as a `RationalRow`: its `IntegerRow`,
 the numerators over their least common denominator, built in integers, and
 the `Fraction` tuple derived from it once, on the first read that wants it.
@@ -22,8 +29,10 @@ because the benchmark's size ladders time them.
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
-from typing import Iterable, NamedTuple
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 
 def format_rational(q: Fraction) -> str:
@@ -59,12 +68,36 @@ def poly_normalize(coeffs: list[Fraction]) -> list[Fraction]:
     return out if out else [Fraction(0)]
 
 
+def horner(numerators: Sequence[int], a: int, b: int = 1) -> int:
+    """Σ_i N_i a^i b^(d-i) over the integers N_0, ..., N_d: b^d times the
+    polynomial Σ_i N_i x^i at x = a/b, by Horner's rule in integers.
+
+    The package's one Horner loop.  At b = 1 it is one multiply-add per
+    coefficient; otherwise each N_i is first scaled by b^(d-i).
+    """
+    if b != 1:
+        d = len(numerators) - 1
+        powers = list(accumulate(repeat(b, d), mul, initial=1))
+        numerators = [c * powers[d - i] for i, c in enumerate(numerators)]
+    value = 0
+    for c in reversed(numerators):
+        value = value * a + c
+    return value
+
+
 def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    """Evaluate p at x by Horner's rule."""
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p(x) as a Fraction, for Fraction or int coefficients and x.
+
+    One integer pass: the numerators N_i = c_i·D over the least common
+    denominator D of the coefficients, `horner` at x = a/b, and one Fraction
+    Σ_i N_i a^i b^(d-i) / (D·b^d) at the end.
+    """
+    if not p:
+        return Fraction(0)
+    den = lcm(*(c.denominator for c in p))
+    numerators = [c.numerator * (den // c.denominator) for c in p]
+    a, b = x.numerator, x.denominator
+    return Fraction(horner(numerators, a, b), den * b ** (len(p) - 1))
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -105,11 +138,8 @@ class IntegerRow(NamedTuple):
         return self if end == len(self.numerators) else IntegerRow(self.numerators[:end], self.den)
 
     def numerator_at(self, x: int) -> int:
-        """den times the polynomial's value at the integer x, by Horner's rule."""
-        value = 0
-        for c in reversed(self.numerators):
-            value = value * x + c
-        return value
+        """den times the polynomial's value at the integer x, by `horner`."""
+        return horner(self.numerators, x)
 
     def fractions(self) -> list[Fraction]:
         """The coefficients as a Fraction list."""

@@ -60,14 +60,12 @@ from .dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
-from .exact_algebra import IntegerRow, alternating_power_sums, poly_eval, row_distribution
+from .exact_algebra import IntegerRow, alternating_power_sums, row_distribution
 from .sequences import (
     euler_numbers,
-    euler_poly,
     euler_poly_row,
     genocchi_poly_row,
     poly_euler_numbers,
-    poly_euler_poly,
     poly_euler_poly_row,
     poly_euler_row_via_corollary7,
     poly_genocchi_numbers,
@@ -154,10 +152,15 @@ def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
 # --- compute functions -----------------------------------------------------
 
 
+def _value_at(row: IntegerRow, x: int) -> Fraction:
+    """The polynomial of a cached integer row at the integer x."""
+    return Fraction(row.numerator_at(x), row.den)
+
+
 def _compute_eq4(n: int, l: int) -> IdentitySides:
     lhs = brute_alternating_power_sum(n, l)
     sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-    rhs = sign * poly_eval(euler_poly(l), Fraction(n)) + euler_numbers(l)[l]
+    rhs = sign * _value_at(euler_poly_row(l), n) + euler_numbers(l)[l]
     return IdentitySides.compare(lhs, rhs)
 
 
@@ -201,17 +204,14 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
 
 def _compute_thm4(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = sign * poly_eval(poly_genocchi_poly(k, n), Fraction(x)) + poly_genocchi_numbers(k, n)[n]
+    lhs = sign * _value_at(poly_genocchi_poly_row(k, n), x) + poly_genocchi_numbers(k, n)[n]
     rhs = 2 * n * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = (
-        sign * poly_eval(poly_euler_poly(k, n - 1), Fraction(x))
-        + poly_euler_numbers(k, n - 1)[n - 1]
-    )
+    lhs = sign * _value_at(poly_euler_poly_row(k, n - 1), x) + poly_euler_numbers(k, n - 1)[n - 1]
     rhs = 2 * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 

@@ -70,7 +70,8 @@ def stirling1(n: int, m: int) -> int:
         raise ValueError("stirling1 requires nonnegative n and m")
     if m > n:
         return 0
-    _grow_stirling(n)
+    if n >= len(_stirling_rows):
+        _grow_stirling(n)
     return _stirling_rows[n][m]
 
 
@@ -78,7 +79,8 @@ def stirling1_row(n: int) -> list[int]:
     """The row [S_1(n, 0), ..., S_1(n, n)]."""
     if n < 0:
         raise ValueError("stirling1 requires nonnegative n")
-    _grow_stirling(n)
+    if n >= len(_stirling_rows):
+        _grow_stirling(n)
     return list(_stirling_rows[n])
 
 

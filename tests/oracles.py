@@ -3,6 +3,8 @@
 No served value reads any of them.  Each computes in `Fraction`s, along a
 route that shares no kernel with the integer kernel it checks:
 
+- `fraction_horner`, Horner's rule on `Fraction`s, for `poly_eval` and the
+  one integer Horner loop, `exact_algebra.horner`;
 - `poly_combination`, the linear combination of `Fraction` polynomials, for
   `row_combination`;
 - `affine_distribution`, the odd-modulus distribution sum with each term
@@ -17,9 +19,9 @@ route that shares no kernel with the integer kernel it checks:
   in `Fraction`s, for the integer rows of the four polynomial families;
 - `theorem3_weights`, the Theorem 3 weights as `Fraction` products over
   `stirling_weight`, for `theorem3_integer_weights`;
-- `alternating_bar_eval`, the sign-alternating periodic extension Ê, and
-  `euler_alt_bar`, its memoized value over E_n(x), which the defining loops
-  of the DC sums read.
+- `alternating_bar_eval`, the sign-alternating periodic extension Ê by
+  `fraction_horner`, and `euler_alt_bar`, its memoized value over E_n(x),
+  which the defining loops of the DC sums read.
 """
 
 from fractions import Fraction
@@ -27,14 +29,16 @@ from functools import lru_cache
 from math import comb, floor, lcm
 from typing import Iterable
 
-from polydc.exact_algebra import (
-    IntegerRow,
-    poly_affine,
-    poly_eval,
-    poly_normalize,
-    row_distribution,
-)
+from polydc.exact_algebra import IntegerRow, poly_affine, poly_normalize, row_distribution
 from polydc.sequences import euler_numbers, euler_poly, stirling1_row
+
+
+def fraction_horner(p: list[Fraction], x: Fraction) -> Fraction:
+    """p(x) by Horner's rule on Fractions, one normalising step per coefficient."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def integer_coefficients(poly: list[Fraction]) -> tuple[list[int], int]:
@@ -113,7 +117,7 @@ def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
     (period 2, antiperiod 1).
     """
     d = floor(x)
-    value = poly_eval(p, x - d)
+    value = fraction_horner(p, x - d)
     return -value if d % 2 else value
 
 

@@ -21,7 +21,6 @@ from polydc.dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
-from polydc.exact_algebra import poly_eval
 from polydc.identity_suite import verify
 from polydc.sequences import (
     bar_eval,
@@ -33,7 +32,7 @@ from polydc.sequences import (
     stirling1_row,
 )
 
-from oracles import alternating_bar_eval, euler_alt_bar
+from oracles import alternating_bar_eval, euler_alt_bar, fraction_horner
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
@@ -144,8 +143,8 @@ def reference_theorem13_lhs(k, p, h, m):
             (
                 comb(p, s)
                 * Fraction(h) ** s
-                * poly_eval(poly_euler_poly(k, s), Fraction(mu, m))
-                * poly_eval(euler_poly(p - s), Fraction(h - d))
+                * fraction_horner(poly_euler_poly(k, s), Fraction(mu, m))
+                * fraction_horner(euler_poly(p - s), Fraction(h - d))
                 for s in range(p + 1)
             ),
             Fraction(0),

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydc.exact_algebra import (
+    IntegerRow,
     exp_series,
     format_rational,
     alternating_power_sums,
+    horner,
     log1p_series,
     parse_rational,
     poly_affine,
@@ -21,11 +23,12 @@ from polydc.exact_algebra import (
     series_mul,
     series_reciprocal,
 )
-from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly
+from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly, poly_genocchi_poly
 
 from oracles import (
     affine_distribution,
     alternating_distribution,
+    fraction_horner,
     integer_coefficients,
     poly_combination,
 )
@@ -78,6 +81,87 @@ def test_poly_eval_horner():
     # 1 - 2x + 3x^2 at x = 1/2
     p = [Fraction(1), Fraction(-2), Fraction(3)]
     assert poly_eval(p, Fraction(1, 2)) == Fraction(3, 4)
+
+
+# --- Horner evaluation in integers ---------------------------------------------
+#
+# `poly_eval` runs the one integer Horner loop, `horner`, over the numerators
+# of the coefficients at x = a/b; the reference (`fraction_horner`) is Horner's
+# rule on Fractions.
+
+
+@pytest.mark.parametrize(
+    "p, x, value",
+    [
+        ([], Fraction(3, 7), 0),
+        ([], 5, 0),
+        ([0], Fraction(-2, 9), 0),
+        ([Fraction(0)], 4, 0),
+        ([2, 0, 0], Fraction(5, 3), 2),
+        ([1, 2, 3], 2, 17),
+        ([1, 2, 3], -2, 9),
+        ([Fraction(1, 2), 3], Fraction(-1, 6), 0),
+    ],
+)
+def test_poly_eval_always_returns_a_fraction(p, x, value):
+    result = poly_eval(p, x)
+    assert type(result) is Fraction
+    assert result == value == fraction_horner(p, x)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.fractions(max_denominator=10**9),
+)
+points = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=64),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
+
+
+@given(
+    st.lists(coefficients, max_size=14),
+    st.integers(min_value=0, max_value=3),
+    points,
+)
+@settings(deadline=None)
+def test_poly_eval_matches_the_fraction_horner_oracle(p, trailing_zeros, x):
+    p = p + [0] * trailing_zeros
+    result = poly_eval(p, x)
+    assert type(result) is Fraction
+    assert result == fraction_horner(p, x)
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=12),
+    points.filter(lambda x: x.denominator == 1 or x.denominator < 10**6),
+)
+def test_horner_is_the_homogeneous_sum(numerators, x):
+    a, b = x.numerator, x.denominator
+    d = len(numerators) - 1
+    expected = sum(c * a**i * b ** (d - i) for i, c in enumerate(numerators))
+    assert horner(numerators, a, b) == expected
+    assert IntegerRow(tuple(numerators), 7).numerator_at(a) == horner(numerators, a)
+
+
+#: The seq-build points ±(2n+1+2c)/5, c = 0, 1, of the served rows of degree n.
+SERVED_FAMILIES = {"poly-euler": poly_euler_poly, "poly-genocchi": poly_genocchi_poly}
+
+
+@pytest.mark.parametrize("family", SERVED_FAMILIES)
+@pytest.mark.parametrize("k", range(-4, 6))
+def test_poly_eval_matches_the_oracle_on_the_served_rows(family, k):
+    for n in range(61):
+        poly = SERVED_FAMILIES[family](k, n)
+        for c in (0, 1):
+            for sign in (1, -1):
+                x = Fraction(sign * (2 * n + 1 + 2 * c), 5)
+                assert poly_eval(poly, x) == fraction_horner(poly, x), (k, n, x)
 
 
 @given(small_polys, small_polys, rationals)

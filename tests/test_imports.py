@@ -5,8 +5,9 @@ sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have three
 readers only, one integer binomial convolution fills every cached row, no identity reaches the Euclid route of the public sums, every single
 DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the Fraction oracles live in
-tests/oracles.py, every package name the benchmark reads exists, and the
-package keeps an oracle only while the benchmark reads it."""
+tests/oracles.py, the package steps Horner's rule in one loop, every package
+name the benchmark reads exists, and the package keeps an oracle only while
+the benchmark reads it."""
 
 import ast
 import importlib
@@ -276,6 +277,51 @@ def test_the_fraction_oracles_live_in_the_tests_only():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert not defined & moved
+
+
+def _is_horner_step(node: ast.AST) -> bool:
+    """node is v = v·x + c (the product's factors and the sum's terms in
+    either order), the step of Horner's rule."""
+    if not (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Add)
+    ):
+        return False
+    target = node.targets[0].id
+    return any(
+        isinstance(term, ast.BinOp)
+        and isinstance(term.op, ast.Mult)
+        and any(isinstance(f, ast.Name) and f.id == target for f in (term.left, term.right))
+        for term in (node.value.left, node.value.right)
+    )
+
+
+def _horner_loops(package: Path) -> list[str]:
+    """module.function for every loop in the package that steps Horner's rule."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not _is_horner_step(node):
+                continue
+            loop, up = False, parents.get(node)
+            while up is not None and not isinstance(up, ast.FunctionDef):
+                loop = loop or isinstance(up, (ast.For, ast.While))
+                up = parents.get(up)
+            if loop:
+                found.append(f"{path.stem}.{up.name if up is not None else '<module>'}")
+    return found
+
+
+def test_the_package_has_one_horner_loop():
+    # poly_eval, IntegerRow.numerator_at and thm13 evaluate polynomials through
+    # one integer kernel; the Fraction Horner loop is the tests' oracle.
+    assert _horner_loops(PACKAGE) == ["exact_algebra.horner"]
+    assert _package_callers({"horner"}) == ["numerator_at", "poly_eval", "theorem13_sides"]
 
 
 BENCH = PACKAGE.parents[1] / "bench"

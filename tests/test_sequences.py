@@ -81,6 +81,17 @@ def test_stirling1_triangle_rows():
     assert stirling1_row(5) == [0, 24, -50, 35, -10, 1]
 
 
+def test_stirling1_lookups_read_a_filled_row_without_growing(monkeypatch):
+    stirling1_row(12)
+
+    def refuse(n):
+        raise AssertionError(f"grew the triangle for a filled row {n}")
+
+    monkeypatch.setattr(sequences, "_grow_stirling", refuse)
+    assert [stirling1(12, m) for m in range(13)] == stirling1_row(12)
+    assert stirling1(4, 2) == 11
+
+
 def test_stirling1_out_of_triangle():
     assert stirling1(3, 5) == 0
     with pytest.raises(ValueError):
