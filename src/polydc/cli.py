@@ -37,19 +37,19 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from math import floor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import identity_suite
 from .dc_sums import DC_SUM_HYPOTHESES, dc_sum, euclid_chain, poly_dc_sum
-from .exact_algebra import format_rational, parse_rational, poly_eval
+from .exact_algebra import format_rational, parse_rational
 from .identity_suite import EXPLORATORY_IDS, VERIFIER_IDS, VerificationReport
 from .sequences import (
-    bar_eval,
     euler_numbers,
-    euler_poly,
+    euler_poly_row,
     genocchi_numbers,
     poly_euler_numbers,
-    poly_euler_poly,
+    poly_euler_poly_row,
     poly_genocchi_numbers,
     sawtooth,
     stirling1,
@@ -322,13 +322,10 @@ def _run_eval(args: argparse.Namespace) -> _Handled:
         if n * (len(str(abs(x.numerator))) + len(str(x.denominator))) > MAX_EVAL_DIGITS:
             raise ValueError(f"n times the digits of x must be at most {MAX_EVAL_DIGITS}")
         if needs_k:
-            poly = poly_euler_poly(_index_k(_int_param(raw, "k")), n)
+            row = poly_euler_poly_row(_index_k(_int_param(raw, "k")), n)
         else:
-            poly = euler_poly(n)
-        if kind.startswith("bar-"):
-            value = bar_eval(poly, x)
-        else:
-            value = poly_eval(poly, x)
+            row = euler_poly_row(n)
+        value = row.value_at(x - floor(x) if kind.startswith("bar-") else x)
     return _render_value(value, args.format), 0
 
 

@@ -8,23 +8,25 @@ mod t^(N+1).
 
 Polynomials are evaluated in integers: `horner` is the package's one Horner
 loop, Σ_i N_i a^i b^(d-i) over integer numerators N_i at x = a/b.
-`IntegerRow.numerator_at` is its b = 1 case, and `poly_eval` runs it over
-the coefficients' numerators over their least common denominator and builds
-one Fraction at the end; Horner's rule on Fractions, with its two
-normalising gcds per coefficient, is the tests' oracle (`tests/oracles.py`).
+`IntegerRow.value_at` runs it at a rational x and builds one Fraction at the
+end, and `poly_eval` calls it on the coefficients' numerators over their
+least common denominator; Horner's rule on Fractions, with its two normalising gcds per
+coefficient, is the tests' oracle (`tests/oracles.py`).
 
 A cached family keeps each polynomial as a `RationalRow`: its `IntegerRow`,
 the numerators over their least common denominator, built in integers, and
 the `Fraction` tuple derived from it once, on the first read that wants it.
-The odd-modulus distribution sum is one integer kernel on rows,
-`row_distribution`, in moment form, and `row_combination` is the integer
-linear combination of rows; the polynomial identities are checked on these
-rows end to end.  Their `Fraction` references, the linear combination
-`poly_combination` and the distribution sum expanded term by term, live in
-`tests/oracles.py`.  `poly_affine`, `poly_mul` and the truncated series
-primitives serve no value either (the Euler numbers come from integer
-tangent numbers): the tests read them as oracles, and they stay here only
-because the benchmark's size ladders time them.
+One integer kernel on rows, `distributed_combination`, serves both the
+linear combination of rows (m = 1) and the alternating distribution sum of
+a combination of rows (m >= 1): it combines the rows first and distributes
+once, in moment form; the polynomial identities are checked on its rows end
+to end.  Its references, the `Fraction` linear combination
+`poly_combination`, the distribution sum expanded term by term, and the
+per-row integer route it replaced, live in `tests/oracles.py`.
+`poly_affine`, `poly_mul` and the truncated series primitives serve no value
+either (the Euler numbers come from integer tangent numbers): the tests read
+them as oracles, and they stay here only because the benchmark's size
+ladders time them.
 """
 
 from fractions import Fraction
@@ -88,16 +90,13 @@ def horner(numerators: Sequence[int], a: int, b: int = 1) -> int:
 def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     """p(x) as a Fraction, for Fraction or int coefficients and x.
 
-    One integer pass: the numerators N_i = c_i·D over the least common
-    denominator D of the coefficients, `horner` at x = a/b, and one Fraction
-    Σ_i N_i a^i b^(d-i) / (D·b^d) at the end.
+    One integer pass: the row of numerators c_i·D over the least common
+    denominator D of the coefficients, evaluated by `IntegerRow.value_at`.
     """
     if not p:
         return Fraction(0)
     den = lcm(*(c.denominator for c in p))
-    numerators = [c.numerator * (den // c.denominator) for c in p]
-    a, b = x.numerator, x.denominator
-    return Fraction(horner(numerators, a, b), den * b ** (len(p) - 1))
+    return IntegerRow(tuple(c.numerator * (den // c.denominator) for c in p), den).value_at(x)
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -137,28 +136,14 @@ class IntegerRow(NamedTuple):
             end -= 1
         return self if end == len(self.numerators) else IntegerRow(self.numerators[:end], self.den)
 
-    def numerator_at(self, x: int) -> int:
-        """den times the polynomial's value at the integer x, by `horner`."""
-        return horner(self.numerators, x)
+    def value_at(self, x: Fraction) -> Fraction:
+        """The polynomial at the rational (or int) x = a/b: horner(N, a, b)/(den·b^d)."""
+        a, b = x.numerator, x.denominator
+        return Fraction(horner(self.numerators, a, b), self.den * b ** (len(self.numerators) - 1))
 
     def fractions(self) -> list[Fraction]:
         """The coefficients as a Fraction list."""
         return [Fraction(c, self.den) for c in self.numerators]
-
-
-def row_combination(terms: Iterable[tuple[int, IntegerRow]]) -> IntegerRow:
-    """Σ c·row over the (c, row) terms with integer c, trimmed.
-
-    One integer pass over the least common multiple of the row denominators.
-    """
-    terms = list(terms)
-    den = lcm(*(row.den for _, row in terms))
-    out = [0] * max((len(row.numerators) for _, row in terms), default=1)
-    for c, (numerators, row_den) in terms:
-        scale = c * (den // row_den)
-        for i, a in enumerate(numerators):
-            out[i] += scale * a
-    return IntegerRow(tuple(out), den).trimmed()
 
 
 class RationalRow:
@@ -188,25 +173,38 @@ def alternating_power_sums(m: int, degree: int) -> list[int]:
     return power_sums
 
 
-def row_distribution(row: IntegerRow, m: int) -> IntegerRow:
-    """m^d·Σ_{s=0..m-1} (-1)^s p((x + s)/m) for the polynomial p of row, d = len - 1.
+def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> IntegerRow:
+    """Σ c·m^d·Σ_{s=0..m-1} (-1)^s p((x + s)/m) over the (c, row) terms with
+    integer c, for the polynomial p of each row and d = len(row) - 1, trimmed.
 
-    The odd-modulus distribution sum, over the same denominator as row and
-    trimmed.  Moment form: with the numerators N_i of p, the x^j numerator is
-    Σ_{i>=j} N_i m^(d-i) C(i,j) P_{i-j} over the integer alternating power
-    sums P_t of `alternating_power_sums`.  Requires m >= 1.
+    The package's one row kernel: at m = 1 it is the plain combination Σ c·p.
+    It combines first, over the least common multiple D of the row
+    denominators, Q_i = Σ c·(D/den)·N_i·m^(d-i) over the numerators N_i of
+    each row, as (Σ c·(D/den)·m^d·N_i) / m^i: one scale per row, and one
+    exact division per coefficient, since i <= d in every term.  Then it
+    distributes once: the x^j numerator is Σ_t Q_{j+t}·C(j+t, t)·P_t over the
+    nonzero integer alternating power sums P_t of `alternating_power_sums`
+    (only P_0 = 1 at m = 1).  Requires m >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    numerators = row.numerators
-    degree = len(numerators) - 1
-    power_sums = alternating_power_sums(m, degree)
-    scaled = [c * m ** (degree - i) for i, c in enumerate(numerators)]
+    terms = list(terms)
+    den = lcm(*(row.den for _, row in terms))
+    size = max((len(row.numerators) for _, row in terms), default=1)
+    powers = list(accumulate(repeat(m, size - 1), mul, initial=1))
+    combined = [0] * size
+    for c, (numerators, row_den) in terms:
+        scale = c * (den // row_den) * powers[len(numerators) - 1]
+        for i, a in enumerate(numerators):
+            combined[i] += scale * a
+    combined = [q // power for q, power in zip(combined, powers)]
+    degree = size - 1
+    sums = [(t, p) for t, p in enumerate(alternating_power_sums(m, degree)) if p]
     out = tuple(
-        sum(scaled[i] * comb(i, j) * power_sums[i - j] for i in range(j, degree + 1))
-        for j in range(degree + 1)
+        sum(combined[j + t] * comb(j + t, t) * p for t, p in sums if t <= degree - j)
+        for j in range(size)
     )
-    return IntegerRow(out, row.den).trimmed()
+    return IntegerRow(out, den).trimmed()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ polynomials evaluated at a common witness point (x = 1 when they agree, the
 first integer where they differ otherwise), so `holds == (lhs == rhs)` still
 holds for every report.  These identities (`eq18`, `thm3`, `thm6`, `cor7`,
 `oracle_equivalence`) are checked end to end on integer rows: both sides are
-an `IntegerRow` of the cached polynomials, the Theorem 3 weights and the
-integer distribution kernel, compared by cross-multiplication, and only the
-two witness values are built as Fractions.
+an `IntegerRow` of the cached polynomials, the Theorem 3 weights and one
+call of the row kernel `distributed_combination`, compared by
+cross-multiplication, and only the two witness values are built as
+Fractions.
 
 The `sawtooth_t1_exploratory` verifier is expected to fail at some points:
 it documents a genuine mismatch between the degree-1 sum and its sawtooth
@@ -60,14 +61,13 @@ from .dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
-from .exact_algebra import IntegerRow, alternating_power_sums, row_distribution
+from .exact_algebra import IntegerRow, alternating_power_sums, distributed_combination
 from .sequences import (
     euler_numbers,
     euler_poly_row,
     genocchi_poly_row,
     poly_euler_numbers,
     poly_euler_poly_row,
-    poly_euler_row_via_corollary7,
     poly_genocchi_numbers,
     poly_genocchi_poly,
     poly_genocchi_poly_row,
@@ -133,7 +133,7 @@ def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
     The rows are equal when their trimmed numerators agree after each is
     multiplied by the other row's denominator; both sides are then the value
     at 1, the sum of the numerators over the denominator.  Unequal rows are
-    evaluated, by integer Horner, at the first integer x >= 0 where they
+    evaluated, by `IntegerRow.value_at`, at the first integer x >= 0 where they
     differ (a nonzero polynomial of degree d cannot vanish at d+1 distinct
     points, so the search always terminates).
     """
@@ -143,31 +143,26 @@ def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
         value = Fraction(sum(a), a_den)
         return IdentitySides.compare(value, value)
     for x in range(max(len(a), len(b)) + 1):
-        left, right = lhs.numerator_at(x), rhs.numerator_at(x)
-        if left * b_den != right * a_den:
-            return IdentitySides.compare(Fraction(left, a_den), Fraction(right, b_den))
+        left, right = lhs.value_at(x), rhs.value_at(x)
+        if left != right:
+            return IdentitySides.compare(left, right)
     raise RuntimeError("unequal polynomials with no witness point")
 
 
 # --- compute functions -----------------------------------------------------
 
 
-def _value_at(row: IntegerRow, x: int) -> Fraction:
-    """The polynomial of a cached integer row at the integer x."""
-    return Fraction(row.numerator_at(x), row.den)
-
-
 def _compute_eq4(n: int, l: int) -> IdentitySides:
     lhs = brute_alternating_power_sum(n, l)
     sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-    rhs = sign * _value_at(euler_poly_row(l), n) + euler_numbers(l)[l]
+    rhs = sign * euler_poly_row(l).value_at(n) + euler_numbers(l)[l]
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_eq18(n: int, m: int) -> IdentitySides:
     # E_n(x) has degree n, so the kernel's m^n is the m^n of the relation.
     base = euler_poly_row(n)
-    return _row_witness(base, row_distribution(base, m))
+    return _row_witness(base, distributed_combination([(1, base)], m))
 
 
 def _compute_thm1(n: int, k: int) -> IdentitySides:
@@ -189,7 +184,7 @@ def _compute_cor2(n: int, k: int) -> IdentitySides:
 
 
 def _compute_thm3(k: int, n: int) -> IdentitySides:
-    return _row_witness(poly_euler_poly_row(k, n), theorem3_combination(k, n, euler_poly_row))
+    return _row_witness(poly_euler_poly_row(k, n), theorem3_combination(k, n, euler_poly_row, 1))
 
 
 def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
@@ -204,14 +199,14 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
 
 def _compute_thm4(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = sign * _value_at(poly_genocchi_poly_row(k, n), x) + poly_genocchi_numbers(k, n)[n]
+    lhs = sign * poly_genocchi_poly_row(k, n).value_at(x) + poly_genocchi_numbers(k, n)[n]
     rhs = 2 * n * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = sign * _value_at(poly_euler_poly_row(k, n - 1), x) + poly_euler_numbers(k, n - 1)[n - 1]
+    lhs = sign * poly_euler_poly_row(k, n - 1).value_at(x) + poly_euler_numbers(k, n - 1)[n - 1]
     rhs = 2 * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
@@ -219,12 +214,13 @@ def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
 def _compute_thm6(k: int, n: int, m: int) -> IdentitySides:
     # G_l(x) has degree l - 1 (and G_0 = 0), so the kernel's m^(l-1) is the
     # m^l/m of Theorem 6.
-    rhs = theorem3_combination(k, n, lambda l: row_distribution(genocchi_poly_row(l), m))
+    rhs = theorem3_combination(k, n, genocchi_poly_row, m)
     return _row_witness(poly_genocchi_poly_row(k, n), rhs)
 
 
 def _compute_cor7(k: int, n: int, m: int) -> IdentitySides:
-    return _row_witness(poly_euler_poly_row(k, n), poly_euler_row_via_corollary7(k, n, m))
+    # E_l(x) has degree l, so the kernel's m^l is the m^l of Corollary 7.
+    return _row_witness(poly_euler_poly_row(k, n), theorem3_combination(k, n, euler_poly_row, m))
 
 
 def _compute_lemma8(k: int, p: int, s: int) -> IdentitySides:

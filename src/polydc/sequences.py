@@ -19,8 +19,9 @@ Fraction list from its view.  The poly families admit any integer index k:
 for k <= 1 the weight j^(1-k) is an integer and L = 1.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
-for the served ones, built as integer rows (`theorem3_combination` over the
-Euler rows and their distribution sums) and compared by the verifiers.  The
+for the served ones, built as integer rows by one call each of
+`theorem3_combination` (over the Euler rows at m = 1 and at odd m, and over
+the Genocchi rows for Theorem 6) and compared by the verifiers.  The
 tests check the Euler numbers against the binomial recurrence and the series
 inversion of 2/(e^t + 1), the poly-Genocchi numbers against the series
 2·Ei_k(log(1+t))/(e^t + 1), and the weights, the poly-Genocchi numbers, the
@@ -35,13 +36,7 @@ from itertools import accumulate
 from math import comb, factorial, floor, gcd, lcm
 from operator import mul
 
-from .exact_algebra import (
-    IntegerRow,
-    RationalRow,
-    poly_eval,
-    row_combination,
-    row_distribution,
-)
+from .exact_algebra import IntegerRow, RationalRow, distributed_combination, poly_eval
 
 # ---------------------------------------------------------------------------
 # Stirling numbers of the first kind (signed), grow-only triangle
@@ -466,42 +461,36 @@ def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
     )
 
 
-def theorem3_combination(k: int, n: int, rows: Callable[[int], IntegerRow]) -> IntegerRow:
-    """Σ_l a_l·rows(l) over the Theorem 3 weights a_0, ..., a_n of (k, n), trimmed.
+def theorem3_combination(k: int, n: int, rows: Callable[[int], IntegerRow], m: int) -> IntegerRow:
+    """Σ_l a_l·m^(d_l)·Σ_{s=0..m-1} (-1)^s p_l((x + s)/m) over the Theorem 3
+    weights a_0, ..., a_n of (k, n), for the polynomial p_l of rows(l) and
+    d_l = len(rows(l)) - 1, trimmed; at m = 1 it is Σ_l a_l·rows(l).
 
-    One `row_combination` over the integer weights, whose denominator
+    One `distributed_combination` over the integer weights, whose denominator
     multiplies the result's; rows(l) is read only where a_l is nonzero.
     """
     weights, den = theorem3_integer_weights(k, n)
-    total = row_combination((a, rows(l)) for l, a in enumerate(weights) if a)
+    total = distributed_combination(((a, rows(l)) for l, a in enumerate(weights) if a), m)
     return IntegerRow(total.numerators, total.den * den)
 
 
 def poly_euler_via_theorem3(k: int, n: int) -> list[Fraction]:
     """E_n^(k)(x) = Σ_l a_l E_l(x) over the Theorem 3 weights (the Theorem 3 oracle route)."""
-    return theorem3_combination(k, n, euler_poly_row).fractions()
-
-
-def poly_euler_row_via_corollary7(k: int, n: int, m: int) -> IntegerRow:
-    """E_n^(k)(x) by the distribution-based closed form for odd m, as an integer row.
-
-    Σ_l a_l m^l Σ_{s=0..m-1} (-1)^s E_l((s+x)/m) over the Theorem 3 weights
-    a_l: E_l(x) has degree l, so `row_distribution` of its row carries the m^l.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if m < 1 or m % 2 == 0:
-        raise ValueError("m must be a positive odd integer")
-    return theorem3_combination(k, n, lambda l: row_distribution(euler_poly_row(l), m))
+    return theorem3_combination(k, n, euler_poly_row, 1).fractions()
 
 
 def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
     """E_n^(k)(x) by the distribution-based closed form, for odd modulus m.
 
-    The Fraction view of `poly_euler_row_via_corollary7`; must equal
-    poly_euler_poly(k, n) for every odd m.
+    Σ_l a_l m^l Σ_{s=0..m-1} (-1)^s E_l((s+x)/m) over the Theorem 3 weights
+    a_l: E_l(x) has degree l, so `theorem3_combination` carries the m^l.  Must
+    equal poly_euler_poly(k, n) for every odd m.
     """
-    return poly_euler_row_via_corollary7(k, n, m).fractions()
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if m < 1 or m % 2 == 0:
+        raise ValueError("m must be a positive odd integer")
+    return theorem3_combination(k, n, euler_poly_row, m).fractions()
 
 
 # ---------------------------------------------------------------------------

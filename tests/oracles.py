@@ -1,15 +1,20 @@
 """The reference routes the tests compare served values with.
 
-No served value reads any of them.  Each computes in `Fraction`s, along a
-route that shares no kernel with the integer kernel it checks:
+No served value reads any of them.  All but the per-row route compute in
+`Fraction`s, along a route that shares no kernel with the integer kernel they
+check:
 
 - `fraction_horner`, Horner's rule on `Fraction`s, for `poly_eval` and the
   one integer Horner loop, `exact_algebra.horner`;
-- `poly_combination`, the linear combination of `Fraction` polynomials, for
-  `row_combination`;
-- `affine_distribution`, the odd-modulus distribution sum with each term
-  p((x + s)/m) expanded by affine substitution, for `row_distribution`, and
-  `alternating_distribution`, the `Fraction` view of `row_distribution`;
+- `poly_combination`, the linear combination of `Fraction` polynomials, and
+  `affine_distribution`, the distribution sum with each term p((x + s)/m)
+  expanded by affine substitution, for the one row kernel
+  `distributed_combination`; `alternating_distribution` is that kernel's
+  one-term `Fraction` view;
+- the per-row route the row kernel replaced, in integers: one
+  `row_distribution` per term, then `row_combination`, and
+  `per_row_theorem3`, the Theorem 3 combination along it, for
+  `theorem3_combination` at every modulus;
 - `integer_coefficients`, a `Fraction` list over its least common
   denominator, for the reduced integer rows of the caches;
 - `stirling_weight`, the weight w_n(k) = Σ_j S_1(n, j)/j^(k-1) summed in
@@ -27,10 +32,16 @@ route that shares no kernel with the integer kernel it checks:
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
-from polydc.exact_algebra import IntegerRow, poly_affine, poly_normalize, row_distribution
-from polydc.sequences import euler_numbers, euler_poly, stirling1_row
+from polydc.exact_algebra import (
+    IntegerRow,
+    alternating_power_sums,
+    distributed_combination,
+    poly_affine,
+    poly_normalize,
+)
+from polydc.sequences import euler_numbers, euler_poly, stirling1_row, theorem3_integer_weights
 
 
 def fraction_horner(p: list[Fraction], x: Fraction) -> Fraction:
@@ -73,10 +84,52 @@ def affine_distribution(p: list[Fraction], m: int) -> list[Fraction]:
 
 def alternating_distribution(p: list[Fraction], m: int) -> list[Fraction]:
     """Σ_{s=0..m-1} (-1)^s p((x + s)/m), expanded: the `Fraction` view of
-    `row_distribution`, normalized.  Requires m >= 1."""
+    `distributed_combination` on the one term (1, p), normalized.  Requires m >= 1."""
     numerators, den = integer_coefficients(p)
-    row = row_distribution(IntegerRow(tuple(numerators), den), m)
+    row = distributed_combination([(1, IntegerRow(tuple(numerators), den))], m)
     return [Fraction(c, den * m ** (len(numerators) - 1)) for c in row.numerators]
+
+
+def row_combination(terms: Iterable[tuple[int, IntegerRow]]) -> IntegerRow:
+    """Σ c·row over the (c, row) terms with integer c, trimmed, over the least
+    common multiple of the row denominators."""
+    terms = list(terms)
+    den = lcm(*(row.den for _, row in terms))
+    out = [0] * max((len(row.numerators) for _, row in terms), default=1)
+    for c, (numerators, row_den) in terms:
+        scale = c * (den // row_den)
+        for i, a in enumerate(numerators):
+            out[i] += scale * a
+    return IntegerRow(tuple(out), den).trimmed()
+
+
+def row_distribution(row: IntegerRow, m: int) -> IntegerRow:
+    """m^d·Σ_{s=0..m-1} (-1)^s p((x + s)/m) for the polynomial p of row, d = len - 1,
+    over row's denominator and trimmed: the x^j numerator is
+    Σ_{i>=j} N_i m^(d-i) C(i,j) P_{i-j}, one O(d^2) pass per row.  Requires m >= 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    numerators = row.numerators
+    degree = len(numerators) - 1
+    power_sums = alternating_power_sums(m, degree)
+    scaled = [c * m ** (degree - i) for i, c in enumerate(numerators)]
+    out = tuple(
+        sum(scaled[i] * comb(i, j) * power_sums[i - j] for i in range(j, degree + 1))
+        for j in range(degree + 1)
+    )
+    return IntegerRow(out, row.den).trimmed()
+
+
+def per_row_theorem3(k: int, n: int, distributed: Callable[[int], IntegerRow]) -> IntegerRow:
+    """Σ_l a_l·distributed(l) over the Theorem 3 weights of (k, n) by `row_combination`.
+
+    With distributed(l) = row_distribution(rows(l), m) it is the per-row route
+    to theorem3_combination(k, n, rows, m); distributed(l) is read only where
+    a_l is nonzero.
+    """
+    weights, den = theorem3_integer_weights(k, n)
+    total = row_combination((a, distributed(l)) for l, a in enumerate(weights) if a)
+    return IntegerRow(total.numerators, total.den * den)
 
 
 @lru_cache(maxsize=None)

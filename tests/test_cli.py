@@ -23,7 +23,7 @@ from polydc.cli import (
     main,
     parse_range,
 )
-from polydc.exact_algebra import format_rational, parse_rational
+from polydc.exact_algebra import IntegerRow, format_rational, parse_rational
 from polydc.sequences import euler_integers, euler_poly_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,8 +255,8 @@ def test_size_above_max_table_n_is_rejected_before_any_construction(argv, monkey
         "poly_genocchi_numbers",
         "poly_euler_numbers",
         "stirling1",
-        "euler_poly",
-        "poly_euler_poly",
+        "euler_poly_row",
+        "poly_euler_poly_row",
     )
     for name in constructions:
         monkeypatch.setattr(cli, name, refuse)
@@ -365,7 +365,7 @@ def test_eval_of_an_oversize_x_is_rejected_before_any_construction(argv, monkeyp
     def refuse(*args):
         raise AssertionError("construction started")
 
-    for name in ("euler_poly", "poly_euler_poly", "poly_eval", "bar_eval"):
+    for name in ("euler_poly_row", "poly_euler_poly_row"):
         monkeypatch.setattr(cli, name, refuse)
     assert main(argv) == 2
     assert f"at most {MAX_EVAL_DIGITS}" in capsys.readouterr().err
@@ -381,8 +381,8 @@ def test_eval_of_an_oversize_x_is_rejected_before_any_construction(argv, monkeyp
     ids=lambda argv: argv[1],
 )
 def test_eval_admits_x_at_the_digit_cap(argv, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "euler_poly", lambda n: [Fraction(1)])
-    monkeypatch.setattr(cli, "poly_euler_poly", lambda k, n: [Fraction(1)])
+    monkeypatch.setattr(cli, "euler_poly_row", lambda n: IntegerRow((1,), 1))
+    monkeypatch.setattr(cli, "poly_euler_poly_row", lambda k, n: IntegerRow((1,), 1))
     assert main(argv) == 0
     capsys.readouterr()
 
@@ -497,7 +497,13 @@ def test_index_k_above_the_cap_is_rejected_before_any_construction(argv, k, monk
     def refuse(*args):
         raise AssertionError("construction started")
 
-    for name in ("poly_genocchi_numbers", "poly_euler_numbers", "poly_euler_poly", "poly_dc_sum"):
+    constructions = (
+        "poly_genocchi_numbers",
+        "poly_euler_numbers",
+        "poly_euler_poly_row",
+        "poly_dc_sum",
+    )
+    for name in constructions:
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(identity_suite, "verify", refuse)
     monkeypatch.setattr(identity_suite, "sweep", refuse)

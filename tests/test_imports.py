@@ -4,7 +4,8 @@ nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have three
 readers only, one integer binomial convolution fills every cached row, no identity reaches the Euclid route of the public sums, every single
-DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the Fraction oracles live in
+DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the row kernel is
+called once per combination and never per term, the Fraction oracles live in
 tests/oracles.py, the package steps Horner's rule in one loop, every package
 name the benchmark reads exists, and the package keeps an oracle only while
 the benchmark reads it."""
@@ -230,6 +231,8 @@ POLYNOMIAL_IDENTITIES = (
     "_compute_oracle_equivalence",
 )
 FRACTION_ASSEMBLY = {"poly_combination", "alternating_distribution"}
+#: The one kernel that combines integer rows and their distribution sums.
+ROW_KERNEL = "distributed_combination"
 
 
 def _package_reachable(root: str) -> set[str]:
@@ -255,8 +258,50 @@ def test_polynomial_identities_reach_no_fraction_assembly(identity):
     # Fraction linear combination and the Fraction distribution sum are the
     # tests' reference routes.
     reached = _package_reachable(identity)
-    assert "row_distribution" in reached or "row_combination" in reached, identity
+    assert ROW_KERNEL in reached, identity
     assert not reached & FRACTION_ASSEMBLY, f"{identity} reaches {reached & FRACTION_ASSEMBLY}"
+
+
+def _enclosing_repeats(tree: ast.AST, names: set[str]) -> list[str]:
+    """function:kind for every call of one of names that sits in a loop, a
+    comprehension or a lambda of its function."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    repeats = (
+        ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda
+    )
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _identifiers(node.func) & names):
+            continue
+        kinds, up = [], parents.get(node)
+        while up is not None and not isinstance(up, ast.FunctionDef):
+            if isinstance(up, repeats):
+                kinds.append(type(up).__name__)
+            up = parents.get(up)
+        found += [f"{up.name if up is not None else '<module>'}:{kind}" for kind in kinds]
+    return found
+
+
+def test_the_row_kernel_combines_first_and_distributes_once():
+    # A combination of distribution sums is one kernel call: combined first,
+    # distributed once, O(n^2).  One call per term, then a sum of the rows,
+    # was O(n^3); that per-row route is the tests' oracle (tests/oracles.py).
+    found, defined = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += _enclosing_repeats(tree, {ROW_KERNEL})
+        found += [
+            f"{node.func.id}:Lambda"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "theorem3_combination"
+            and any(isinstance(arg, ast.Lambda) for arg in node.args)
+        ]
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert found == []
+    assert ROW_KERNEL in defined
+    assert not defined & {"row_combination", "row_distribution", "poly_euler_row_via_corollary7"}
 
 
 def test_the_fraction_oracles_live_in_the_tests_only():
@@ -318,10 +363,11 @@ def _horner_loops(package: Path) -> list[str]:
 
 
 def test_the_package_has_one_horner_loop():
-    # poly_eval, IntegerRow.numerator_at and thm13 evaluate polynomials through
-    # one integer kernel; the Fraction Horner loop is the tests' oracle.
+    # IntegerRow.value_at (which poly_eval, eval and the row witness read) and
+    # thm13 evaluate polynomials through one integer kernel; the Fraction
+    # Horner loop is the tests' oracle.
     assert _horner_loops(PACKAGE) == ["exact_algebra.horner"]
-    assert _package_callers({"horner"}) == ["numerator_at", "poly_eval", "theorem13_sides"]
+    assert _package_callers({"horner"}) == ["theorem13_sides", "value_at"]
 
 
 BENCH = PACKAGE.parents[1] / "bench"

@@ -1,13 +1,17 @@
 """The polynomial identities on integer rows, against the Fraction routes they replaced.
 
 `eq18`, `thm3`, `thm6`, `cor7` and `oracle_equivalence` compare integer rows
-built by `row_distribution` and `row_combination`.  The references here
-expand every distribution term p((x + s)/m) by affine substitution
-(`affine_distribution`), assemble with `poly_combination` over the `Fraction`
-Theorem 3 weights (all three from `tests/oracles.py`), and pick the witness
-with the `Fraction` witness the row witness replaced; none of them shares a
-kernel with the served rows.  The grids (k -4..5, n <= 15, odd m <= 13) are
-wider than the acceptance grids.
+built by the one row kernel, `distributed_combination`, which combines the
+terms first and distributes once.  The references here expand every
+distribution term p((x + s)/m) by affine substitution (`affine_distribution`),
+assemble with `poly_combination` over the `Fraction` Theorem 3 weights (all
+three from `tests/oracles.py`), and pick the witness with the `Fraction`
+witness the row witness replaced; none of them shares a kernel with the
+served rows.  The grids (k -4..5, n <= 15, odd m <= 13) are wider than the
+acceptance grids.  The per-row integer route the kernel replaced, one
+distribution per term and then the combination (`per_row_theorem3`), is the
+differential oracle of `theorem3_combination` on wider grids still (n <= 40,
+odd m <= 15, and |k| = 16 at n = 60 and 100).
 """
 
 from fractions import Fraction
@@ -21,10 +25,9 @@ from polydc import identity_suite
 from polydc.dc_sums import IdentitySides
 from polydc.exact_algebra import (
     IntegerRow,
+    distributed_combination,
     poly_eval,
     poly_normalize,
-    row_combination,
-    row_distribution,
 )
 from polydc.identity_suite import verify
 from polydc.sequences import (
@@ -34,7 +37,6 @@ from polydc.sequences import (
     genocchi_poly_row,
     poly_euler_poly,
     poly_euler_poly_row,
-    poly_euler_row_via_corollary7,
     poly_euler_via_corollary7,
     poly_euler_via_theorem3,
     poly_genocchi_poly,
@@ -44,7 +46,9 @@ from polydc.sequences import (
 from oracles import (
     affine_distribution,
     integer_coefficients,
+    per_row_theorem3,
     poly_combination,
+    row_distribution,
     theorem3_weights,
 )
 
@@ -114,7 +118,7 @@ def test_row_distribution_matches_the_affine_reference(family):
     for n in DEGREES:
         degree = len(poly(n)) - 1
         for m in [*ODD_MODULI, 2, 4]:
-            served = row_distribution(row(n), m)
+            served = distributed_combination([(1, row(n))], m)
             expected = [c * m**degree for c in reference_distribution(family, n, m)]
             assert served.fractions() == expected, (family, n, m)
             assert served.den == row(n).den
@@ -128,7 +132,7 @@ small_rows = st.lists(st.integers(-50, 50), min_size=1, max_size=8).flatmap(
 @given(st.lists(st.tuples(st.integers(-9, 9), small_rows), max_size=5))
 @settings(deadline=None)
 def test_row_combination_matches_poly_combination(terms):
-    served = row_combination(terms)
+    served = distributed_combination(terms, 1)
     expected = poly_combination((c, row.fractions()) for c, row in terms)
     assert served.fractions() == expected
     assert served == served.trimmed()
@@ -138,7 +142,7 @@ def test_row_helpers():
     row = IntegerRow((3, -1, 2, 0, 0), 6)
     assert row.trimmed() == IntegerRow((3, -1, 2), 6)
     assert IntegerRow((0, 0), 5).trimmed() == IntegerRow((0,), 5)
-    assert [row.numerator_at(x) for x in range(3)] == [3, 4, 9]
+    assert [row.value_at(x) for x in range(3)] == [Fraction(3, 6), Fraction(4, 6), Fraction(9, 6)]
     assert row.trimmed().fractions() == [Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)]
 
 
@@ -147,17 +151,67 @@ def test_row_helpers():
 def test_row_distribution_matches_the_affine_reference_on_random_rows(row, m):
     poly = row.fractions()
     expected = [c * m ** (len(poly) - 1) for c in affine_distribution(poly, m)]
-    assert row_distribution(row, m).fractions() == expected
+    assert distributed_combination([(1, row)], m).fractions() == expected
+
+
+def _mixed_rows(size: int) -> st.SearchStrategy[IntegerRow]:
+    """Rows of 1..size numerators over denominators 1..36, trailing zeros allowed."""
+    return st.lists(st.integers(-60, 60), min_size=1, max_size=size).flatmap(
+        lambda numerators: st.integers(1, 36).map(lambda den: IntegerRow(tuple(numerators), den))
+    )
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), _mixed_rows(9)), max_size=6), st.integers(1, 12))
+@settings(deadline=None)
+def test_distributed_combination_matches_the_affine_reference_on_many_terms(terms, m):
+    # Rows of mixed degree and denominator; m = 1 is the plain combination,
+    # and an even m is a valid input of the kernel.
+    served = distributed_combination(terms, m)
+    expected = poly_combination(
+        (c * m ** (len(row.numerators) - 1), affine_distribution(row.fractions(), m))
+        for c, row in terms
+    )
+    assert served.fractions() == expected
+    assert served == served.trimmed()
 
 
 # --- the Theorem 3, Corollary 7 and Theorem 6 rows ----------------------------------
+
+#: The rows that theorem3_combination reads for Corollary 7 and Theorem 6.
+ROW_FAMILIES = {"euler": euler_poly_row, "genocchi": genocchi_poly_row}
+
+
+@cache
+def per_row_distribution(family: str, l: int, m: int) -> IntegerRow:
+    """The per-row route's distribution of the family's degree-l row, kept per (family, l, m)."""
+    return row_distribution(ROW_FAMILIES[family](l), m)
+
+
+def assert_matches_the_per_row_route(k, n, m):
+    for family, rows in ROW_FAMILIES.items():
+        expected = per_row_theorem3(k, n, partial(per_row_distribution, family, m=m))
+        assert theorem3_combination(k, n, rows, m) == expected, (family, k, n, m)
+
+
+@pytest.mark.parametrize("k", INDICES)
+def test_theorem3_combination_matches_the_per_row_route(k):
+    for n in range(41):
+        for m in range(1, 16, 2):
+            assert_matches_the_per_row_route(k, n, m)
+
+
+@pytest.mark.parametrize("k", [-16, 16])
+@pytest.mark.parametrize("n", [60, 100])
+def test_theorem3_combination_matches_the_per_row_route_at_the_index_cap(k, n):
+    for m in (3, 99):
+        assert_matches_the_per_row_route(k, n, m)
 
 
 @pytest.mark.parametrize("k", INDICES)
 def test_theorem3_rows_match_the_fraction_route(k):
     for n in DEGREES:
         expected = reference_theorem3(k, n)
-        assert theorem3_combination(k, n, euler_poly_row).fractions() == expected, (k, n)
+        assert theorem3_combination(k, n, euler_poly_row, 1).fractions() == expected, (k, n)
         assert poly_euler_via_theorem3(k, n) == expected, (k, n)
 
 
@@ -166,7 +220,8 @@ def test_corollary7_rows_match_the_fraction_route(k):
     for n in DEGREES:
         for m in ODD_MODULI:
             expected = reference_corollary7(k, n, m)
-            assert poly_euler_row_via_corollary7(k, n, m).fractions() == expected, (k, n, m)
+            served = theorem3_combination(k, n, euler_poly_row, m)
+            assert served.fractions() == expected, (k, n, m)
             assert poly_euler_via_corollary7(k, n, m) == expected, (k, n, m)
 
 
