@@ -47,7 +47,7 @@ from math import comb, floor, gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_algebra import IntegerRow, horner, poly_eval
+from .exact_algebra import IntegerRow, horner, poly_eval, residue_moments
 from .sequences import (
     euler_integers,
     euler_poly,
@@ -149,14 +149,11 @@ def _common_scales(rows: Sequence[IntegerRow]) -> tuple[list[int], int]:
 
 def _single_moments(h: int, m: int, degree: int) -> list[int]:
     """S_i = Σ_{μ=1..m-1} (-1)^(μ+d) μ r^i for i = 0..degree, d, r = divmod(hμ, m)."""
-    moments = [0] * (degree + 1)
+    weights = [0] * m
     for mu in range(1, m):
         d, r = divmod(h * mu, m)
-        term = -mu if (mu + d) % 2 else mu
-        for i in range(degree + 1):
-            moments[i] += term
-            term *= r
-    return moments
+        weights[r] += -mu if (mu + d) % 2 else mu
+    return residue_moments(weights, degree)
 
 
 def _moment_total(numerators: Sequence[int], h: int, m: int) -> int:
@@ -411,18 +408,14 @@ def _double_moments(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
     and sign (-1)^(μ+ν+d), so that Ê_l(ν/h + μ/m) = (-1)^d E_l(r/(mh)).
     """
     n = m * h
-    a_moments = [0] * (degree + 1)
-    b_moments = [0] * (degree + 1)
+    a_weights, b_weights = [0] * n, [0] * n
     for mu in range(m):
         for nu in range(h):
             d, r = divmod(nu * m + mu * h, n)
-            a, b = (-mu * h, -nu * m) if (mu + nu + d) % 2 else (mu * h, nu * m)
-            for i in range(degree + 1):
-                a_moments[i] += a
-                b_moments[i] += b
-                a *= r
-                b *= r
-    return a_moments, b_moments
+            sign = -1 if (mu + nu + d) % 2 else 1
+            a_weights[r] += sign * mu * h
+            b_weights[r] += sign * nu * m
+    return residue_moments(a_weights, degree), residue_moments(b_weights, degree)
 
 
 def _reciprocity_lhs(row: IntegerRow, h: int, m: int) -> Fraction:
@@ -500,11 +493,10 @@ def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:
     """The classical (k = 1) reciprocity law against its single-sum right side.
 
     lhs: `_reciprocity_lhs` over E_p(x), from the single moments; rhs:
-    `corollary15_rhs`, from the double moments.  Requires odd h and odd m.
+    `corollary15_rhs`, from the double moments, which first checks odd h and m.
     """
-    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
-    lhs = _reciprocity_lhs(euler_poly_row(p), h, m)
-    return IdentitySides.compare(lhs, corollary15_rhs(p, h, m))
+    rhs = corollary15_rhs(p, h, m)
+    return IdentitySides.compare(_reciprocity_lhs(euler_poly_row(p), h, m), rhs)
 
 
 def k1_collapse_sides(p: int, h: int, m: int) -> IdentitySides:

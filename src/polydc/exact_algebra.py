@@ -11,7 +11,8 @@ loop, Σ_i N_i a^i b^(d-i) over integer numerators N_i at x = a/b.
 `IntegerRow.value_at` runs it at a rational x and builds one Fraction at the
 end, and `poly_eval` calls it on the coefficients' numerators over their
 least common denominator; Horner's rule on Fractions, with its two normalising gcds per
-coefficient, is the tests' oracle (`tests/oracles.py`).
+coefficient, is the tests' oracle (`tests/oracles.py`).  Every weighted power
+sum over residues, Σ_r w_r·r^i, is read from one loop, `residue_moments`.
 
 A cached family keeps each polynomial as a `RationalRow`: its `IntegerRow`,
 the numerators over their least common denominator, built in integers, and
@@ -162,15 +163,20 @@ class RationalRow:
         return tuple(self.integers.fractions())
 
 
+def residue_moments(weights: Sequence[int], degree: int) -> list[int]:
+    """[Σ_r weights[r]·r^i for i = 0..degree] over r = 0..len - 1 (0^0 = 1): the
+    package's one moment loop, one product of the weights by the residues per degree."""
+    moments = [sum(weights)]
+    residues = range(len(weights))
+    for _ in range(degree):
+        weights = list(map(mul, weights, residues))
+        moments.append(sum(weights))
+    return moments
+
+
 def alternating_power_sums(m: int, degree: int) -> list[int]:
-    """[P_0, ..., P_degree] with P_t = Σ_{s=0..m-1} (-1)^s s^t (0^0 = 1), in integers."""
-    power_sums = [0] * (degree + 1)
-    for s in range(m):
-        term = -1 if s % 2 else 1
-        for t in range(degree + 1):
-            power_sums[t] += term
-            term *= s
-    return power_sums
+    """[P_0, ..., P_degree], P_t = Σ_{s=0..m-1} (-1)^s s^t: the moments of the weights (-1)^s."""
+    return residue_moments([-1 if s % 2 else 1 for s in range(m)], degree)
 
 
 def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> IntegerRow:

@@ -1,8 +1,8 @@
 """The reference routes the tests compare served values with.
 
-No served value reads any of them.  All but the per-row route compute in
-`Fraction`s, along a route that shares no kernel with the integer kernel they
-check:
+No served value reads any of them.  All but the per-row route and the
+per-term moment loops compute in `Fraction`s, along a route that shares no
+kernel with the integer kernel they check:
 
 - `fraction_horner`, Horner's rule on `Fraction`s, for `poly_eval` and the
   one integer Horner loop, `exact_algebra.horner`;
@@ -26,7 +26,12 @@ check:
   `stirling_weight`, for `theorem3_integer_weights`;
 - `alternating_bar_eval`, the sign-alternating periodic extension Ê by
   `fraction_horner`, and `euler_alt_bar`, its memoized value over E_n(x),
-  which the defining loops of the DC sums read.
+  which the defining loops of the DC sums read;
+- the per-term moment loops, in integers, that `exact_algebra.residue_moments`
+  replaced: `alternating_power_sums_by_term`, `single_moments_by_term` and
+  `double_moments_by_term` step each term's power through every degree and
+  add it there, for `alternating_power_sums` and the single and double
+  moments of `dc_sums`.
 """
 
 from fractions import Fraction
@@ -178,3 +183,45 @@ def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
 def euler_alt_bar(degree: int, x: Fraction) -> Fraction:
     """Ê_degree(x) over the Euler polynomial E_degree(x), memoized."""
     return alternating_bar_eval(euler_poly(degree), x)
+
+
+def alternating_power_sums_by_term(m: int, degree: int) -> list[int]:
+    """[P_0, ..., P_degree] with P_t = Σ_{s=0..m-1} (-1)^s s^t (0^0 = 1), term by term."""
+    power_sums = [0] * (degree + 1)
+    for s in range(m):
+        term = -1 if s % 2 else 1
+        for t in range(degree + 1):
+            power_sums[t] += term
+            term *= s
+    return power_sums
+
+
+def single_moments_by_term(h: int, m: int, degree: int) -> list[int]:
+    """S_i = Σ_{μ=1..m-1} (-1)^(μ+d) μ r^i for i = 0..degree, d, r = divmod(hμ, m),
+    term by term."""
+    moments = [0] * (degree + 1)
+    for mu in range(1, m):
+        d, r = divmod(h * mu, m)
+        term = -mu if (mu + d) % 2 else mu
+        for i in range(degree + 1):
+            moments[i] += term
+            term *= r
+    return moments
+
+
+def double_moments_by_term(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
+    """A_i = Σ ± μh r^i and B_i = Σ ± νm r^i for i = 0..degree, term by term, over
+    μ = 0..m-1, ν = 0..h-1 with d, r = divmod(νm + μh, mh) and sign (-1)^(μ+ν+d)."""
+    n = m * h
+    a_moments = [0] * (degree + 1)
+    b_moments = [0] * (degree + 1)
+    for mu in range(m):
+        for nu in range(h):
+            d, r = divmod(nu * m + mu * h, n)
+            a, b = (-mu * h, -nu * m) if (mu + nu + d) % 2 else (mu * h, nu * m)
+            for i in range(degree + 1):
+                a_moments[i] += a
+                b_moments[i] += b
+                a *= r
+                b *= r
+    return a_moments, b_moments

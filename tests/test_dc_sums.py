@@ -32,7 +32,13 @@ from polydc.sequences import (
     stirling1_row,
 )
 
-from oracles import alternating_bar_eval, euler_alt_bar, fraction_horner
+from oracles import (
+    alternating_bar_eval,
+    double_moments_by_term,
+    euler_alt_bar,
+    fraction_horner,
+    single_moments_by_term,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 
@@ -463,6 +469,25 @@ def test_closed_form_reciprocity_rejects_non_coprime_pairs():
         reciprocity_closed_form_sides(2, 3, 9)
 
 
+def test_corollary15_checks_its_hypotheses_once(monkeypatch):
+    # corollary15_sides reads the check of corollary15_rhs, which runs before
+    # either side is built; the error is the one it always gave.
+    calls = []
+    require = dc_sums.Hypotheses.require
+
+    def counted(self, **point):
+        calls.append(point)
+        return require(self, **point)
+
+    monkeypatch.setattr(dc_sums.Hypotheses, "require", counted)
+    assert corollary15_sides(3, 5, 7).holds
+    assert calls == [{"p": 3, "h": 5, "m": 7}]
+    monkeypatch.setattr(dc_sums, "_reciprocity_lhs", None)
+    with pytest.raises(ValueError, match="^h must be a positive odd integer$"):
+        corollary15_sides(2, 2, 3)
+    assert len(calls) == 2
+
+
 def test_corollary15_rhs_rejects_even_parameters():
     with pytest.raises(ValueError):
         corollary15_rhs(2, 2, 3)
@@ -495,6 +520,46 @@ def test_identity_rejects_like_its_verifier(function, verifier_id, params):
     with pytest.raises(ValueError) as verified:
         verify(verifier_id, params)
     assert str(direct.value) == str(verified.value)
+
+
+# --- the moment kernels against the per-term loops ---------------------------
+
+#: Odd and even moduli up to 61, coprime pairs and pairs with a common factor.
+MOMENT_MODULI = (1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 21, 25, 33, 45, 60, 61)
+
+
+@pytest.mark.parametrize("m", range(1, 62))
+def test_single_moments_match_the_per_term_loop(m):
+    for h in range(1, 62):
+        assert dc_sums._single_moments(h, m, 8) == single_moments_by_term(h, m, 8), (h, m)
+    for degree in range(8):
+        assert dc_sums._single_moments(7, m, degree) == single_moments_by_term(7, m, degree)
+
+
+@pytest.mark.parametrize("m", MOMENT_MODULI)
+def test_double_moments_match_the_per_term_loop(m):
+    for h in MOMENT_MODULI:
+        for degree in (0, 1, 8):
+            expected = double_moments_by_term(h, m, degree)
+            assert dc_sums._double_moments(h, m, degree) == expected, (h, m, degree)
+
+
+@given(data=st.data(), h=st.integers(1, 10_000), p=st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_moments_match_the_per_term_loops_at_large_moduli(data, h, p):
+    m = data.draw(st.integers(1, 10_000 // h), label="m")
+    assert dc_sums._double_moments(h, m, p) == double_moments_by_term(h, m, p)
+    assert dc_sums._single_moments(h, m, p) == single_moments_by_term(h, m, p)
+
+
+@pytest.mark.parametrize("h, m", [(100, 100), (99, 101), (1, 10_000), (10_000, 1), (2, 4999)])
+def test_double_moments_match_the_per_term_loop_at_mh_10_000(h, m):
+    assert dc_sums._double_moments(h, m, 6) == double_moments_by_term(h, m, 6)
+
+
+@pytest.mark.parametrize("h", [1, 2, 9973, 12345])
+def test_single_moments_match_the_per_term_loop_at_the_dcsum_cap(h):
+    assert dc_sums._single_moments(h, 10_000, 6) == single_moments_by_term(h, 10_000, 6)
 
 
 # --- properties beyond the acceptance grid ------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydc.exact_algebra import (
@@ -19,6 +19,7 @@ from polydc.exact_algebra import (
     poly_eval,
     poly_mul,
     poly_normalize,
+    residue_moments,
     series_compose,
     series_mul,
     series_reciprocal,
@@ -28,6 +29,7 @@ from polydc.sequences import euler_poly, genocchi_poly, poly_euler_poly, poly_ge
 from oracles import (
     affine_distribution,
     alternating_distribution,
+    alternating_power_sums_by_term,
     fraction_horner,
     integer_coefficients,
     poly_combination,
@@ -233,6 +235,31 @@ def test_alternating_distribution_matches_reference_on_random_polys(p, m):
 def test_alternating_power_sums_match_direct_sums(m):
     expected = [sum((-1) ** s * s**t for s in range(m)) for t in range(9)]
     assert alternating_power_sums(m, 8) == expected
+
+
+@pytest.mark.parametrize("m", range(41))
+def test_alternating_power_sums_match_the_per_term_loop(m):
+    # The residue-moment kernel against the per-term loop it replaced, at
+    # every degree up to 40 (each degree's list, not only its prefix).
+    for degree in range(41):
+        assert alternating_power_sums(m, degree) == alternating_power_sums_by_term(m, degree)
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=40),
+    st.integers(min_value=0, max_value=12),
+)
+@example([], 0)
+@example([], 5)
+@example([7], 0)
+@example([-3], 4)
+@example([0, 0, 5], 0)
+@settings(deadline=None)
+def test_residue_moments_are_the_weighted_power_sums(weights, degree):
+    # Python's 0**0 is 1, so the residue 0 counts its weight at degree 0 only.
+    expected = [sum(w * r**i for r, w in enumerate(weights)) for i in range(degree + 1)]
+    assert residue_moments(weights, degree) == expected
+    assert len(expected) == degree + 1
 
 
 @pytest.mark.parametrize("m", [0, -1, -3])

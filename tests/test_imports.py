@@ -6,13 +6,15 @@ substitution or schoolbook product, the Stirling weight rows have three
 readers only, one integer binomial convolution fills every cached row, no identity reaches the Euclid route of the public sums, every single
 DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the row kernel is
 called once per combination and never per term, the Fraction oracles live in
-tests/oracles.py, the package steps Horner's rule in one loop, every package
+tests/oracles.py, the package steps Horner's rule in one loop and every
+weighted power sum over residues in one other, every package
 name the benchmark reads exists, and the package keeps an oracle only while
 the benchmark reads it."""
 
 import ast
 import importlib
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -344,14 +346,46 @@ def _is_horner_step(node: ast.AST) -> bool:
     )
 
 
-def _horner_loops(package: Path) -> list[str]:
-    """module.function for every loop in the package that steps Horner's rule."""
+def _multiplies_itself(value: ast.AST, target: str) -> bool:
+    """value is target·x, x·target, or the elementwise map(mul, target, ...),
+    possibly inside list(...) or tuple(...)."""
+    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult):
+        return any(isinstance(f, ast.Name) and f.id == target for f in (value.left, value.right))
+    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)):
+        return False
+    args = value.args
+    if value.func.id in ("list", "tuple"):
+        return len(args) == 1 and _multiplies_itself(args[0], target)
+    return (
+        value.func.id == "map"
+        and bool(args)
+        and isinstance(args[0], ast.Name)
+        and args[0].id == "mul"
+        and any(isinstance(a, ast.Name) and a.id == target for a in args[1:])
+    )
+
+
+def _is_power_step(node: ast.AST) -> bool:
+    """node is v *= x, v = v·x, or v = list(map(mul, v, ...)): the step that
+    takes a power, or a list of powers, one degree up."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Mult) and isinstance(node.target, ast.Name)
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and _multiplies_itself(node.value, node.targets[0].id)
+    )
+
+
+def _stepping_loops(paths: list[Path], is_step: Callable[[ast.AST], bool]) -> list[str]:
+    """module.function for every loop in the files at paths that takes a step."""
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not _is_horner_step(node):
+            if not is_step(node):
                 continue
             loop, up = False, parents.get(node)
             while up is not None and not isinstance(up, ast.FunctionDef):
@@ -366,8 +400,30 @@ def test_the_package_has_one_horner_loop():
     # IntegerRow.value_at (which poly_eval, eval and the row witness read) and
     # thm13 evaluate polynomials through one integer kernel; the Fraction
     # Horner loop is the tests' oracle.
-    assert _horner_loops(PACKAGE) == ["exact_algebra.horner"]
+    assert _stepping_loops(sorted(PACKAGE.glob("*.py")), _is_horner_step) == [
+        "exact_algebra.horner"
+    ]
     assert _package_callers({"horner"}) == ["theorem13_sides", "value_at"]
+
+
+def test_the_package_has_one_moment_loop():
+    # The alternating power sums and the single and double moments add each
+    # term's weight at its residue and read one kernel; the per-term loops that
+    # stepped every term's power through every degree are the tests' oracles.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert _stepping_loops(paths, _is_power_step) == ["exact_algebra.residue_moments"]
+    assert _package_callers({"residue_moments"}) == [
+        "_double_moments",
+        "_single_moments",
+        "alternating_power_sums",
+    ]
+    oracles = Path(__file__).with_name("oracles.py")
+    assert _stepping_loops([oracles], _is_power_step) == [
+        "oracles.alternating_power_sums_by_term",
+        "oracles.single_moments_by_term",
+        "oracles.double_moments_by_term",
+        "oracles.double_moments_by_term",
+    ]
 
 
 BENCH = PACKAGE.parents[1] / "bench"
