@@ -25,8 +25,10 @@ per link.  Links are few for most pairs, but one with m/2 < h < m lowers the
 pair by m - h only, so (m - 2, m) takes (m - 1)/2 of them.  With an even
 argument they run the one O(m) integer kernel, the single moments over the
 row of E_p(x) or E_p^(k)(x) (`_row_dc_sum`).  Every identity below reads that
-kernel or the O(mh) double moments directly, never the Euclid route, so no
-identity checks reciprocity with a value that reciprocity built.  The
+kernel or the O(mh) double moments, never the Euclid route, so no identity
+checks reciprocity with a value that reciprocity built.  Both kinds of
+moments are independent of k and are read through one bounded cache
+(`_MomentCache`), shared across the points of a sweep.  The
 Fraction loops that define the sums are the tests' oracles
 (`tests/oracles.py`, `tests/test_dc_sums.py`).
 
@@ -40,11 +42,13 @@ exactly.  Each identity's hypotheses are data (`Hypotheses`), shared with the
 verifier registry.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, floor, gcd, lcm
 from operator import mul
+from threading import Lock
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_algebra import IntegerRow, horner, poly_eval, residue_moments
@@ -156,12 +160,87 @@ def _single_moments(h: int, m: int, degree: int) -> list[int]:
     return residue_moments(weights, degree)
 
 
+#: The bound of the moment cache, in charged bits.  Each entry is charged the
+#: bit_length of its moments, 256 bits per moment (CPython's int object and the
+#: tuple slot that holds it) and 2560 bits for its key, tuples and slot, so the
+#: charge follows its memory and entries of zeros count too.  2^25 bits (4 MiB)
+#: hold every entry of one k-slice of a sweep at p ≤ 8 over all odd h, m ≤ 99,
+#: or about nine double-moment entries at the CLI caps (p = 500, m·h = 10^4:
+#: 0.45 MB each).
+MOMENT_CACHE_BITS = 1 << 25
+
+
+class MomentCacheInfo(NamedTuple):
+    """The moment cache's counters: stored entries, their charged bits, hits, misses."""
+
+    entries: int
+    bits: int
+    hits: int
+    misses: int
+
+
+class _MomentCache:
+    """The k-independent moments of the reciprocity sides, shared across points.
+
+    An entry, keyed by (kernel, h, m), holds the kernel's moment lists as
+    tuples at the highest degree read so far; the moments at degree p are the
+    first p + 1 of those at any higher degree.  A read above the stored degree
+    runs the kernel at the new degree and replaces the entry.  Entries are
+    evicted least recently used first while the charged bits would exceed
+    `MOMENT_CACHE_BITS`, and an entry larger than that is returned unstored.
+    The residue weights the kernels build are never kept.  The entries and
+    counters change under a lock; the kernels run outside it.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
+        self.bits = self.hits = self.misses = 0
+        self.lock = Lock()
+
+    def read(
+        self, kernel: Callable, h: int, m: int, degree: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The moment lists of kernel (`_single_moments` or `_double_moments`)
+        at (h, m) for i = 0..degree, one tuple each."""
+        key = (kernel, h, m)
+        with self.lock:
+            moments, _ = self.entries.get(key, ((), 0))
+            if moments and len(moments[0]) > degree:
+                self.hits += 1
+                self.entries.move_to_end(key)
+                return tuple(values[: degree + 1] for values in moments)
+            self.misses += 1
+        # A kernel returns one moment list or a tuple of them.
+        computed = kernel(h, m, degree)
+        moments = tuple(map(tuple, computed if isinstance(computed, tuple) else (computed,)))
+        bits = sum(v.bit_length() + 256 for values in moments for v in values) + 2560
+        with self.lock:
+            _, replaced = self.entries.pop(key, ((), 0))
+            self.bits -= replaced
+            if bits <= MOMENT_CACHE_BITS:
+                while self.bits + bits > MOMENT_CACHE_BITS:
+                    self.bits -= self.entries.popitem(last=False)[1][1]
+                self.entries[key] = moments, bits
+                self.bits += bits
+        return moments
+
+
+_MOMENT_CACHE = _MomentCache()
+
+
+def moment_cache_info() -> MomentCacheInfo:
+    """The counters of the cache that shares the single and double moments."""
+    cache = _MOMENT_CACHE
+    with cache.lock:
+        return MomentCacheInfo(len(cache.entries), cache.bits, cache.hits, cache.misses)
+
+
 def _moment_total(numerators: Sequence[int], h: int, m: int) -> int:
     """Σ_i c_i S_i m^(p-i) over the numerators c_i of a degree-p polynomial over den
-    and the integer moments S_i of `_single_moments`: the DC sum over that
-    polynomial is 2·total / (den·m^(p+1))."""
+    and the integer moments S_i of `_single_moments`, read through the moment
+    cache: the DC sum over that polynomial is 2·total / (den·m^(p+1))."""
     p = len(numerators) - 1
-    moments = _single_moments(h, m, p)
+    (moments,) = _MOMENT_CACHE.read(_single_moments, h, m, p)
     return sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
 
 
@@ -432,7 +511,8 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
         2 Σ_{l=0..p} a_l (mh)^(l-1) Σ_{μ=0..m-1} Σ_{ν=0..h-1} (-1)^(μ+ν)
           · ((μh)·m^(p-l) + (νm)·h^(p-l)) · Ê_l(ν/h + μ/m).
 
-    Read from the double moments A, B of `_double_moments`: the l-th term is
+    Read from the double moments A, B of `_double_moments`, through the
+    moment cache: the l-th term is
     (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with e_l
     the coefficients of E_l(x), all integers over one denominator; E_l(x) is
     read only where a_l is nonzero.
@@ -443,7 +523,7 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
     rows = [euler_poly_row(l) for l in degrees]
     scales, row_den = _common_scales(rows)
     n = m * h
-    a, b = _double_moments(h, m, p)
+    a, b = _MOMENT_CACHE.read(_double_moments, h, m, p)
     total = 0
     for l, scale, row in zip(degrees, scales, rows):
         m_pow, h_pow = m ** (p - l), h ** (p - l)

@@ -414,13 +414,24 @@ def test_unbounded_verify_and_sweep_are_rejected_before_any_point_runs(
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
+    # A warm moment cache would serve a point without running a kernel, so
+    # neither a cold nor a warm cache may be read at all.
+    cold, warm = dc_sums._MomentCache(), dc_sums._MomentCache()
+    monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", warm)
+    for h, m in [(1, 3), (3, 3), (3, ODD_ABOVE_M), (ODD_ABOVE_M, 3)]:
+        dc_sums.reciprocity_sides(2, 3, h, m)
     for name in ("_double_moments", "_single_moments", "_moment_total", "theorem13_sides"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(identity_suite, "verify", refuse)
     monkeypatch.setattr(identity_suite, "sweep", refuse)
-    assert main(argv) == 2
     cap = MAX_TABLE_N if message[0] in "pnl" else MAX_VERIFY_M
-    assert f"{message} be at most {cap}" in capsys.readouterr().err
+    for cache in (cold, warm):
+        monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", cache)
+        info = dc_sums.moment_cache_info()
+        assert main(argv) == 2
+        assert f"{message} be at most {cap}" in capsys.readouterr().err
+        assert dc_sums.moment_cache_info() == info
+    assert warm.entries and not cold.entries
 
 
 class _Admitted(Exception):

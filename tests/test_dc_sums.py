@@ -1,5 +1,8 @@
 """Tests for Dedekind-type DC sums and the reciprocity-law machinery."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, gcd
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polydc import dc_sums
+from polydc import dc_sums, identity_suite
 from polydc.dc_sums import (
     corollary15_rhs,
     corollary15_sides,
@@ -560,6 +563,207 @@ def test_double_moments_match_the_per_term_loop_at_mh_10_000(h, m):
 @pytest.mark.parametrize("h", [1, 2, 9973, 12345])
 def test_single_moments_match_the_per_term_loop_at_the_dcsum_cap(h):
     assert dc_sums._single_moments(h, 10_000, 6) == single_moments_by_term(h, 10_000, 6)
+
+
+# --- the moment cache ---------------------------------------------------------
+
+ODD_TO_61 = range(1, 62, 2)
+SINGLE, DOUBLE = dc_sums._single_moments, dc_sums._double_moments
+
+
+def _prefix(moments, degree: int) -> tuple:
+    """The per-term loops' moments at degree, from theirs at a higher one, as
+    the cache returns them: one tuple per moment list."""
+    return tuple(tuple(values[: degree + 1]) for values in moments)
+
+
+def _charged_bits(cache) -> int:
+    """The moments' bit_length, 256 bits per moment and 2560 per entry."""
+    return 2560 * len(cache.entries) + sum(
+        v.bit_length() + 256
+        for moments, _ in cache.entries.values()
+        for values in moments
+        for v in values
+    )
+
+
+@pytest.fixture
+def moment_cache(monkeypatch):
+    """A fresh moment cache in place of the module's."""
+    cache = dc_sums._MomentCache()
+    monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", cache)
+    return cache
+
+
+@pytest.mark.parametrize("m", ODD_TO_61)
+def test_cached_moments_match_the_per_term_loops(m):
+    # Each pair reads a fresh cache in one order, and every h and every m meets
+    # all three: ascending replaces the entry at every degree, descending
+    # fills it once and reads prefixes, shuffled does both.
+    ascending = list(range(9))
+    for h in ODD_TO_61:
+        expected = {
+            SINGLE: (single_moments_by_term(h, m, 8),),
+            DOUBLE: double_moments_by_term(h, m, 8),
+        }
+        shuffled = random.Random(h * 100 + m).sample(ascending, len(ascending))
+        degrees = (ascending, ascending[::-1], shuffled)[(h + m) // 2 % 3]
+        cache = dc_sums._MomentCache()
+        for p in degrees:
+            for kernel, moments in expected.items():
+                assert cache.read(kernel, h, m, p) == _prefix(moments, p), (h, m, p)
+
+
+def test_cached_moments_match_the_per_term_loops_through_eviction(monkeypatch):
+    # A budget of a few entries evicts and refills them mid-sequence.
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 40_000)
+    moduli = range(1, 22, 2)
+    expected = {
+        (kernel, h, m): moments
+        for h in moduli
+        for m in moduli
+        for kernel, moments in (
+            (SINGLE, (single_moments_by_term(h, m, 8),)),
+            (DOUBLE, double_moments_by_term(h, m, 8)),
+        )
+    }
+    requests = [(key, p) for key in expected for p in range(9)] * 2
+    random.Random(23).shuffle(requests)
+    cache = dc_sums._MomentCache()
+    for (kernel, h, m), p in requests:
+        assert cache.read(kernel, h, m, p) == _prefix(expected[kernel, h, m], p)
+        assert cache.bits == _charged_bits(cache) <= dc_sums.MOMENT_CACHE_BITS
+    assert cache.misses > 2 * len(expected) and len(cache.entries) < len(expected) / 4
+    assert cache.hits > 0
+
+
+def test_a_moment_entry_above_the_budget_is_returned_unstored(monkeypatch):
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 5_000)
+    cache = dc_sums._MomentCache()
+    assert cache.read(SINGLE, 3, 5, 1) == _prefix([single_moments_by_term(3, 5, 1)], 1)
+    assert len(cache.entries) == 1
+    moments = cache.read(DOUBLE, 21, 23, 8)
+    assert moments == _prefix(double_moments_by_term(21, 23, 8), 8)
+    # The larger entry is not stored, and it evicts nothing.
+    assert list(cache.entries) == [(SINGLE, 3, 5)] and cache.bits == _charged_bits(cache)
+    # Nor does a higher degree that outgrows the budget keep the old entry.
+    cache.read(SINGLE, 3, 5, 20)
+    assert not cache.entries and cache.bits == 0
+
+
+def test_the_moment_cache_evicts_the_least_recently_read_entry(monkeypatch):
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 7_000)  # two entries at degree 1
+    cache = dc_sums._MomentCache()
+    for h, m in [(3, 5), (5, 3), (3, 5), (7, 3)]:
+        cache.read(SINGLE, h, m, 1)
+    assert list(cache.entries) == [(SINGLE, 3, 5), (SINGLE, 7, 3)]
+    assert (cache.hits, cache.misses) == (1, 3)
+
+
+def test_threads_keep_the_moment_cache_within_its_bound(monkeypatch):
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 12_000)
+    cache = dc_sums._MomentCache()
+    expected = {(h, m): single_moments_by_term(h, m, 6) for h in (1, 3, 5, 7) for m in (3, 5, 9)}
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(4000):
+                (h, m), p = rng.choice(list(expected)), rng.randrange(7)
+                assert cache.read(SINGLE, h, m, p) == _prefix([expected[h, m]], p)
+        except BaseException as error:  # reported by the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert cache.hits + cache.misses == 8 * 4000
+    assert cache.bits == _charged_bits(cache) <= dc_sums.MOMENT_CACHE_BITS
+
+
+def test_a_returned_moment_list_cannot_change_the_cache():
+    made = []
+
+    def kernel(h, m, degree):
+        made.append(dc_sums._single_moments(h, m, degree))
+        return made[-1]
+
+    cache = dc_sums._MomentCache()
+    expected = _prefix([single_moments_by_term(3, 7, 6)], 6)
+    (moments,) = cache.read(kernel, 3, 7, 6)
+    made[0][0] += 1  # the kernel's own list is not what the cache holds
+    with pytest.raises(TypeError):
+        moments[0] = 0
+    assert cache.read(kernel, 3, 7, 6) == expected
+    assert cache.read(kernel, 3, 7, 2) == _prefix(expected, 2)
+    assert len(made) == 1
+
+
+def test_each_moment_entry_holds_p_plus_one_integers_per_list(moment_cache):
+    for k in (-1, 2):
+        for p in (1, 4, 3):
+            assert reciprocity_sides(k, p, 5, 9).holds
+            assert corollary15_sides(p, 7, 3).holds
+    assert set(moment_cache.entries) == {
+        (kernel, *pair) for pair in [(5, 9), (7, 3)] for kernel in (SINGLE, DOUBLE)
+    } | {(SINGLE, 9, 5), (SINGLE, 3, 7)}
+    for (kernel, h, m), (moments, bits) in moment_cache.entries.items():
+        assert len(moments) == (1 if kernel is SINGLE else 2)
+        for values in moments:
+            assert type(values) is tuple and len(values) == 5
+            assert all(type(v) is int for v in values)
+    assert moment_cache.bits == _charged_bits(moment_cache)
+
+
+def test_moment_cache_info_counts_entries_bits_hits_and_misses(moment_cache):
+    assert dc_sums.moment_cache_info() == (0, 0, 0, 0)
+    reciprocity_sides(2, 4, 5, 7)  # single (5, 7) and (7, 5), double (5, 7)
+    info = dc_sums.moment_cache_info()
+    assert info == (3, _charged_bits(moment_cache), 0, 3)
+    reciprocity_sides(-3, 2, 5, 7)  # every degree-2 read is a prefix
+    assert dc_sums.moment_cache_info() == (3, info.bits, 3, 3)
+    reciprocity_sides(0, 6, 5, 7)  # above the stored degree: replaced
+    replaced = dc_sums.moment_cache_info()
+    assert replaced == (3, _charged_bits(moment_cache), 3, 6) and replaced.bits > info.bits
+
+
+def test_a_long_sweep_keeps_the_moment_cache_within_its_bound(monkeypatch, moment_cache):
+    # With room for a few entries at p = 8, the sweep evicts throughout.
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 60_000)
+    read, peak = moment_cache.read, []
+
+    def bounded_read(*args):
+        moments = read(*args)
+        peak.append(moment_cache.bits)
+        return moments
+
+    monkeypatch.setattr(moment_cache, "read", bounded_read)
+    moduli = [1, 3, 33, 67, 97, 99]
+    result = identity_suite.sweep(
+        "thm14", {"k": [-1, 1, 2], "p": range(1, 9), "h": moduli, "m": moduli}
+    )
+    assert result.passed == result.total == 3 * 8 * 36
+    assert max(peak) <= dc_sums.MOMENT_CACHE_BITS and len(peak) == 3 * result.total
+    assert moment_cache.misses > result.total and len(moment_cache.entries) < 2 * 36
+    assert moment_cache.bits == _charged_bits(moment_cache)
+
+
+def test_the_moment_cache_holds_a_k_slice_of_the_54_point_grid(moment_cache):
+    # The sweep runs k outermost: with every (h, m) of one k resident, each
+    # moment is computed once, at p = 6, for all six k.
+    grid = {"k": range(-2, 4), "p": [6], "h": [95, 97, 99], "m": [89, 91, 97]}
+    assert identity_suite.sweep("thm14", grid).passed == 54
+    info = dc_sums.moment_cache_info()
+    assert info.misses == info.entries == 9 + 17 and info.hits == 3 * 54 - info.misses
 
 
 # --- properties beyond the acceptance grid ------------------------------------

@@ -4,7 +4,7 @@ nor call the Euler recurrence oracle, no serving function evaluates the DC
 sums through the memoized alt-bar route, none expands a polynomial by affine
 substitution or schoolbook product, the Stirling weight rows have three
 readers only, one integer binomial convolution fills every cached row, no identity reaches the Euclid route of the public sums, every single
-DC sum reads one moment kernel, the polynomial identities reach no Fraction assembly, the row kernel is
+DC sum reads one moment kernel, which only the moment cache runs, the polynomial identities reach no Fraction assembly, the row kernel is
 called once per combination and never per term, the Fraction oracles live in
 tests/oracles.py, the package steps Horner's rule in one loop and every
 weighted power sum over residues in one other, every package
@@ -197,11 +197,27 @@ def test_every_single_sum_reads_the_one_moment_kernel(reader):
 
 
 def test_each_moment_loop_has_one_caller():
-    # The single and the double moments are each entered through one function,
-    # so a faster kernel for either replaces that one function.
+    # The single and the double moments are each run by one function, the
+    # moment cache's read, and read through it by one function each, so a
+    # faster kernel for either replaces that one function.
     path = PACKAGE / "dc_sums.py"
-    assert _callers(path, {"_single_moments"}) == ["_moment_total"]
-    assert _callers(path, {"_double_moments"}) == ["_reciprocity_rhs"]
+    functions = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    kernels = {"_single_moments", "_double_moments"}
+    assert _callers(path, kernels) == []
+    assert _callers(path, {"kernel"}) == ["read"]
+    reads = [
+        (function.name, call.args[0].id)
+        for function in functions
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and _identifiers(call.func) == {"_MOMENT_CACHE", "read"}
+    ]
+    assert reads == [("_moment_total", "_single_moments"), ("_reciprocity_rhs", "_double_moments")]
+    referrers = [function.name for function in functions if _identifiers(function) & kernels]
+    assert referrers == ["_moment_total", "_reciprocity_rhs"]
 
 
 def test_the_reciprocity_verifiers_read_the_identities_only():
