@@ -1,22 +1,23 @@
 """Special numbers and polynomials: Stirling (both kinds), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
-Every family is built in integers; `Fraction`s appear only in the views the
-public functions return, each derived once per cached entry.  The Euler
-numbers are E_n = e_n/2^n over the signed tangent numbers e_n, filled by an
-in-place recurrence and checked at cache-fill time against the zigzag
-triangle; no series arithmetic runs here.  The index-k families are built
-from them and the Stirling weights w_j(k) = j!·[t^j] Ei_k(log(1+t)), one
-grow-only `_IndexFamily` per k: the weight numerators W_j = L·w_j(k) over one
-scale L, checked by Stirling inversion, and the poly-Genocchi numerators
-g_n = Σ_j C(n,j)·W_j·2^j·e_{n-j} = L·2^n·G_n^(k).  One integer binomial
-convolution, `_convolution_row`, turns the numbers into the Euler, Genocchi,
-poly-Genocchi and poly-Euler polynomials, each kept once as a `RationalRow`:
-the integer kernels read its `IntegerRow` (`euler_poly_row`,
-`genocchi_poly_row`, `poly_genocchi_poly_row`, `poly_euler_poly_row`,
-`theorem3_integer_weights`), and the public functions return a fresh
-Fraction list from its view.  The poly families admit any integer index k:
-for k <= 1 the weight j^(1-k) is an integer and L = 1.
+Every family is built in integers; `Fraction`s appear only in the entries
+and rows the public functions return, each derived once and kept by a
+`functools.cache`.  The Euler numbers are E_n = e_n/2^n over the signed
+tangent numbers e_n, filled by an in-place recurrence and checked at
+cache-fill time against the zigzag triangle; no series arithmetic runs
+here.  The index-k families are built from them and the Stirling weights
+w_j(k) = j!·[t^j] Ei_k(log(1+t)), one grow-only `_IndexFamily` per k: the
+weight numerators W_j = L·w_j(k) over one scale L, checked by Stirling
+inversion, and the poly-Genocchi numerators g_n = Σ_j C(n,j)·W_j·2^j·e_{n-j}
+= L·2^n·G_n^(k).  Each integer list grows, and is read with its L, under
+one lock; reads of filled lists and cached entries take none.  One integer
+binomial convolution, `_convolution_row`, turns the numbers into the
+polynomials, each kept once as a `RationalRow`: the integer kernels read
+its `IntegerRow` (`euler_poly_row`, `genocchi_poly_row`,
+`poly_genocchi_poly_row`, `poly_euler_poly_row`), and the public functions
+return a fresh Fraction list from its tuple.  The poly families admit any
+integer index k: for k <= 1 the weight j^(1-k) is an integer and L = 1.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones, built as integer rows by one call each of
@@ -32,11 +33,22 @@ rows and the Theorem 3 weights against the `Fraction` loops of
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb, factorial, floor, gcd, lcm
 from operator import mul
+from threading import RLock
 
 from .exact_algebra import IntegerRow, RationalRow, distributed_combination, poly_eval
+
+_lock = RLock()  # every integer list grows under it
+
+
+def _nonnegative(value: int, name: str) -> None:
+    """Raise ValueError("<name> must be nonnegative") when value < 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
 
 # ---------------------------------------------------------------------------
 # Stirling numbers of the first kind (signed), grow-only triangle
@@ -46,13 +58,14 @@ _stirling_rows: list[list[int]] = [[1]]
 
 
 def _grow_stirling(n: int) -> None:
-    while len(_stirling_rows) <= n:
-        prev = _stirling_rows[-1]
-        r = len(_stirling_rows)  # building row r from row r-1
-        row = [0] * (r + 1)
-        for m in range(1, r + 1):
-            row[m] = prev[m - 1] - (r - 1) * (prev[m] if m < r else 0)
-        _stirling_rows.append(row)
+    with _lock:
+        while len(_stirling_rows) <= n:
+            prev = _stirling_rows[-1]
+            r = len(_stirling_rows)  # building row r from row r-1
+            row = [0] * (r + 1)
+            for m in range(1, r + 1):
+                row[m] = prev[m - 1] - (r - 1) * (prev[m] if m < r else 0)
+            _stirling_rows.append(row)
 
 
 def stirling1(n: int, m: int) -> int:
@@ -84,9 +97,10 @@ _stirling2_rows: list[list[int]] = [[1]]
 
 def _grow_stirling2(n: int) -> None:
     """Stirling numbers of the second kind: S_2(r, j) = S_2(r-1, j-1) + j·S_2(r-1, j)."""
-    while len(_stirling2_rows) <= n:
-        prev = _stirling2_rows[-1] + [0]
-        _stirling2_rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, len(prev))])
+    with _lock:
+        while len(_stirling2_rows) <= n:
+            prev = _stirling2_rows[-1] + [0]
+            _stirling2_rows.append([0] + [prev[j - 1] + j * prev[j] for j in range(1, len(prev))])
 
 
 class _IndexFamily:
@@ -95,9 +109,9 @@ class _IndexFamily:
     weights[n] = L·w_n(k) for n = 0..N and numbers[n] = L·2^n·G_n^(k) for
     n = 0..M, M <= N, share one scale L: lcm(1..N)^(k-1) for k >= 2, and 1
     for k <= 1, where j^(1-k) is an integer.  Both lists grow by their missing
-    entries only; when N passes a prime power, L grows and the kept entries
-    are multiplied by the ratio.  The `Fraction` views of the weights and of
-    both families' numbers, and the polynomial rows, are derived once each.
+    entries only, under the module lock; when N passes a prime power, L grows
+    and the kept entries are multiplied by the ratio into new lists, so a list
+    read together with L under the lock stays consistent with it.
     """
 
     def __init__(self, k: int) -> None:
@@ -107,88 +121,71 @@ class _IndexFamily:
         self.powers = [0]  # L·j^(1-k)
         self.weights = [0]
         self.numbers = [0]
-        self.weight_view: list[Fraction] = []
-        self.genocchi_view: list[Fraction] = []
-        self.euler_view: list[Fraction] = []
-        self.genocchi_rows: dict[int, RationalRow] = {}
-        self.euler_rows: dict[int, RationalRow] = {}
 
-    def grow_weights(self, max_n: int) -> None:
-        """Extend the weights past max_n: W_n = Σ_{j=1..n} S_1(n, j)·L·j^(1-k).
+    def grow_weights(self, max_n: int) -> tuple[list[int], int]:
+        """The weights, extended past max_n, and L, both of one growth step.
 
-        Each new N is checked by Stirling inversion in integers,
-        Σ_{n=1..N} S_2(N, n)·W_n = L·N^(1-k), or RuntimeError is raised with
-        the row left at its last checked length.
+        W_n = Σ_{j=1..n} S_1(n, j)·L·j^(1-k).  Each new N is checked by
+        Stirling inversion in integers, Σ_{n=1..N} S_2(N, n)·W_n = L·N^(1-k),
+        or RuntimeError is raised with the row left at its last checked length.
         """
-        start = len(self.weights)
-        if start > max_n:
-            return
-        _grow_stirling(max_n)
-        _grow_stirling2(max_n)
-        k, new = self.k, range(start, max_n + 1)
-        if k >= 2:
-            base = lcm(self.base, *new)
-            ratio = (base // self.base) ** (k - 1)
-            fresh = [(base // j) ** (k - 1) for j in new]
-        else:
-            base, ratio = 1, 1
-            fresh = [j ** (1 - k) for j in new]
-        kept = (self.powers, self.weights, self.numbers)
-        if ratio > 1:
-            kept = tuple([v * ratio for v in values] for values in kept)
-        powers, weights, numbers = kept
-        powers = powers + fresh
-        weights = weights + [sum(map(mul, s1, powers)) for s1 in _stirling_rows[start : max_n + 1]]
-        for big_n in new:
-            if sum(map(mul, _stirling2_rows[big_n], weights)) != powers[big_n]:
-                raise RuntimeError(f"Stirling weight row k={k} fails inversion at N={big_n}")
-        self.powers, self.weights, self.numbers = powers, weights, numbers
-        self.base, self.scale = base, self.scale * ratio
+        with _lock:
+            start = len(self.weights)
+            if start > max_n:
+                return self.weights, self.scale
+            _grow_stirling(max_n)
+            _grow_stirling2(max_n)
+            k, new = self.k, range(start, max_n + 1)
+            if k >= 2:
+                base = lcm(self.base, *new)
+                ratio = (base // self.base) ** (k - 1)
+                fresh = [(base // j) ** (k - 1) for j in new]
+            else:
+                base, ratio = 1, 1
+                fresh = [j ** (1 - k) for j in new]
+            kept = (self.powers, self.weights, self.numbers)
+            if ratio > 1:
+                kept = tuple([v * ratio for v in values] for values in kept)
+            powers, weights, numbers = kept
+            powers = powers + fresh
+            weights = weights + [
+                sum(map(mul, s1, powers)) for s1 in _stirling_rows[start : max_n + 1]
+            ]
+            for big_n in new:
+                if sum(map(mul, _stirling2_rows[big_n], weights)) != powers[big_n]:
+                    raise RuntimeError(f"Stirling weight row k={k} fails inversion at N={big_n}")
+            self.powers, self.weights, self.numbers = powers, weights, numbers
+            self.base, self.scale = base, self.scale * ratio
+            return weights, self.scale
 
-    def grow_numbers(self, max_n: int) -> None:
-        """Extend the numbers past max_n: g_n = Σ_{j=1..n} C(n,j)·W_j·2^j·e_{n-j}.
+    def grow_numbers(self, max_n: int) -> tuple[list[int], int]:
+        """The numbers, extended past max_n, and L, both of one growth step.
 
-        With e_i = 2^i·E_i, g_n/(L·2^n) = Σ_j C(n,j) w_j(k) E_{n-j} = G_n^(k);
-        e_i vanishes at even i > 0, and e_0 = 1.
+        g_n = Σ_{j=1..n} C(n,j)·W_j·2^j·e_{n-j}: with e_i = 2^i·E_i,
+        g_n/(L·2^n) = Σ_j C(n,j) w_j(k) E_{n-j} = G_n^(k); e_i vanishes at
+        even i > 0, and e_0 = 1.
         """
-        start = len(self.numbers)
-        if start > max_n:
-            return
-        self.grow_weights(max_n)
-        signed = _signed_tangent_numbers(max_n)
-        shifted = [w << j for j, w in enumerate(self.weights[: max_n + 1])]
-        self.numbers += [
-            shifted[n] + sum(comb(n, i) * signed[i] * shifted[n - i] for i in range(1, n, 2))
-            for n in range(start, max_n + 1)
-        ]
-
-    def genocchi_row(self, n: int) -> IntegerRow:
-        """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l)."""
-        self.grow_numbers(n)
-        return _convolution_row(self.numbers, n, self.scale)
-
-    def euler_row(self, n: int) -> IntegerRow:
-        """E_n^(k)(x) = G_{n+1}^(k)(x)/(n+1), as C(n,l)/(l+1) = C(n+1,l+1)/(n+1)."""
-        self.grow_numbers(n + 1)
-        return _convolution_row(self.numbers, n + 1, (n + 1) * self.scale)
+        with _lock:
+            start = len(self.numbers)
+            if start > max_n:
+                return self.numbers, self.scale
+            weights, scale = self.grow_weights(max_n)
+            signed = _signed_tangent_numbers(max_n)
+            shifted = [w << j for j, w in enumerate(weights[: max_n + 1])]
+            self.numbers += [
+                shifted[n] + sum(comb(n, i) * signed[i] * shifted[n - i] for i in range(1, n, 2))
+                for n in range(start, max_n + 1)
+            ]
+            return self.numbers, scale
 
 
-_families: dict[int, _IndexFamily] = {}
+_family = cache(_IndexFamily)
 
 
-def _family(k: int) -> _IndexFamily:
-    family = _families.get(k)
-    if family is None:
-        family = _families[k] = _IndexFamily(k)
-    return family
-
-
-def _grown_view(
-    view: list[Fraction], max_n: int, value: Callable[[int], Fraction]
-) -> list[Fraction]:
-    """view[: max_n + 1] as a fresh list, after extending view by value(n) for its missing n."""
-    view += map(value, range(len(view), max_n + 1))
-    return view[: max_n + 1]
+@cache
+def _weight(k: int, n: int) -> Fraction:
+    weights, scale = _family(k).grow_weights(n)
+    return Fraction(weights[n], scale)
 
 
 def stirling_weights(k: int, max_n: int) -> list[Fraction]:
@@ -198,13 +195,11 @@ def stirling_weights(k: int, max_n: int) -> list[Fraction]:
     read from the checked integer row of its `_IndexFamily`.  Each call
     returns a fresh list.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _nonnegative(max_n, "max_n")
     family = _family(k)
-    family.grow_weights(max_n)
-    return _grown_view(
-        family.weight_view, max_n, lambda n: Fraction(family.weights[n], family.scale)
-    )
+    if len(family.weights) <= max_n:
+        family.grow_weights(max_n)
+    return [_weight(k, n) for n in range(max_n + 1)]
 
 
 def _reduced(numerators: list[int], den: int) -> IntegerRow:
@@ -222,24 +217,11 @@ def _convolution_row(numbers: list[int], n: int, den: int) -> IntegerRow:
     return _reduced([comb(n, i) * numbers[n - i] << i for i in range(n + 1)], den << n).trimmed()
 
 
-def _cached_row(
-    cache: dict[int, RationalRow], n: int, fill: Callable[[int], IntegerRow]
-) -> RationalRow:
-    """fill(n), kept once per n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = cache.get(n)
-    if row is None:
-        row = cache[n] = RationalRow(fill(n))
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Euler and Genocchi numbers/polynomials
 # ---------------------------------------------------------------------------
 
 _euler_cache: list[int] = []  # e_n = 2^n·E_n, the signed tangent numbers
-_euler_view: list[Fraction] = []
 
 
 def _euler_numbers_recurrence(max_n: int) -> list[Fraction]:
@@ -289,23 +271,25 @@ def _signed_tangent_numbers(max_n: int) -> list[int]:
     checked against the zigzag (boustrophedon) triangle, which shares no
     arithmetic with it; disagreement raises RuntimeError.
     """
-    if len(_euler_cache) <= max_n:
-        order = max(max_n, 2 * len(_euler_cache) + 4)
-        count = (order + 1) // 2  # odd indices 1, 3, ..., <= order
-        tangent = _tangent_numbers(count)
-        if tangent != _zigzag_tangent_numbers(count):
-            raise RuntimeError("Euler number routes disagree: tangent recurrence vs zigzag")
-        filled = [1] + [0] * order
-        for j, t in enumerate(tangent, 1):
-            filled[2 * j - 1] = (-1) ** j * t
-        _euler_cache[:] = filled
+    if len(_euler_cache) > max_n:
+        return _euler_cache
+    with _lock:
+        if len(_euler_cache) <= max_n:
+            order = max(max_n, 2 * len(_euler_cache) + 4)
+            count = (order + 1) // 2  # odd indices 1, 3, ..., <= order
+            tangent = _tangent_numbers(count)
+            if tangent != _zigzag_tangent_numbers(count):
+                raise RuntimeError("Euler number routes disagree: tangent recurrence vs zigzag")
+            filled = [1] + [0] * order
+            for j, t in enumerate(tangent, 1):
+                filled[2 * j - 1] = (-1) ** j * t
+            _euler_cache[:] = filled
     return _euler_cache
 
 
 def euler_integers(max_n: int) -> list[int]:
     """[e_0, ..., e_max_n] with e_n = 2^n·E_n, the signed tangent numbers, a fresh list."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _nonnegative(max_n, "max_n")
     return _signed_tangent_numbers(max_n)[: max_n + 1]
 
 
@@ -315,35 +299,40 @@ def euler_numbers(max_n: int) -> list[Fraction]:
     E_n = e_n/2^n over the checked signed tangent numbers e_n of
     `_signed_tangent_numbers`; each call returns a fresh list.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    signed = _signed_tangent_numbers(max_n)
-    return _grown_view(_euler_view, max_n, lambda n: Fraction(signed[n], 1 << n))
+    _nonnegative(max_n, "max_n")
+    _signed_tangent_numbers(max_n)
+    return [_euler_number(n) for n in range(max_n + 1)]
 
 
-_euler_poly_cache: dict[int, RationalRow] = {}
-_genocchi_poly_cache: dict[int, RationalRow] = {}
+@cache
+def _euler_number(n: int) -> Fraction:
+    return Fraction(_signed_tangent_numbers(n)[n], 1 << n)
 
 
-def _euler_row(n: int) -> IntegerRow:
+@cache
+def _euler_row(n: int) -> RationalRow:
     """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l), with E_l = e_l/2^l."""
-    return _convolution_row(_signed_tangent_numbers(n), n, 1)
+    _nonnegative(n, "n")
+    return RationalRow(_convolution_row(_signed_tangent_numbers(n), n, 1))
 
 
-def _genocchi_row(n: int) -> IntegerRow:
+@cache
+def _genocchi_row(n: int) -> RationalRow:
     """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l), with G_l = l·E_{l-1} = 2l·e_{l-1}/2^l."""
+    _nonnegative(n, "n")
     signed = _signed_tangent_numbers(n)
-    return _convolution_row([0] + [2 * l * signed[l - 1] for l in range(1, n + 1)], n, 1)
+    numbers = [0] + [2 * l * signed[l - 1] for l in range(1, n + 1)]
+    return RationalRow(_convolution_row(numbers, n, 1))
 
 
 def euler_poly(n: int) -> list[Fraction]:
     """E_n(x) = Σ_{l=0..n} C(n,l) E_l x^(n-l), a fresh list per call."""
-    return list(_cached_row(_euler_poly_cache, n, _euler_row).fractions)
+    return list(_euler_row(n).fractions)
 
 
 def euler_poly_row(n: int) -> IntegerRow:
     """The coefficients of E_n(x) as integers over one denominator (cached)."""
-    return _cached_row(_euler_poly_cache, n, _euler_row).integers
+    return _euler_row(n).integers
 
 
 def genocchi_numbers(max_n: int) -> list[Fraction]:
@@ -351,20 +340,19 @@ def genocchi_numbers(max_n: int) -> list[Fraction]:
 
     All entries are integers (as Fractions with denominator 1).
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _nonnegative(max_n, "max_n")
     euler = euler_numbers(max_n)
     return [Fraction(0)] + [n * euler[n - 1] for n in range(1, max_n + 1)]
 
 
 def genocchi_poly(n: int) -> list[Fraction]:
     """G_n(x) = Σ_{l=0..n} C(n,l) G_l x^(n-l), a fresh list per call."""
-    return list(_cached_row(_genocchi_poly_cache, n, _genocchi_row).fractions)
+    return list(_genocchi_row(n).fractions)
 
 
 def genocchi_poly_row(n: int) -> IntegerRow:
     """The coefficients of G_n(x) as integers over one denominator (cached)."""
-    return _cached_row(_genocchi_poly_cache, n, _genocchi_row).integers
+    return _genocchi_row(n).integers
 
 
 # ---------------------------------------------------------------------------
@@ -395,52 +383,70 @@ def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     G_n^(k) = Σ_{j=1..n} C(n,j) w_j(k) E_{n-j}: the integer g_n/(L·2^n) of
     `_IndexFamily.grow_numbers`.  Each call returns a fresh list.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _nonnegative(max_n, "max_n")
     family = _family(k)
-    family.grow_numbers(max_n)
-    return _grown_view(
-        family.genocchi_view, max_n, lambda n: Fraction(family.numbers[n], family.scale << n)
-    )
+    if len(family.numbers) <= max_n:
+        family.grow_numbers(max_n)
+    return [_poly_genocchi_number(k, n) for n in range(max_n + 1)]
+
+
+@cache
+def _poly_genocchi_number(k: int, n: int) -> Fraction:
+    numbers, scale = _family(k).grow_numbers(n)
+    return Fraction(numbers[n], scale << n)
+
+
+@cache
+def _poly_genocchi_row(k: int, n: int) -> RationalRow:
+    """G_n^(k)(x) = Σ_{l=0..n} C(n,l) G_l^(k) x^(n-l)."""
+    _nonnegative(n, "n")
+    numbers, scale = _family(k).grow_numbers(n)
+    return RationalRow(_convolution_row(numbers, n, scale))
 
 
 def poly_genocchi_poly(k: int, n: int) -> list[Fraction]:
     """G_n^(k)(x), a degree-(n-1) polynomial for n >= 1, as a fresh list per call."""
-    family = _family(k)
-    return list(_cached_row(family.genocchi_rows, n, family.genocchi_row).fractions)
+    return list(_poly_genocchi_row(k, n).fractions)
 
 
 def poly_genocchi_poly_row(k: int, n: int) -> IntegerRow:
     """The coefficients of G_n^(k)(x) as integers over one denominator (cached)."""
-    family = _family(k)
-    return _cached_row(family.genocchi_rows, n, family.genocchi_row).integers
+    return _poly_genocchi_row(k, n).integers
 
 
 def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
     """[E_0^(k), ..., E_max_n^(k)] via E_n^(k) = G_{n+1}^(k) / (n+1), a fresh list per call."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _nonnegative(max_n, "max_n")
     family = _family(k)
-    family.grow_numbers(max_n + 1)
-    return _grown_view(
-        family.euler_view,
-        max_n,
-        lambda n: Fraction(family.numbers[n + 1], (n + 1) * family.scale << (n + 1)),
-    )
+    if len(family.numbers) <= max_n + 1:
+        family.grow_numbers(max_n + 1)
+    return [_poly_euler_number(k, n) for n in range(max_n + 1)]
+
+
+@cache
+def _poly_euler_number(k: int, n: int) -> Fraction:
+    numbers, scale = _family(k).grow_numbers(n + 1)
+    return Fraction(numbers[n + 1], (n + 1) * scale << (n + 1))
+
+
+@cache
+def _poly_euler_row(k: int, n: int) -> RationalRow:
+    """E_n^(k)(x) = G_{n+1}^(k)(x)/(n+1), as C(n,l)/(l+1) = C(n+1,l+1)/(n+1)."""
+    _nonnegative(n, "n")
+    numbers, scale = _family(k).grow_numbers(n + 1)
+    return RationalRow(_convolution_row(numbers, n + 1, (n + 1) * scale))
 
 
 def poly_euler_poly(k: int, n: int) -> list[Fraction]:
     """E_n^(k)(x), a degree-n polynomial, as a fresh list per call, so a caller
     cannot alter the cached polynomial.  No fill-time check guards it: `thm3`,
     `cor7`, `cor2` and `thm1` catch a wrong poly-Genocchi number."""
-    family = _family(k)
-    return list(_cached_row(family.euler_rows, n, family.euler_row).fractions)
+    return list(_poly_euler_row(k, n).fractions)
 
 
 def poly_euler_poly_row(k: int, n: int) -> IntegerRow:
     """The coefficients of E_n^(k)(x) as integers over one denominator (cached)."""
-    family = _family(k)
-    return _cached_row(family.euler_rows, n, family.euler_row).integers
+    return _poly_euler_row(k, n).integers
 
 
 def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
@@ -451,14 +457,9 @@ def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
     read off W_1..W_{n+1} and reduced, so the result does not depend on how
     far the row has been filled.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    family = _family(k)
-    family.grow_weights(n + 1)
-    weights = family.weights
-    return _reduced(
-        [comb(n + 1, l) * weights[n + 1 - l] for l in range(n + 1)], (n + 1) * family.scale
-    )
+    _nonnegative(n, "n")
+    weights, scale = _family(k).grow_weights(n + 1)
+    return _reduced([comb(n + 1, l) * weights[n + 1 - l] for l in range(n + 1)], (n + 1) * scale)
 
 
 def theorem3_combination(k: int, n: int, rows: Callable[[int], IntegerRow], m: int) -> IntegerRow:
@@ -486,8 +487,7 @@ def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
     a_l: E_l(x) has degree l, so `theorem3_combination` carries the m^l.  Must
     equal poly_euler_poly(k, n) for every odd m.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _nonnegative(n, "n")
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be a positive odd integer")
     return theorem3_combination(k, n, euler_poly_row, m).fractions()

@@ -100,9 +100,11 @@ def _package_callers(names: set[str]) -> list[str]:
 def test_only_the_weight_readers_call_stirling_weights():
     # Every weighted sum over the index-k families reads the Theorem 3 weights;
     # only they, the poly-Genocchi numbers and thm1/cor2 read the row itself:
-    # the integer row through `grow_weights`, thm1/cor2 its Fraction view.
+    # the integer row through `grow_weights`, thm1/cor2 its Fraction view, whose
+    # entries `_weight` derives.
     assert _package_callers({"stirling_weights"}) == ["_compute_cor2", "_compute_thm1"]
     assert _package_callers({"grow_weights"}) == [
+        "_weight",
         "grow_numbers",
         "stirling_weights",
         "theorem3_integer_weights",
@@ -113,13 +115,9 @@ def test_one_integer_convolution_fills_every_cached_row():
     # The Euler, Genocchi, poly-Genocchi and poly-Euler rows are built from
     # integers by one binomial convolution, each once per entry; no served
     # function derives a row from Fractions.
-    assert _package_callers({"_convolution_row"}) == [
-        "_euler_row",
-        "_genocchi_row",
-        "euler_row",
-        "genocchi_row",
-    ]
-    assert _package_callers({"RationalRow"}) == ["_cached_row"]
+    fills = ["_euler_row", "_genocchi_row", "_poly_euler_row", "_poly_genocchi_row"]
+    assert _package_callers({"_convolution_row"}) == fills
+    assert _package_callers({"RationalRow"}) == fills
     assert _package_callers({"integer_coefficients", "binomial_convolution"}) == []
 
 

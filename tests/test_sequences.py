@@ -1,7 +1,10 @@
 """Tests for the Stirling/Euler/Genocchi families and their poly generalizations."""
 
 import functools
+import inspect
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -69,6 +72,23 @@ def series_oracle():
     denom = exp_series(ORACLE_ORDER)
     denom[0] += 1
     return powers, [2 * c for c in series_reciprocal(denom)]
+
+
+@pytest.fixture
+def empty_caches():
+    """Every `functools.cache` of `sequences`, `_family` and each row and entry
+    fill, empty when the test starts and emptied again when it ends, so no row
+    or entry outlives the family it was read from; the test may call the
+    yielded function to empty them once more."""
+
+    def clear():
+        for memo in vars(sequences).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 # --- Stirling numbers of the first kind (signed) ------------------------------
@@ -146,11 +166,10 @@ def test_stirling_weights_are_first_kind_sums(k):
     assert stirling_weights(k, 40) == expected
 
 
-def test_stirling_weight_row_grows_by_its_missing_entries(monkeypatch):
-    monkeypatch.setattr(sequences, "_families", {})
+def test_stirling_weight_row_grows_by_its_missing_entries(empty_caches):
     pieces = [stirling_weights(3, n) for n in (0, 4, 4, 11, 2, 25)]
     whole = stirling_weights(3, 25)
-    assert len(sequences._families[3].weights) == 26
+    assert len(sequences._family(3).weights) == 26
     assert all(piece == whole[: len(piece)] for piece in pieces)
 
 
@@ -162,17 +181,18 @@ def test_stirling_weight_row_cache_is_not_shared_with_callers():
     assert stirling_weights(2, 6) == expected
 
 
-def test_stirling_weight_row_fill_check_catches_a_wrong_stirling_number(monkeypatch):
+def test_stirling_weight_row_fill_check_catches_a_wrong_stirling_number(
+    monkeypatch, empty_caches
+):
     # S_1(5, 2) + 7 puts w_5(2) off by 7/2; Stirling inversion over the
     # second-kind triangle must see it as soon as the k = 2 row passes n = 5.
     rows = [stirling1_row(n) for n in range(6)]
     rows[5][2] += 7
     monkeypatch.setattr(sequences, "_stirling_rows", rows)
-    monkeypatch.setattr(sequences, "_families", {})
     stirling_weights(2, 4)  # rows 0..4 are intact
     with pytest.raises(RuntimeError):
         stirling_weights(2, 6)
-    assert len(sequences._families[2].weights) == 5
+    assert len(sequences._family(2).weights) == 5
 
 
 @pytest.mark.parametrize("k", [-3, 0, 1, 4])
@@ -192,10 +212,9 @@ def test_theorem3_integer_weights_equal_the_fraction_weights(k):
 
 
 @pytest.mark.parametrize("k", [-3, 0, 1, 3, 16])
-def test_theorem3_integer_weights_do_not_depend_on_the_fill(monkeypatch, k):
+def test_theorem3_integer_weights_do_not_depend_on_the_fill(empty_caches, k):
     # The weights are read off W_1..W_{n+1} and reduced, so a row filled far
     # past n + 1 (a larger scale L) gives the same integers.
-    monkeypatch.setattr(sequences, "_families", {})
     fresh = [theorem3_integer_weights(k, n) for n in range(8)]
     stirling_weights(k, 60)
     assert [theorem3_integer_weights(k, n) for n in range(8)] == fresh
@@ -203,8 +222,7 @@ def test_theorem3_integer_weights_do_not_depend_on_the_fill(monkeypatch, k):
         assert (list(weights), den) == integer_coefficients(theorem3_weights(k, n)), n
 
 
-def test_theorem3_integer_weights_pinned_value(monkeypatch):
-    monkeypatch.setattr(sequences, "_families", {})
+def test_theorem3_integer_weights_pinned_value(empty_caches):
     stirling_weights(3, 60)
     assert theorem3_integer_weights(3, 3) == IntegerRow((-555, 784, -648, 576), 576)
 
@@ -235,11 +253,10 @@ def _fraction_fill(k, n):
 @pytest.mark.parametrize(
     "k, n", [(k, 60) for k in range(-4, 6)] + [(16, 100), (-16, 100)], ids=str
 )
-def test_integer_fill_matches_the_fraction_loops(monkeypatch, k, n, order):
+def test_integer_fill_matches_the_fraction_loops(empty_caches, k, n, order):
     # Every order grows the row and the numbers from an empty cache; the
     # ascending and jumping ones grow the scale L while entries are kept.
     weights, genocchi, euler = _fraction_fill(k, n)
-    monkeypatch.setattr(sequences, "_families", {})
     for m in _fill_orders(n)[order]:
         assert stirling_weights(k, m) == weights[: m + 1], m
         assert poly_genocchi_numbers(k, m) == genocchi[: m + 1], m
@@ -399,16 +416,14 @@ def test_euler_poly_reflection(n):
         assert poly_eval(p, 1 - x) == (-1) ** n * poly_eval(p, x)
 
 
-@pytest.mark.parametrize(
-    "poly, cache", [(euler_poly, "_euler_poly_cache"), (genocchi_poly, "_genocchi_poly_cache")]
-)
-def test_euler_and_genocchi_poly_cache_is_not_shared_with_callers(poly, cache):
+@pytest.mark.parametrize("poly, fill", [(euler_poly, "_euler_row"), (genocchi_poly, "_genocchi_row")])
+def test_euler_and_genocchi_poly_cache_is_not_shared_with_callers(poly, fill):
     first = poly(5)
     expected = list(first)
     first[0] = Fraction(999)
     first.append(Fraction(7))
     assert poly(5) == expected
-    assert getattr(sequences, cache)[5].fractions == tuple(expected)
+    assert getattr(sequences, fill)(5).fractions == tuple(expected)
 
 
 def test_euler_poly_known_values():
@@ -483,17 +498,16 @@ def test_poly_genocchi_low_entries(k):
     assert numbers[2] == -2 + Fraction(2) ** (1 - k)
 
 
-def test_poly_genocchi_numbers_grow_by_their_missing_entries(monkeypatch):
-    monkeypatch.setattr(sequences, "_families", {})
+def test_poly_genocchi_numbers_grow_by_their_missing_entries(empty_caches):
     pieces = [poly_genocchi_numbers(3, n) for n in (0, 4, 4, 11, 2, 25)]
     whole = poly_genocchi_numbers(3, 25)
-    assert len(sequences._families[3].numbers) == 26
+    assert len(sequences._family(3).numbers) == 26
     assert all(piece == whole[: len(piece)] for piece in pieces)
     # The cached list is extended in place, so no caller may hold it.
     whole[5] = Fraction(999)
     whole.append(Fraction(7))
     assert poly_genocchi_numbers(3, 25) == pieces[-1]
-    assert len(sequences._families[3].numbers) == 26
+    assert len(sequences._family(3).numbers) == 26
 
 
 @pytest.mark.parametrize("k", range(-4, 6))
@@ -554,12 +568,11 @@ def test_poly_euler_distribution_route_rejects_even_modulus():
         ("cor2", {"n": 7, "k": 2}),
     ],
 )
-def test_the_identities_catch_a_wrong_poly_genocchi_number(monkeypatch, verifier_id, params):
+def test_the_identities_catch_a_wrong_poly_genocchi_number(empty_caches, verifier_id, params):
     # The poly-Euler polynomials are built once, with no fill-time check; a
     # G_7^(2) off by 5/3 reaches E_6^(2)(x) and G_7^(2)(x), and these
     # identities compare both with sides that never read it.  The fault goes
-    # into the integer numbers g_n = L·2^n·G_n^(2) before any view is derived.
-    monkeypatch.setattr(sequences, "_families", {})
+    # into the integer numbers g_n = L·2^n·G_n^(2) before any entry or row is derived.
     family = sequences._family(2)
     family.grow_numbers(20)
     fault = Fraction(5, 3) * family.scale * 2**7
@@ -580,6 +593,92 @@ def test_poly_euler_poly_degree_and_leading_coefficient():
     for k in (-2, 0, 3):
         p = poly_euler_poly(k, 6)
         assert len(p) == 7 and p[6] == 1  # monic of degree n (E_0^(k) = 1)
+
+
+# --- arguments and threads ---------------------------------------------------
+
+#: Each public function of `sequences` that takes n or max_n: valid arguments
+#: but for n or max_n = -1, and the message of the ValueError it raises.
+NEGATIVE_CALLS = {
+    "stirling1": ((-1, 0), "stirling1 requires nonnegative n and m"),
+    "stirling1_row": ((-1,), "stirling1 requires nonnegative n"),
+    "stirling_weights": ((2, -1), "max_n must be nonnegative"),
+    "euler_integers": ((-1,), "max_n must be nonnegative"),
+    "euler_numbers": ((-1,), "max_n must be nonnegative"),
+    "euler_poly": ((-1,), "n must be nonnegative"),
+    "euler_poly_row": ((-1,), "n must be nonnegative"),
+    "genocchi_numbers": ((-1,), "max_n must be nonnegative"),
+    "genocchi_poly": ((-1,), "n must be nonnegative"),
+    "genocchi_poly_row": ((-1,), "n must be nonnegative"),
+    "poly_genocchi_numbers": ((2, -1), "max_n must be nonnegative"),
+    "poly_genocchi_poly": ((2, -1), "n must be nonnegative"),
+    "poly_genocchi_poly_row": ((2, -1), "n must be nonnegative"),
+    "poly_euler_numbers": ((2, -1), "max_n must be nonnegative"),
+    "poly_euler_poly": ((2, -1), "n must be nonnegative"),
+    "poly_euler_poly_row": ((2, -1), "n must be nonnegative"),
+    "theorem3_integer_weights": ((2, -1), "n must be nonnegative"),
+    "theorem3_combination": ((2, -1, euler_poly_row, 1), "n must be nonnegative"),
+    "poly_euler_via_theorem3": ((2, -1), "n must be nonnegative"),
+    "poly_euler_via_corollary7": ((2, -1, 3), "n must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        name
+        for name, function in inspect.getmembers(sequences, inspect.isfunction)
+        if not name.startswith("_")
+        and function.__module__ == sequences.__name__
+        and {"n", "max_n"} & set(inspect.signature(function).parameters)
+    ),
+)
+def test_a_negative_n_is_rejected_with_its_message(name):
+    args, message = NEGATIVE_CALLS[name]
+    with pytest.raises(ValueError) as raised:
+        getattr(sequences, name)(*args)
+    assert str(raised.value) == message
+
+
+def test_threads_fill_the_integer_lists_as_one_thread_does(monkeypatch, empty_caches):
+    # Threads that meet empty Stirling, Euler and index-k lists at once, each
+    # asking a different size, must leave every list as one thread fills it:
+    # a stale start, a scale multiplied once per thread, or numbers read with
+    # the scale of another growth step shows in the values or in later reads.
+    def reads(i):
+        return (
+            stirling1_row(300 - 9 * i),
+            [poly_genocchi_numbers(k, 120 - 9 * i) for k in (3, -2)],
+            [poly_euler_poly(k, 90 - 9 * i) for k in (3, -2)],
+        )
+
+    def work(barrier, i):
+        try:
+            barrier.wait(timeout=60)
+            results[i] = reads(i)
+        except BaseException as error:  # reported by the main thread
+            errors.append(error)
+
+    expected = [reads(i) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(sequences, "_stirling_rows", [[1]])
+            monkeypatch.setattr(sequences, "_stirling2_rows", [[1]])
+            monkeypatch.setattr(sequences, "_euler_cache", [])
+            empty_caches()
+            barrier, errors, results = threading.Barrier(4), [], {}
+            threads = [threading.Thread(target=work, args=(barrier, i)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads) and errors == []
+            assert [results[i] for i in range(4)] == expected
+            assert [reads(i) for i in range(4)] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --- periodic bar evaluation and sawtooth -------------------------------------
