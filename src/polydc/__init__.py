@@ -36,7 +36,6 @@ from .identity_suite import (
     verify,
 )
 from .sequences import (
-    bar_eval,
     euler_numbers,
     euler_poly,
     genocchi_numbers,
@@ -60,7 +59,6 @@ __all__ = [
     "SweepResult",
     "VERIFIER_IDS",
     "VerificationReport",
-    "bar_eval",
     "brute_alternating_power_sum",
     "corollary15_rhs",
     "corollary15_sides",

@@ -27,8 +27,9 @@ argument they run the one O(m) integer kernel, the single moments over the
 row of E_p(x) or E_p^(k)(x) (`_row_dc_sum`).  Every identity below reads that
 kernel or the O(mh) double moments, never the Euclid route, so no identity
 checks reciprocity with a value that reciprocity built.  Both kinds of
-moments are independent of k and are read through one bounded cache
-(`_MomentCache`), shared across the points of a sweep.  The
+moments are independent of k, each kernel returns one list, and both are
+read at (h, m) and at (m, h) through one bounded cache (`_MomentCache`), so
+they are shared across the points of a sweep and with each mirror point.  The
 Fraction loops that define the sums are the tests' oracles
 (`tests/oracles.py`, `tests/test_dc_sums.py`).
 
@@ -165,8 +166,8 @@ def _single_moments(h: int, m: int, degree: int) -> list[int]:
 #: tuple slot that holds it) and 2560 bits for its key, tuples and slot, so the
 #: charge follows its memory and entries of zeros count too.  2^25 bits (4 MiB)
 #: hold every entry of one k-slice of a sweep at p ≤ 8 over all odd h, m ≤ 99,
-#: or about nine double-moment entries at the CLI caps (p = 500, m·h = 10^4:
-#: 0.45 MB each).
+#: or about 18 double-moment entries at the CLI caps (p = 500, m·h = 10^4:
+#: 0.22 MB each).
 MOMENT_CACHE_BITS = 1 << 25
 
 
@@ -182,8 +183,8 @@ class MomentCacheInfo(NamedTuple):
 class _MomentCache:
     """The k-independent moments of the reciprocity sides, shared across points.
 
-    An entry, keyed by (kernel, h, m), holds the kernel's moment lists as
-    tuples at the highest degree read so far; the moments at degree p are the
+    An entry, keyed by (kernel, h, m), holds the kernel's one moment list as a
+    tuple at the highest degree read so far; the moments at degree p are the
     first p + 1 of those at any higher degree.  A read above the stored degree
     runs the kernel at the new degree and replaces the entry.  Entries are
     evicted least recently used first while the charged bits would exceed
@@ -193,27 +194,23 @@ class _MomentCache:
     """
 
     def __init__(self) -> None:
-        self.entries: OrderedDict[tuple, tuple[tuple, int]] = OrderedDict()
+        self.entries: OrderedDict[tuple, tuple[tuple[int, ...], int]] = OrderedDict()
         self.bits = self.hits = self.misses = 0
         self.lock = Lock()
 
-    def read(
-        self, kernel: Callable, h: int, m: int, degree: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """The moment lists of kernel (`_single_moments` or `_double_moments`)
-        at (h, m) for i = 0..degree, one tuple each."""
+    def read(self, kernel: Callable, h: int, m: int, degree: int) -> tuple[int, ...]:
+        """The moments of kernel (`_single_moments` or `_double_moments`) at
+        (h, m) for i = 0..degree."""
         key = (kernel, h, m)
         with self.lock:
             moments, _ = self.entries.get(key, ((), 0))
-            if moments and len(moments[0]) > degree:
+            if len(moments) > degree:
                 self.hits += 1
                 self.entries.move_to_end(key)
-                return tuple(values[: degree + 1] for values in moments)
+                return moments[: degree + 1]
             self.misses += 1
-        # A kernel returns one moment list or a tuple of them.
-        computed = kernel(h, m, degree)
-        moments = tuple(map(tuple, computed if isinstance(computed, tuple) else (computed,)))
-        bits = sum(v.bit_length() + 256 for values in moments for v in values) + 2560
+        moments = tuple(kernel(h, m, degree))
+        bits = sum(v.bit_length() + 256 for v in moments) + 2560
         with self.lock:
             _, replaced = self.entries.pop(key, ((), 0))
             self.bits -= replaced
@@ -240,7 +237,7 @@ def _moment_total(numerators: Sequence[int], h: int, m: int) -> int:
     and the integer moments S_i of `_single_moments`, read through the moment
     cache: the DC sum over that polynomial is 2·total / (den·m^(p+1))."""
     p = len(numerators) - 1
-    (moments,) = _MOMENT_CACHE.read(_single_moments, h, m, p)
+    moments = _MOMENT_CACHE.read(_single_moments, h, m, p)
     return sum(c * s * m ** (p - i) for i, (c, s) in enumerate(zip(numerators, moments)))
 
 
@@ -480,21 +477,28 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     return IdentitySides.compare(Fraction(total, dk * de), Fraction(rhs, dk * 2**p))
 
 
-def _double_moments(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
-    """A_i = Σ ± μh r^i and B_i = Σ ± νm r^i for i = 0..degree.
+def _double_moments(h: int, m: int, degree: int) -> list[int]:
+    """A_i = Σ ± μh r^i for i = 0..degree.
 
-    The sums run over μ = 0..m-1, ν = 0..h-1 with d, r = divmod(νm + μh, mh)
-    and sign (-1)^(μ+ν+d), so that Ê_l(ν/h + μ/m) = (-1)^d E_l(r/(mh)).
+    The sum runs over μ = 0..m-1, ν = 0..h-1 with d, r = divmod(νm + μh, mh)
+    and sign (-1)^(μ+ν+d), so that Ê_l(ν/h + μ/m) = (-1)^d E_l(r/(mh)).  The
+    moments B_i = Σ ± νm r^i of the same terms are A_i at (m, h): swapping
+    (h, μ) with (m, ν) keeps r, d and the sign.  For each μ ≥ 1 (μ = 0 weighs
+    nothing), r steps by m from μh with d = 0 while ν < h - ⌊μh/m⌋, then from
+    μh mod m with d = 1, and the sign alternates in ν.
     """
-    n = m * h
-    a_weights, b_weights = [0] * n, [0] * n
-    for mu in range(m):
-        for nu in range(h):
-            d, r = divmod(nu * m + mu * h, n)
-            sign = -1 if (mu + nu + d) % 2 else 1
-            a_weights[r] += sign * mu * h
-            b_weights[r] += sign * nu * m
-    return residue_moments(a_weights, degree), residue_moments(b_weights, degree)
+    n, step = m * h, 2 * m
+    weights = [0] * n
+    for mu in range(1, m):
+        w = mu * h
+        low = -w if mu % 2 else w
+        high = low if (h - w // m) % 2 else -low
+        for start, stop, sign in ((w, n, low), (w % m, w, high)):
+            for r in range(start, stop, step):
+                weights[r] += sign
+            for r in range(start + m, stop, step):
+                weights[r] -= sign
+    return residue_moments(weights, degree)
 
 
 def _reciprocity_lhs(row: IntegerRow, h: int, m: int) -> Fraction:
@@ -511,8 +515,9 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
         2 Σ_{l=0..p} a_l (mh)^(l-1) Σ_{μ=0..m-1} Σ_{ν=0..h-1} (-1)^(μ+ν)
           · ((μh)·m^(p-l) + (νm)·h^(p-l)) · Ê_l(ν/h + μ/m).
 
-    Read from the double moments A, B of `_double_moments`, through the
-    moment cache: the l-th term is
+    Read from the double moments of `_double_moments` through the moment
+    cache, A at (h, m) and B at (m, h), as `_reciprocity_lhs` reads the
+    single moments: the l-th term is
     (mh)^(l-1)·a_l·Σ_i e_{l,i} (m^(p-l) A_i + h^(p-l) B_i) / (mh)^i, with e_l
     the coefficients of E_l(x), all integers over one denominator; E_l(x) is
     read only where a_l is nonzero.
@@ -523,7 +528,8 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
     rows = [euler_poly_row(l) for l in degrees]
     scales, row_den = _common_scales(rows)
     n = m * h
-    a, b = _MOMENT_CACHE.read(_double_moments, h, m, p)
+    a = _MOMENT_CACHE.read(_double_moments, h, m, p)
+    b = _MOMENT_CACHE.read(_double_moments, m, h, p)
     total = 0
     for l, scale, row in zip(degrees, scales, rows):
         m_pow, h_pow = m ** (p - l), h ** (p - l)
@@ -544,7 +550,8 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
 
     Requires odd h and odd m; holds for every such pair (coprimality is not
     needed) and every integer k.  The rhs is symmetric under (h, μ) ↔ (m, ν)
-    term by term, matching the symmetric lhs.
+    term by term, matching the symmetric lhs, so both read their moments at
+    (h, m) and at (m, h).
 
     The lhs is `_reciprocity_lhs` over E_p^(k)(x), from the single moments;
     the rhs is `_reciprocity_rhs` over the Theorem 3 weights

@@ -39,7 +39,7 @@ from math import comb, factorial, floor, gcd, lcm
 from operator import mul
 from threading import RLock
 
-from .exact_algebra import IntegerRow, RationalRow, distributed_combination, poly_eval
+from .exact_algebra import IntegerRow, RationalRow, distributed_combination
 
 _lock = RLock()  # every integer list grows under it
 
@@ -449,13 +449,14 @@ def poly_euler_poly_row(k: int, n: int) -> IntegerRow:
     return _poly_euler_row(k, n).integers
 
 
+@cache
 def theorem3_integer_weights(k: int, n: int) -> IntegerRow:
     """The Theorem 3 weights a_0, ..., a_n over their least common denominator.
 
     With the weight row's numerators W over its scale L, and
     C(n,l)/(n+1-l) = C(n+1,l)/(n+1), a_l = C(n+1,l)·W_{n+1-l} / ((n+1)·L),
     read off W_1..W_{n+1} and reduced, so the result does not depend on how
-    far the row has been filled.
+    far the row has been filled, and is kept once per (k, n).
     """
     _nonnegative(n, "n")
     weights, scale = _family(k).grow_weights(n + 1)
@@ -494,17 +495,8 @@ def poly_euler_via_corollary7(k: int, n: int, m: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Periodic bar evaluation and the sawtooth function
+# The sawtooth function
 # ---------------------------------------------------------------------------
-
-def bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    """Evaluate p at the fractional part x - floor(x) (floor toward -infinity).
-
-    The 1-periodic extension of p restricted to [0, 1): integers map to p(0),
-    and bar_eval(p, -1/4) = p(3/4).
-    """
-    return poly_eval(p, x - floor(x))
-
 
 def sawtooth(x: Fraction) -> Fraction:
     """The sawtooth ((x)): x - floor(x) - 1/2 for non-integer x, else 0."""

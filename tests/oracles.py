@@ -24,9 +24,11 @@ kernel with the integer kernel they check:
   in `Fraction`s, for the integer rows of the four polynomial families;
 - `theorem3_weights`, the Theorem 3 weights as `Fraction` products over
   `stirling_weight`, for `theorem3_integer_weights`;
-- `alternating_bar_eval`, the sign-alternating periodic extension Ê by
-  `fraction_horner`, and `euler_alt_bar`, its memoized value over E_n(x),
-  which the defining loops of the DC sums read;
+- `bar_eval`, the plain 1-periodic extension p(x - floor(x)) by
+  `fraction_horner`, for the `bar-*` kinds of `eval` and for
+  `alternating_bar_eval`, the sign-alternating periodic extension Ê, which
+  agrees with it on [0, 1); and `euler_alt_bar`, Ê's memoized value over
+  E_n(x), which the defining loops of the DC sums read;
 - the per-term moment loops, in integers, that `exact_algebra.residue_moments`
   replaced: `alternating_power_sums_by_term`, `single_moments_by_term` and
   `double_moments_by_term` step each term's power through every degree and
@@ -166,6 +168,15 @@ def theorem3_weights(k: int, n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [comb(n, l) * stirling_weight(k, n + 1 - l) / (n + 1 - l) for l in range(n + 1)]
+
+
+def bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
+    """Evaluate p at the fractional part x - floor(x) (floor toward -infinity).
+
+    The 1-periodic extension of p restricted to [0, 1): integers map to p(0),
+    and bar_eval(p, -1/4) = p(3/4).
+    """
+    return fraction_horner(p, x - floor(x))
 
 
 def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:

@@ -24,7 +24,9 @@ from polydc.cli import (
     parse_range,
 )
 from polydc.exact_algebra import IntegerRow, format_rational, parse_rational
-from polydc.sequences import euler_integers, euler_poly_row
+from polydc.sequences import euler_integers, euler_poly, euler_poly_row, poly_euler_poly
+
+from oracles import bar_eval
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +145,15 @@ def test_table_json_rows(capsys):
 def test_eval_csv_format(capsys):
     main(["eval", "bar-euler", "n=1", "x=7/3", "--format", "csv"])
     assert capsys.readouterr().out == "value\n-1/6\n"
+
+
+@pytest.mark.parametrize("x", ["7/3", "-1/4", "-7/4", "2", "0", "11/5"])
+@pytest.mark.parametrize("kind, k", [("bar-euler", None), ("bar-poly-euler", 2)])
+def test_eval_bar_kinds_are_the_plain_periodic_extension(kind, k, x, capsys):
+    poly = euler_poly(3) if k is None else poly_euler_poly(k, 3)
+    main(["eval", kind, "n=3", f"x={x}"] + ([] if k is None else [f"k={k}"]))
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == format_rational(bar_eval(poly, Fraction(x)))
 
 
 def test_verify_csv_format(capsys):

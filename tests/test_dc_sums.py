@@ -26,7 +26,6 @@ from polydc.dc_sums import (
 )
 from polydc.identity_suite import verify
 from polydc.sequences import (
-    bar_eval,
     euler_poly,
     euler_poly_row,
     poly_euler_poly,
@@ -37,6 +36,7 @@ from polydc.sequences import (
 
 from oracles import (
     alternating_bar_eval,
+    bar_eval,
     double_moments_by_term,
     euler_alt_bar,
     fraction_horner,
@@ -539,25 +539,31 @@ def test_single_moments_match_the_per_term_loop(m):
         assert dc_sums._single_moments(7, m, degree) == single_moments_by_term(7, m, degree)
 
 
+def _both_orientations(h: int, m: int, degree: int) -> tuple[list[int], list[int]]:
+    """A at (h, m) and at (m, h), which is B at (h, m): the per-term loop
+    builds B by its own sum, so comparing with it also pins the symmetry."""
+    return dc_sums._double_moments(h, m, degree), dc_sums._double_moments(m, h, degree)
+
+
 @pytest.mark.parametrize("m", MOMENT_MODULI)
 def test_double_moments_match_the_per_term_loop(m):
     for h in MOMENT_MODULI:
         for degree in (0, 1, 8):
             expected = double_moments_by_term(h, m, degree)
-            assert dc_sums._double_moments(h, m, degree) == expected, (h, m, degree)
+            assert _both_orientations(h, m, degree) == expected, (h, m, degree)
 
 
 @given(data=st.data(), h=st.integers(1, 10_000), p=st.integers(0, 6))
 @settings(max_examples=25, deadline=None)
 def test_moments_match_the_per_term_loops_at_large_moduli(data, h, p):
     m = data.draw(st.integers(1, 10_000 // h), label="m")
-    assert dc_sums._double_moments(h, m, p) == double_moments_by_term(h, m, p)
+    assert _both_orientations(h, m, p) == double_moments_by_term(h, m, p)
     assert dc_sums._single_moments(h, m, p) == single_moments_by_term(h, m, p)
 
 
 @pytest.mark.parametrize("h, m", [(100, 100), (99, 101), (1, 10_000), (10_000, 1), (2, 4999)])
 def test_double_moments_match_the_per_term_loop_at_mh_10_000(h, m):
-    assert dc_sums._double_moments(h, m, 6) == double_moments_by_term(h, m, 6)
+    assert _both_orientations(h, m, 6) == double_moments_by_term(h, m, 6)
 
 
 @pytest.mark.parametrize("h", [1, 2, 9973, 12345])
@@ -572,18 +578,15 @@ SINGLE, DOUBLE = dc_sums._single_moments, dc_sums._double_moments
 
 
 def _prefix(moments, degree: int) -> tuple:
-    """The per-term loops' moments at degree, from theirs at a higher one, as
-    the cache returns them: one tuple per moment list."""
-    return tuple(tuple(values[: degree + 1]) for values in moments)
+    """A per-term loop's moments at degree, from its list at a higher one, as
+    the cache returns them: one tuple."""
+    return tuple(moments[: degree + 1])
 
 
 def _charged_bits(cache) -> int:
     """The moments' bit_length, 256 bits per moment and 2560 per entry."""
     return 2560 * len(cache.entries) + sum(
-        v.bit_length() + 256
-        for moments, _ in cache.entries.values()
-        for values in moments
-        for v in values
+        v.bit_length() + 256 for moments, _ in cache.entries.values() for v in moments
     )
 
 
@@ -600,18 +603,18 @@ def test_cached_moments_match_the_per_term_loops(m):
     # Each pair reads a fresh cache in one order, and every h and every m meets
     # all three: ascending replaces the entry at every degree, descending
     # fills it once and reads prefixes, shuffled does both.
+    # B is read as A at (m, h), so the double moments are read both ways.
     ascending = list(range(9))
     for h in ODD_TO_61:
-        expected = {
-            SINGLE: (single_moments_by_term(h, m, 8),),
-            DOUBLE: double_moments_by_term(h, m, 8),
-        }
+        a, b = double_moments_by_term(h, m, 8)
+        expected = {(SINGLE, h, m): single_moments_by_term(h, m, 8), (DOUBLE, h, m): a}
+        expected[DOUBLE, m, h] = b
         shuffled = random.Random(h * 100 + m).sample(ascending, len(ascending))
         degrees = (ascending, ascending[::-1], shuffled)[(h + m) // 2 % 3]
         cache = dc_sums._MomentCache()
         for p in degrees:
-            for kernel, moments in expected.items():
-                assert cache.read(kernel, h, m, p) == _prefix(moments, p), (h, m, p)
+            for key, moments in expected.items():
+                assert cache.read(*key, p) == _prefix(moments, p), (key, p)
 
 
 def test_cached_moments_match_the_per_term_loops_through_eviction(monkeypatch):
@@ -623,8 +626,8 @@ def test_cached_moments_match_the_per_term_loops_through_eviction(monkeypatch):
         for h in moduli
         for m in moduli
         for kernel, moments in (
-            (SINGLE, (single_moments_by_term(h, m, 8),)),
-            (DOUBLE, double_moments_by_term(h, m, 8)),
+            (SINGLE, single_moments_by_term(h, m, 8)),
+            (DOUBLE, double_moments_by_term(h, m, 8)[0]),
         )
     }
     requests = [(key, p) for key in expected for p in range(9)] * 2
@@ -640,10 +643,10 @@ def test_cached_moments_match_the_per_term_loops_through_eviction(monkeypatch):
 def test_a_moment_entry_above_the_budget_is_returned_unstored(monkeypatch):
     monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 5_000)
     cache = dc_sums._MomentCache()
-    assert cache.read(SINGLE, 3, 5, 1) == _prefix([single_moments_by_term(3, 5, 1)], 1)
+    assert cache.read(SINGLE, 3, 5, 1) == _prefix(single_moments_by_term(3, 5, 1), 1)
     assert len(cache.entries) == 1
     moments = cache.read(DOUBLE, 21, 23, 8)
-    assert moments == _prefix(double_moments_by_term(21, 23, 8), 8)
+    assert moments == _prefix(double_moments_by_term(21, 23, 8)[0], 8)
     # The larger entry is not stored, and it evicts nothing.
     assert list(cache.entries) == [(SINGLE, 3, 5)] and cache.bits == _charged_bits(cache)
     # Nor does a higher degree that outgrows the budget keep the old entry.
@@ -671,7 +674,7 @@ def test_threads_keep_the_moment_cache_within_its_bound(monkeypatch):
         try:
             for _ in range(4000):
                 (h, m), p = rng.choice(list(expected)), rng.randrange(7)
-                assert cache.read(SINGLE, h, m, p) == _prefix([expected[h, m]], p)
+                assert cache.read(SINGLE, h, m, p) == _prefix(expected[h, m], p)
         except BaseException as error:  # reported by the main thread
             errors.append(error)
 
@@ -698,8 +701,8 @@ def test_a_returned_moment_list_cannot_change_the_cache():
         return made[-1]
 
     cache = dc_sums._MomentCache()
-    expected = _prefix([single_moments_by_term(3, 7, 6)], 6)
-    (moments,) = cache.read(kernel, 3, 7, 6)
+    expected = _prefix(single_moments_by_term(3, 7, 6), 6)
+    moments = cache.read(kernel, 3, 7, 6)
     made[0][0] += 1  # the kernel's own list is not what the cache holds
     with pytest.raises(TypeError):
         moments[0] = 0
@@ -713,27 +716,38 @@ def test_each_moment_entry_holds_p_plus_one_integers_per_list(moment_cache):
         for p in (1, 4, 3):
             assert reciprocity_sides(k, p, 5, 9).holds
             assert corollary15_sides(p, 7, 3).holds
+    # Both kernels are read at each pair and at its mirror.
     assert set(moment_cache.entries) == {
-        (kernel, *pair) for pair in [(5, 9), (7, 3)] for kernel in (SINGLE, DOUBLE)
-    } | {(SINGLE, 9, 5), (SINGLE, 3, 7)}
-    for (kernel, h, m), (moments, bits) in moment_cache.entries.items():
-        assert len(moments) == (1 if kernel is SINGLE else 2)
-        for values in moments:
-            assert type(values) is tuple and len(values) == 5
-            assert all(type(v) is int for v in values)
+        (kernel, *pair)
+        for pair in [(5, 9), (9, 5), (7, 3), (3, 7)]
+        for kernel in (SINGLE, DOUBLE)
+    }
+    for moments, bits in moment_cache.entries.values():
+        assert type(moments) is tuple and len(moments) == 5
+        assert all(type(v) is int for v in moments)
     assert moment_cache.bits == _charged_bits(moment_cache)
 
 
 def test_moment_cache_info_counts_entries_bits_hits_and_misses(moment_cache):
     assert dc_sums.moment_cache_info() == (0, 0, 0, 0)
-    reciprocity_sides(2, 4, 5, 7)  # single (5, 7) and (7, 5), double (5, 7)
+    reciprocity_sides(2, 4, 5, 7)  # single and double, each at (5, 7) and (7, 5)
     info = dc_sums.moment_cache_info()
-    assert info == (3, _charged_bits(moment_cache), 0, 3)
+    assert info == (4, _charged_bits(moment_cache), 0, 4)
     reciprocity_sides(-3, 2, 5, 7)  # every degree-2 read is a prefix
-    assert dc_sums.moment_cache_info() == (3, info.bits, 3, 3)
+    assert dc_sums.moment_cache_info() == (4, info.bits, 4, 4)
     reciprocity_sides(0, 6, 5, 7)  # above the stored degree: replaced
     replaced = dc_sums.moment_cache_info()
-    assert replaced == (3, _charged_bits(moment_cache), 3, 6) and replaced.bits > info.bits
+    assert replaced == (4, _charged_bits(moment_cache), 4, 8) and replaced.bits > info.bits
+
+
+@pytest.mark.parametrize("h, m", [(5, 7), (3, 9), (1, 11), (15, 21)])
+def test_a_mirrored_reciprocity_point_reads_only_cached_moments(moment_cache, h, m):
+    # The right side reads A at (h, m) and B as A at (m, h), the left side S
+    # at both, so the mirror (m, h) needs no kernel run.
+    assert reciprocity_sides(2, 5, h, m).holds
+    misses = moment_cache.misses
+    assert reciprocity_sides(2, 5, m, h).holds and corollary15_sides(5, m, h).holds
+    assert moment_cache.misses == misses
 
 
 def test_a_long_sweep_keeps_the_moment_cache_within_its_bound(monkeypatch, moment_cache):
@@ -752,18 +766,20 @@ def test_a_long_sweep_keeps_the_moment_cache_within_its_bound(monkeypatch, momen
         "thm14", {"k": [-1, 1, 2], "p": range(1, 9), "h": moduli, "m": moduli}
     )
     assert result.passed == result.total == 3 * 8 * 36
-    assert max(peak) <= dc_sums.MOMENT_CACHE_BITS and len(peak) == 3 * result.total
+    assert max(peak) <= dc_sums.MOMENT_CACHE_BITS and len(peak) == 4 * result.total
     assert moment_cache.misses > result.total and len(moment_cache.entries) < 2 * 36
     assert moment_cache.bits == _charged_bits(moment_cache)
 
 
 def test_the_moment_cache_holds_a_k_slice_of_the_54_point_grid(moment_cache):
     # The sweep runs k outermost: with every (h, m) of one k resident, each
-    # moment is computed once, at p = 6, for all six k.
+    # moment list is computed once, at p = 6, for all six k.  Both kernels are
+    # read at the 17 distinct pairs (h, m) and (m, h) ((97, 97) is its own
+    # mirror), four reads per point.
     grid = {"k": range(-2, 4), "p": [6], "h": [95, 97, 99], "m": [89, 91, 97]}
     assert identity_suite.sweep("thm14", grid).passed == 54
     info = dc_sums.moment_cache_info()
-    assert info.misses == info.entries == 9 + 17 and info.hits == 3 * 54 - info.misses
+    assert info.misses == info.entries == 17 + 17 and info.hits == 4 * 54 - info.misses
 
 
 # --- properties beyond the acceptance grid ------------------------------------

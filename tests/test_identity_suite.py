@@ -182,6 +182,19 @@ def test_readme_verifier_table_matches_hypotheses():
         assert hypotheses == hypotheses_text(vid), vid
 
 
+def test_readme_python_api_block_runs_as_written():
+    # The README's API example is the documented contract: run it as written,
+    # keyword arguments included, and check each result it states as a Fraction.
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    stated = [line.split("#") for line in block.splitlines() if "# Fraction(" in line]
+    assert len(stated) == 2
+    for call, value in stated:
+        assert eval(call, namespace) == eval(value, namespace), call
+
+
 def test_verify_is_deterministic_in_values():
     first = verify("thm14", SAMPLE_POINTS["thm14"])
     second = verify("thm14", SAMPLE_POINTS["thm14"])

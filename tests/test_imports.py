@@ -196,7 +196,8 @@ def test_every_single_sum_reads_the_one_moment_kernel(reader):
 
 def test_each_moment_loop_has_one_caller():
     # The single and the double moments are each run by one function, the
-    # moment cache's read, and read through it by one function each, so a
+    # moment cache's read, and read through it by one function each (the
+    # right side reads the double moments at (h, m) and at (m, h)), so a
     # faster kernel for either replaces that one function.
     path = PACKAGE / "dc_sums.py"
     functions = [
@@ -213,7 +214,11 @@ def test_each_moment_loop_has_one_caller():
         for call in ast.walk(function)
         if isinstance(call, ast.Call) and _identifiers(call.func) == {"_MOMENT_CACHE", "read"}
     ]
-    assert reads == [("_moment_total", "_single_moments"), ("_reciprocity_rhs", "_double_moments")]
+    assert reads == [
+        ("_moment_total", "_single_moments"),
+        ("_reciprocity_rhs", "_double_moments"),
+        ("_reciprocity_rhs", "_double_moments"),
+    ]
     referrers = [function.name for function in functions if _identifiers(function) & kernels]
     assert referrers == ["_moment_total", "_reciprocity_rhs"]
 
@@ -325,6 +330,7 @@ def test_the_fraction_oracles_live_in_the_tests_only():
     # and nothing calling them.
     moved = FRACTION_ASSEMBLY | {
         "theorem3_weights",
+        "bar_eval",
         "alternating_bar_eval",
         "integer_coefficients",
         "binomial_convolution",

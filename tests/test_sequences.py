@@ -25,7 +25,6 @@ from polydc.exact_algebra import (
 )
 from polydc.identity_suite import verify
 from polydc.sequences import (
-    bar_eval,
     euler_numbers,
     euler_poly,
     euler_poly_row,
@@ -49,6 +48,7 @@ from polydc.sequences import (
 )
 
 from oracles import (
+    bar_eval,
     binomial_convolution,
     integer_coefficients,
     poly_genocchi_sums,
@@ -217,9 +217,19 @@ def test_theorem3_integer_weights_do_not_depend_on_the_fill(empty_caches, k):
     # past n + 1 (a larger scale L) gives the same integers.
     fresh = [theorem3_integer_weights(k, n) for n in range(8)]
     stirling_weights(k, 60)
+    theorem3_integer_weights.cache_clear()  # read them again off the longer row
     assert [theorem3_integer_weights(k, n) for n in range(8)] == fresh
     for n, (weights, den) in enumerate(fresh):
         assert (list(weights), den) == integer_coefficients(theorem3_weights(k, n)), n
+
+
+def test_a_repeated_theorem3_weight_read_is_a_cache_hit(empty_caches):
+    first = theorem3_integer_weights(-2, 6)
+    info = theorem3_integer_weights.cache_info()
+    assert theorem3_integer_weights(-2, 6) is first
+    after = theorem3_integer_weights.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+    assert after.currsize == 1 and isinstance(first, IntegerRow)
 
 
 def test_theorem3_integer_weights_pinned_value(empty_caches):
@@ -627,8 +637,10 @@ NEGATIVE_CALLS = {
     "name",
     sorted(
         name
-        for name, function in inspect.getmembers(sequences, inspect.isfunction)
-        if not name.startswith("_")
+        # A public function kept by functools.cache is a function once unwrapped.
+        for name, function in inspect.getmembers(sequences, callable)
+        if inspect.isfunction(inspect.unwrap(function))
+        and not name.startswith("_")
         and function.__module__ == sequences.__name__
         and {"n", "max_n"} & set(inspect.signature(function).parameters)
     ),
