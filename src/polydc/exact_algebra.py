@@ -48,10 +48,11 @@ def parse_rational(text: str) -> Fraction:
 
     Accepts integer strings ("5", "-7"), "p/q" strings ("-3/2") and decimals.
     Raises ValueError on anything else, such as an exponent ("1e9"), which
-    could ask for any size in a few characters.
+    could ask for any size in a few characters, or a digit separator
+    ("1_000"), which `Fraction` accepts from Python 3.11 on only.
     """
     try:
-        if "e" in text.lower():
+        if "e" in text.lower() or "_" in text:
             raise ValueError(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -63,13 +63,9 @@ from .dc_sums import (
 )
 from .exact_algebra import IntegerRow, alternating_power_sums, distributed_combination
 from .sequences import (
-    euler_numbers,
     euler_poly_row,
     genocchi_poly_row,
-    poly_euler_numbers,
     poly_euler_poly_row,
-    poly_genocchi_numbers,
-    poly_genocchi_poly,
     poly_genocchi_poly_row,
     sawtooth,
     stirling_weights,
@@ -152,11 +148,16 @@ def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
 # --- compute functions -----------------------------------------------------
 
 
+def _constant_term(row: IntegerRow) -> Fraction:
+    """The constant term of the row: E_n = E_n(0), G_n^(k) = G_n^(k)(0), and so on."""
+    return Fraction(row.numerators[0], row.den)
+
+
 def _compute_eq4(n: int, l: int) -> IdentitySides:
     lhs = brute_alternating_power_sum(n, l)
     sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-    rhs = sign * euler_poly_row(l).value_at(n) + euler_numbers(l)[l]
-    return IdentitySides.compare(lhs, rhs)
+    row = euler_poly_row(l)
+    return IdentitySides.compare(lhs, sign * row.value_at(n) + _constant_term(row))
 
 
 def _compute_eq18(n: int, m: int) -> IdentitySides:
@@ -167,8 +168,8 @@ def _compute_eq18(n: int, m: int) -> IdentitySides:
 
 def _compute_thm1(n: int, k: int) -> IdentitySides:
     lhs = 2 * stirling_weights(k, n)[n]
-    rhs = sum(poly_genocchi_poly(k, n)) + poly_genocchi_numbers(k, n)[n]
-    return IdentitySides.compare(lhs, rhs)
+    numerators, den = poly_genocchi_poly_row(k, n)  # G_n^(k) is the constant term
+    return IdentitySides.compare(lhs, Fraction(sum(numerators) + numerators[0], den))
 
 
 def _at_one(k: int, n: int) -> Fraction:
@@ -199,14 +200,16 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
 
 def _compute_thm4(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = sign * poly_genocchi_poly_row(k, n).value_at(x) + poly_genocchi_numbers(k, n)[n]
+    row = poly_genocchi_poly_row(k, n)
+    lhs = sign * row.value_at(x) + _constant_term(row)
     rhs = 2 * n * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
 
 def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
     sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    lhs = sign * poly_euler_poly_row(k, n - 1).value_at(x) + poly_euler_numbers(k, n - 1)[n - 1]
+    row = poly_euler_poly_row(k, n - 1)
+    lhs = sign * row.value_at(x) + _constant_term(row)
     rhs = 2 * _alternating_moment_sum(x, n, k)
     return IdentitySides.compare(lhs, rhs)
 
@@ -233,12 +236,10 @@ def _compute_lemma8(k: int, p: int, s: int) -> IdentitySides:
 
 def _compute_lemma9(k: int, p: int) -> IdentitySides:
     # Σ_ν C(p,ν) E_ν^(k)/(p-ν+2) equals ∫_0^1 x·E_p^(k)(x) dx expanded
-    # binomially; compute the sum directly so both sides stay independent.
-    ek = poly_euler_numbers(k, p)
-    lhs = sum(
-        (Fraction(comb(p, nu), p - nu + 2) * ek[nu] for nu in range(p + 1)),
-        Fraction(0),
-    )
+    # binomially; the x^(p-ν) coefficient of E_p^(k)(x) is C(p,ν)·E_ν^(k), so
+    # the sum reads the row of degree p, which the right side does not read.
+    numerators, den = poly_euler_poly_row(k, p)
+    lhs = sum((Fraction(c, i + 2) for i, c in enumerate(numerators)), Fraction(0)) / den
     # (E_{p+2}^(k) - E_{p+2}^(k)(1)) over the row of E_{p+2}^(k)(x).
     numerators, den = poly_euler_poly_row(k, p + 2)
     rhs = _at_one(k, p + 1) / (p + 1) + Fraction(

@@ -1,23 +1,26 @@
 """Special numbers and polynomials: Stirling (both kinds), Euler, Genocchi,
 polyexponential, poly-Genocchi, and poly-Euler families.
 
-Every family is built in integers; `Fraction`s appear only in the entries
-and rows the public functions return, each derived once and kept by a
-`functools.cache`.  The Euler numbers are E_n = e_n/2^n over the signed
-tangent numbers e_n, filled by an in-place recurrence and checked at
-cache-fill time against the zigzag triangle; no series arithmetic runs
-here.  The index-k families are built from them and the Stirling weights
-w_j(k) = j!·[t^j] Ei_k(log(1+t)), one grow-only `_IndexFamily` per k: the
-weight numerators W_j = L·w_j(k) over one scale L, checked by Stirling
-inversion, and the poly-Genocchi numerators g_n = Σ_j C(n,j)·W_j·2^j·e_{n-j}
-= L·2^n·G_n^(k).  Each integer list grows, and is read with its L, under
-one lock; reads of filled lists and cached entries take none.  One integer
-binomial convolution, `_convolution_row`, turns the numbers into the
-polynomials, each kept once as a `RationalRow`: the integer kernels read
-its `IntegerRow` (`euler_poly_row`, `genocchi_poly_row`,
-`poly_genocchi_poly_row`, `poly_euler_poly_row`), and the public functions
-return a fresh Fraction list from its tuple.  The poly families admit any
-integer index k: for k <= 1 the weight j^(1-k) is an integer and L = 1.
+Every family is built in integers; `Fraction`s appear only in the lists
+and rows the public functions return.  A number list is derived on each
+read from the integer list and scale of one growth call; a row, and a
+Stirling weight, is derived once and kept by a `functools.cache`.  The Euler
+numbers are E_n = e_n/2^n over the signed tangent numbers e_n, filled by an
+in-place recurrence and checked at cache-fill time against the zigzag
+triangle; no series arithmetic runs here.  The index-k families are built
+from them and the Stirling weights w_j(k) = j!·[t^j] Ei_k(log(1+t)), one
+grow-only `_IndexFamily` per k: the weight numerators W_j = L·w_j(k) over
+one scale L, checked by Stirling inversion, and the poly-Genocchi numerators
+g_n = Σ_j C(n,j)·W_j·2^j·e_{n-j} = L·2^n·G_n^(k).  Each integer list grows,
+and is read with its L, under one lock: a read of the poly-Genocchi or
+poly-Euler numbers takes it once, and reads of the filled Euler list and of
+cached entries take none.  One integer binomial convolution,
+`_convolution_row`, turns the numbers into the polynomials, each kept once
+as a `RationalRow`: the integer kernels read its `IntegerRow`
+(`euler_poly_row`, `genocchi_poly_row`, `poly_genocchi_poly_row`,
+`poly_euler_poly_row`), and the public functions return a fresh Fraction
+list from its tuple.  The poly families admit any integer index k: for
+k <= 1 the weight j^(1-k) is an integer and L = 1.
 
 The Theorem 3 and Corollary 7 routes to the poly-Euler polynomials are oracles
 for the served ones, built as integer rows by one call each of
@@ -300,13 +303,8 @@ def euler_numbers(max_n: int) -> list[Fraction]:
     `_signed_tangent_numbers`; each call returns a fresh list.
     """
     _nonnegative(max_n, "max_n")
-    _signed_tangent_numbers(max_n)
-    return [_euler_number(n) for n in range(max_n + 1)]
-
-
-@cache
-def _euler_number(n: int) -> Fraction:
-    return Fraction(_signed_tangent_numbers(n)[n], 1 << n)
+    signed = _signed_tangent_numbers(max_n)[: max_n + 1]
+    return [Fraction(e, 1 << n) for n, e in enumerate(signed)]
 
 
 @cache
@@ -384,16 +382,8 @@ def poly_genocchi_numbers(k: int, max_n: int) -> list[Fraction]:
     `_IndexFamily.grow_numbers`.  Each call returns a fresh list.
     """
     _nonnegative(max_n, "max_n")
-    family = _family(k)
-    if len(family.numbers) <= max_n:
-        family.grow_numbers(max_n)
-    return [_poly_genocchi_number(k, n) for n in range(max_n + 1)]
-
-
-@cache
-def _poly_genocchi_number(k: int, n: int) -> Fraction:
-    numbers, scale = _family(k).grow_numbers(n)
-    return Fraction(numbers[n], scale << n)
+    numbers, scale = _family(k).grow_numbers(max_n)
+    return [Fraction(g, scale << n) for n, g in enumerate(numbers[: max_n + 1])]
 
 
 @cache
@@ -417,16 +407,8 @@ def poly_genocchi_poly_row(k: int, n: int) -> IntegerRow:
 def poly_euler_numbers(k: int, max_n: int) -> list[Fraction]:
     """[E_0^(k), ..., E_max_n^(k)] via E_n^(k) = G_{n+1}^(k) / (n+1), a fresh list per call."""
     _nonnegative(max_n, "max_n")
-    family = _family(k)
-    if len(family.numbers) <= max_n + 1:
-        family.grow_numbers(max_n + 1)
-    return [_poly_euler_number(k, n) for n in range(max_n + 1)]
-
-
-@cache
-def _poly_euler_number(k: int, n: int) -> Fraction:
-    numbers, scale = _family(k).grow_numbers(n + 1)
-    return Fraction(numbers[n + 1], (n + 1) * scale << (n + 1))
+    numbers, scale = _family(k).grow_numbers(max_n + 1)
+    return [Fraction(g, n * scale << n) for n, g in enumerate(numbers[1 : max_n + 2], 1)]
 
 
 @cache

@@ -88,6 +88,26 @@ def test_golden_output(capsys, filename, argv):
     assert out == (GOLDEN / filename).read_text(encoding="utf-8")
 
 
+def _readme_cli_lines() -> list[str]:
+    """The `polydc` command lines of the README's CLI block, comments dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line.startswith("polydc ")]
+
+
+def test_the_readme_cli_block_has_its_thirteen_commands():
+    assert len(_readme_cli_lines()) == 13
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_each_readme_cli_command_runs_as_written(capsys, line):
+    exit_code = main(line.split()[1:] + ["--deterministic"])
+    assert exit_code == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.strip()
+
+
 @pytest.mark.parametrize("filename, argv", GOLDEN_CASES[:3])
 def test_deterministic_runs_are_byte_identical(capsys, filename, argv):
     main(argv)

@@ -101,7 +101,8 @@ def test_only_the_weight_readers_call_stirling_weights():
     # Every weighted sum over the index-k families reads the Theorem 3 weights;
     # only they, the poly-Genocchi numbers and thm1/cor2 read the row itself:
     # the integer row through `grow_weights`, thm1/cor2 its Fraction view, whose
-    # entries `_weight` derives.
+    # entries `_weight` derives.  The poly-Genocchi and poly-Euler numbers and
+    # rows read the numerators through `grow_numbers`, with no memo per entry.
     assert _package_callers({"stirling_weights"}) == ["_compute_cor2", "_compute_thm1"]
     assert _package_callers({"grow_weights"}) == [
         "_weight",
@@ -109,6 +110,37 @@ def test_only_the_weight_readers_call_stirling_weights():
         "stirling_weights",
         "theorem3_integer_weights",
     ]
+    assert _package_callers({"grow_numbers"}) == [
+        "_poly_euler_row",
+        "_poly_genocchi_row",
+        "poly_euler_numbers",
+        "poly_genocchi_numbers",
+    ]
+
+
+#: The Fraction lists and polynomials of `sequences` other than the Stirling
+#: weights: each number they hold is a coefficient of a cached integer row.
+FRACTION_LISTS = {
+    "euler_numbers",
+    "genocchi_numbers",
+    "poly_genocchi_numbers",
+    "poly_euler_numbers",
+    "euler_poly",
+    "genocchi_poly",
+    "poly_genocchi_poly",
+    "poly_euler_poly",
+    "poly_euler_via_theorem3",
+    "poly_euler_via_corollary7",
+}
+
+
+def test_the_identities_read_their_numbers_off_the_integer_rows():
+    # E_n^(k) = E_n^(k)(0) and G_n^(k) = G_n^(k)(0), and the x^(p-ν)
+    # coefficient of E_p^(k)(x) is C(p,ν)·E_ν^(k): a verifier that holds a row
+    # reads its numbers off it, not off a second Fraction list of n + 1 entries.
+    path = PACKAGE / "identity_suite.py"
+    assert _callers(path, FRACTION_LISTS) == []
+    assert not _identifiers(ast.parse(path.read_text(encoding="utf-8"))) & FRACTION_LISTS
 
 
 def test_one_integer_convolution_fills_every_cached_row():

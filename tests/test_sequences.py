@@ -550,6 +550,60 @@ def test_poly_euler_numbers_are_genocchi_quotients(k):
         assert euler_k[n] == genocchi_k[n + 1] / (n + 1)
 
 
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments in the returned list."""
+    calls, function = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_read_of_a_number_list_is_one_growth_call(monkeypatch, empty_caches):
+    # Each list reads its integer list, and its scale, from one growth call,
+    # cold or warm, and keeps no memo per entry.  The last k = 2 and k = 3
+    # reads pass the prime powers 7 and 8, so the scale L grows between reads.
+    monkeypatch.setattr(sequences, "_euler_cache", [])
+    tangent = _counted(monkeypatch, sequences, "_signed_tangent_numbers")
+    numbers = _counted(monkeypatch, sequences._IndexFamily, "grow_numbers")
+    reads = [
+        (euler_numbers, tangent, (6, 6, 9)),
+        (lambda n: poly_genocchi_numbers(2, n), numbers, (6, 6, 8)),
+        (lambda n: poly_euler_numbers(3, n), numbers, (5, 5, 7)),
+        (lambda n: poly_euler_numbers(-2, n), numbers, (5, 5, 7)),
+    ]
+    for read, calls, sizes in reads:
+        for max_n in sizes:
+            calls.clear()
+            values = read(max_n)
+            assert len(calls) == 1 and len(values) == max_n + 1
+    # L = lcm(1..8)^(k-1), up from lcm(1..6)^(k-1) = 60^(k-1).
+    assert (sequences._family(2).scale, sequences._family(3).scale) == (840, 840**2)
+    assert euler_numbers(9) == sequences._euler_numbers_recurrence(9)
+    assert poly_genocchi_numbers(2, 8) == poly_genocchi_sums(2, 8)
+    for k in (3, -2):
+        genocchi = poly_genocchi_sums(k, 8)
+        assert poly_euler_numbers(k, 7) == [genocchi[n + 1] / (n + 1) for n in range(8)]
+
+
+def test_sequences_keeps_seven_memos():
+    # The family, the Stirling weights, the four row fills and the Theorem 3
+    # weights; the number lists are read off the integer lists on each call.
+    memos = sorted(name for name, value in vars(sequences).items() if hasattr(value, "cache_info"))
+    assert memos == [
+        "_euler_row",
+        "_family",
+        "_genocchi_row",
+        "_poly_euler_row",
+        "_poly_genocchi_row",
+        "_weight",
+        "theorem3_integer_weights",
+    ]
+
+
 @pytest.mark.parametrize("k", [-2, 0, 2])
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
 def test_poly_euler_route_stirling(k, n):
@@ -660,7 +714,9 @@ def test_threads_fill_the_integer_lists_as_one_thread_does(monkeypatch, empty_ca
     def reads(i):
         return (
             stirling1_row(300 - 9 * i),
+            euler_numbers(200 - 9 * i),
             [poly_genocchi_numbers(k, 120 - 9 * i) for k in (3, -2)],
+            [poly_euler_numbers(k, 110 - 9 * i) for k in (3, -2)],
             [poly_euler_poly(k, 90 - 9 * i) for k in (3, -2)],
         )
 
