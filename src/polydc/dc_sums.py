@@ -39,18 +39,20 @@ each side of an identity is one integer sum, built into a Fraction once.
 All functions return exact `Fraction` values.  Both sides of every identity,
 here and in the verifier registry, are one type: `IdentitySides`, a
 (lhs, rhs, holds) triple built by `IdentitySides.compare`, so holds ⇔ lhs = rhs
-exactly.  Each identity's hypotheses are data (`Hypotheses`), shared with the
-verifier registry.
+exactly.  Each identity is declared by its hypotheses (`Hypotheses`, a
+decorator that checks them and then runs the body, kept as `__wrapped__`);
+the verifier registry holds the declared functions themselves.
 """
 
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from inspect import signature
 from itertools import accumulate, repeat
 from math import comb, floor, gcd, lcm
 from operator import mul
 from threading import Lock
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .exact_algebra import IntegerRow, horner, poly_eval, residue_moments
 from .sequences import (
@@ -76,6 +78,7 @@ class IdentitySides(NamedTuple):
 
 
 Params = Mapping[str, int]
+T = TypeVar("T")
 
 
 class Rule(NamedTuple):
@@ -105,7 +108,8 @@ BELOW_P = Rule(lambda v, q: 1 <= v < q["p"], "`1 <= {0} < p`", "{0} must satisfy
 
 class Hypotheses(NamedTuple):
     """An identity's hypotheses as data: one rule per constrained parameter,
-    checked in order, then gcd(h, m) = 1 if coprime is set."""
+    checked in order, then gcd(h, m) = 1 if coprime is set.  Applied to a
+    function, they declare it an identity (`__call__`)."""
 
     rules: Mapping[str, Rule]
     coprime: bool = False
@@ -125,14 +129,29 @@ class Hypotheses(NamedTuple):
         if message:
             raise ValueError(message)
 
+    def __call__(self, body: Callable[..., T]) -> Callable[..., T]:
+        """body declared under these hypotheses: a function that checks them on
+        its arguments, by body's parameter names, and then runs body.  It keeps
+        `hypotheses`, `params` (the names, in order) and `__wrapped__` (body)."""
+        params = tuple(signature(body).parameters)
 
-#: Shared with the verifier registry, so a direct call and `verify` reject alike.
-S_PK_HYPOTHESES = Hypotheses({"p": GE(1), "m": ODD_POS})
-ODD_DEGREE_HYPOTHESES = Hypotheses({"p": ODD_GT1, "m": ODD_POS})
-THEOREM13_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
-RECIPROCITY_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
-CLOSED_FORM_HYPOTHESES = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS}, coprime=True)
+        @wraps(body)
+        def identity(*args: int, **kwargs: int) -> T:
+            point = dict(zip(params, args), **kwargs)
+            # A missing or unexpected argument is left to body's own TypeError.
+            message = self.violation(point) if len(point) == len(params) else None
+            if message:
+                raise ValueError(message)
+            return body(*args, **kwargs)
+
+        identity.hypotheses, identity.params = self, params  # type: ignore[attr-defined]
+        return identity
+
+
+#: The served sums' hypotheses, shared with `k1_collapse_sides` and the CLI.
 DC_SUM_HYPOTHESES = Hypotheses({"p": GE(1), "h": GE(1), "m": GE(1)})
+_ODD_DEGREE = Hypotheses({"p": ODD_GT1, "m": ODD_POS})
+_RECIPROCITY = Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS})
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +385,7 @@ def _s_pk_lhs(numerators: Sequence[int], den: int, e: list[int], m: int) -> Frac
     return Fraction(total - _correction_numerator(numerators, e, m), den * 2**p * m)
 
 
+@Hypotheses({"p": GE(1), "m": ODD_POS})
 def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     """The auxiliary sum S_p^(k)(1, m) against its double-sum closed form.
 
@@ -373,7 +393,6 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     (the defining combination); rhs: Σ_{ν} C(p,ν) E_ν^(k) Σ_{i=0..p-ν}
     C(p-ν+1, i) E_i m^(p-i).  Requires odd m.
     """
-    S_PK_HYPOTHESES.require(p=p, m=m)
     ek, den = poly_euler_poly_row(k, p)
     e = euler_integers(p + 1)
     rhs = sum(
@@ -384,13 +403,13 @@ def s_pk_of_1_m(k: int, p: int, m: int) -> IdentitySides:
     return IdentitySides.compare(_s_pk_lhs(ek, den, e, m), Fraction(rhs, den * 2**p))
 
 
+@_ODD_DEGREE
 def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     """S_p^(k)(1, m) against its odd-degree expansion, for odd p > 1, odd m.
 
     rhs: Σ_{i=1..p-2} Σ_{ν=0..p-i} C(p,ν) C(p-ν+1, i) E_ν^(k) E_i m^(p-i)
     + (p+1)·E_p + m^p·E_p^(k)(1).
     """
-    ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
     ek, den = poly_euler_poly_row(k, p)
     e = euler_integers(p + 1)
     rhs = sum(
@@ -402,6 +421,7 @@ def theorem11_sides(k: int, p: int, m: int) -> IdentitySides:
     return IdentitySides.compare(_s_pk_lhs(ek, den, e, m), Fraction(rhs, den * 2**p))
 
 
+@_ODD_DEGREE
 def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     """m^p·T_p^(k)(1, m) against its full closed form, for odd p > 1, odd m.
 
@@ -412,7 +432,6 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     The rhs reads E_n^(k)(1) and E_n^(k) as the sum and the constant term of
     the rows of E_n^(k)(x), n = 0..p, each scaled to their common denominator.
     """
-    ODD_DEGREE_HYPOTHESES.require(p=p, m=m)
     rows = [poly_euler_poly_row(k, n) for n in range(p + 1)]
     scales, den = _common_scales(rows)
     top, top_den = rows[p]
@@ -429,6 +448,7 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     return IdentitySides.compare(lhs, Fraction(rhs, den * 2**p * m))
 
 
+@Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
 def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     """The coprime-modulus expansion of the degree-p sums against its closed form.
 
@@ -446,7 +466,6 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     on the weight of E_t^(k), and de/d on each value of E_j.  The rhs reads
     E_t^(k)(1) as the row sums of the same numerators.
     """
-    THEOREM13_HYPOTHESES.require(p=p, h=h, m=m)
     ek_rows = [poly_euler_poly_row(k, t) for t in range(p + 1)]
     e_rows = [euler_poly_row(j) for j in range(p + 1)]
     ek_scales, dk = _common_scales(ek_rows)
@@ -540,6 +559,7 @@ def _reciprocity_rhs(weights: IntegerRow, h: int, m: int) -> Fraction:
     return Fraction(2 * total, weight_den * row_den * n)
 
 
+@_RECIPROCITY
 def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     """Both sides of the reciprocity law for the degree-p index-k sums.
 
@@ -558,11 +578,11 @@ def reciprocity_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     a_l = C(p,l)·w_{p-l+1}(k)/(p-l+1) (`theorem3_integer_weights`), from the
     double moments.
     """
-    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     lhs = _reciprocity_lhs(poly_euler_poly_row(k, p), h, m)
     return IdentitySides.compare(lhs, _reciprocity_rhs(theorem3_integer_weights(k, p), h, m))
 
 
+@_RECIPROCITY
 def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     """The single-sum right side of the classical (k = 1) reciprocity law.
 
@@ -572,30 +592,31 @@ def corollary15_rhs(p: int, h: int, m: int) -> Fraction:
     It is `_reciprocity_rhs` over the one weight a_p = 1, which is what the
     Theorem 3 weights are at k = 1.
     """
-    RECIPROCITY_HYPOTHESES.require(p=p, h=h, m=m)
     return _reciprocity_rhs(IntegerRow((0,) * p + (1,), 1), h, m)
 
 
+@_RECIPROCITY
 def corollary15_sides(p: int, h: int, m: int) -> IdentitySides:
     """The classical (k = 1) reciprocity law against its single-sum right side.
 
     lhs: `_reciprocity_lhs` over E_p(x), from the single moments; rhs:
-    `corollary15_rhs`, from the double moments, which first checks odd h and m.
+    `corollary15_rhs` unchecked, from the double moments.
     """
-    rhs = corollary15_rhs(p, h, m)
+    rhs = corollary15_rhs.__wrapped__(p, h, m)
     return IdentitySides.compare(_reciprocity_lhs(euler_poly_row(p), h, m), rhs)
 
 
+@DC_SUM_HYPOTHESES
 def k1_collapse_sides(p: int, h: int, m: int) -> IdentitySides:
     """T_p^(1)(h, m) against T_p(h, m): one kernel, `_row_dc_sum`, over two rows
     built independently, E_p^(1)(x) from the Stirling weights and E_p(x) from
     the tangent numbers."""
-    DC_SUM_HYPOTHESES.require(p=p, h=h, m=m)
     return IdentitySides.compare(
         _row_dc_sum(poly_euler_poly_row(1, p), h, m), _row_dc_sum(euler_poly_row(p), h, m)
     )
 
 
+@Hypotheses({"p": GE(1), "h": ODD_POS, "m": ODD_POS}, coprime=True)
 def reciprocity_closed_form_sides(p: int, h: int, m: int) -> IdentitySides:
     """The closed-form classical reciprocity law that the Euclid route unwinds.
 
@@ -603,7 +624,6 @@ def reciprocity_closed_form_sides(p: int, h: int, m: int) -> IdentitySides:
     2E_{p+1}/(hm) - Σ_j C(p,j) E_j E_{p-j} h^j m^(p-j), built once as a
     Fraction from `_classical_law`.  Requires odd coprime h and m.
     """
-    CLOSED_FORM_HYPOTHESES.require(p=p, h=h, m=m)
     (numerator,) = _classical_law([p], euler_integers(p + 1))(h, m)
     lhs = _reciprocity_lhs(euler_poly_row(p), h, m)
     return IdentitySides.compare(lhs, Fraction(numerator, 2**p * h * m))

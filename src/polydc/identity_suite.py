@@ -1,17 +1,18 @@
 """Machine verification of the identity catalogue.
 
 Every identity is registered under a stable verifier id as an exact compute
-function whose keyword parameters are the verifier's parameters, plus its
-hypotheses as data (a `dc_sums.Hypotheses`: one predicate per constrained
-parameter, plus a coprimality flag; the identities of `dc_sums` check the
-very same objects and serve as compute functions themselves).  The order of
-the function's signature, read once at import, is the order of the
-parameters in reports and sweeps.  `verify` and `sweep` share one check of
-names and integer values and one timed point runner.  `verify` runs one
-parameter point and returns a report whose `holds` field is exact rational
-equality — never approximate.  `sweep` runs a verifier over a parameter grid
-in canonical lexicographic order, skipping inadmissible points, and returns
-an aggregate that keeps the *complete* list of failing points.
+function declared by its hypotheses (a `dc_sums.Hypotheses`: one predicate
+per constrained parameter plus a coprimality flag, applied as a decorator).
+The identities of `dc_sums` are registered themselves, the rest as
+`Hypotheses(...)(_compute_*)`.  Each keeps `hypotheses`, `params` (the order
+of the parameters in reports and sweeps) and `__wrapped__` (the unchecked
+body).  `verify` and `sweep` share one check of names and integer values and
+one timed point runner, check the hypotheses once per point and then run
+`__wrapped__`.  `verify` runs one parameter point and returns a report whose
+`holds` field is exact rational equality — never approximate.  `sweep` runs
+a verifier over a parameter grid, skipping inadmissible points, and returns
+its reports in canonical lexicographic order with the *complete* list of
+failing points.
 
 For identities between polynomials, `holds` means coefficientwise equality of
 the two polynomials; the scalar lhs/rhs fields of the report are then the two
@@ -26,28 +27,21 @@ Fractions.
 
 The `sawtooth_t1_exploratory` verifier is expected to fail at some points:
 it documents a genuine mismatch between the degree-1 sum and its sawtooth
-rewriting (see README) and is quarantined from pass/fail gating by its
-`exploratory` flag.
+rewriting (see README) and is quarantined from pass/fail gating by
+`EXPLORATORY_IDS`.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from inspect import signature
 from itertools import product
 from math import comb, prod
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .dc_sums import (
     BELOW_P,
-    CLOSED_FORM_HYPOTHESES,
-    DC_SUM_HYPOTHESES,
     GE,
-    ODD_DEGREE_HYPOTHESES,
     ODD_POS,
-    RECIPROCITY_HYPOTHESES,
-    S_PK_HYPOTHESES,
-    THEOREM13_HYPOTHESES,
     Hypotheses,
     IdentitySides,
     Params,
@@ -102,13 +96,6 @@ class SweepResult:
     failing: list[VerificationReport]
     reports: list[VerificationReport]
     elapsed: float
-
-
-class _Verifier(NamedTuple):
-    params: tuple[str, ...]
-    hypotheses: Hypotheses
-    compute: Callable[..., IdentitySides]
-    exploratory: bool = False
 
 
 #: The most parameter points a sweep grid may span; larger grids are rejected.
@@ -273,50 +260,39 @@ def _compute_sawtooth_exploratory(h: int, m: int) -> IdentitySides:
 # --- registry --------------------------------------------------------------
 
 
-def _verifier(
-    hypotheses: Hypotheses, compute: Callable[..., IdentitySides], exploratory: bool = False
-) -> _Verifier:
-    """A registry entry whose params are compute's keyword parameters, in its order."""
-    return _Verifier(tuple(signature(compute).parameters), hypotheses, compute, exploratory)
-
-
 #: The distribution relation's hypotheses, shared by eq18, thm6, cor7 and the oracle routes.
 _DISTRIBUTION = Hypotheses({"n": GE(0), "m": ODD_POS})
 
-VERIFIERS: dict[str, _Verifier] = {
-    "eq4": _verifier(Hypotheses({"n": GE(1), "l": GE(0)}), _compute_eq4),
-    "eq18": _verifier(_DISTRIBUTION, _compute_eq18),
-    "thm1": _verifier(Hypotheses({"n": GE(1)}), _compute_thm1),
-    "cor2": _verifier(Hypotheses({"n": GE(1)}), _compute_cor2),
-    "thm3": _verifier(Hypotheses({"n": GE(0)}), _compute_thm3),
-    "thm4": _verifier(Hypotheses({"x": GE(1), "n": GE(1)}), _compute_thm4),
-    "cor5": _verifier(Hypotheses({"x": GE(1), "n": GE(1)}), _compute_cor5),
-    "thm6": _verifier(_DISTRIBUTION, _compute_thm6),
-    "cor7": _verifier(_DISTRIBUTION, _compute_cor7),
-    "lemma8": _verifier(Hypotheses({"s": BELOW_P}), _compute_lemma8),
-    "lemma9": _verifier(Hypotheses({"p": GE(1)}), _compute_lemma9),
-    "eq40": _verifier(Hypotheses({}), _compute_eq40),
-    "thm10": _verifier(S_PK_HYPOTHESES, s_pk_of_1_m),
-    "thm11": _verifier(ODD_DEGREE_HYPOTHESES, theorem11_sides),
-    "thm12": _verifier(ODD_DEGREE_HYPOTHESES, theorem12_sides),
-    "thm13": _verifier(THEOREM13_HYPOTHESES, theorem13_sides),
-    "thm14": _verifier(RECIPROCITY_HYPOTHESES, reciprocity_sides),
-    "cor15": _verifier(RECIPROCITY_HYPOTHESES, corollary15_sides),
-    "recip_closed_form": _verifier(CLOSED_FORM_HYPOTHESES, reciprocity_closed_form_sides),
-    "k1_collapse": _verifier(DC_SUM_HYPOTHESES, k1_collapse_sides),
-    "oracle_equivalence": _verifier(_DISTRIBUTION, _compute_oracle_equivalence),
-    "sawtooth_t1_exploratory": _verifier(
-        Hypotheses({"h": ODD_POS, "m": ODD_POS}, coprime=True),
-        _compute_sawtooth_exploratory,
-        exploratory=True,
+VERIFIERS: dict[str, Callable[..., IdentitySides]] = {
+    "eq4": Hypotheses({"n": GE(1), "l": GE(0)})(_compute_eq4),
+    "eq18": _DISTRIBUTION(_compute_eq18),
+    "thm1": Hypotheses({"n": GE(1)})(_compute_thm1),
+    "cor2": Hypotheses({"n": GE(1)})(_compute_cor2),
+    "thm3": Hypotheses({"n": GE(0)})(_compute_thm3),
+    "thm4": Hypotheses({"x": GE(1), "n": GE(1)})(_compute_thm4),
+    "cor5": Hypotheses({"x": GE(1), "n": GE(1)})(_compute_cor5),
+    "thm6": _DISTRIBUTION(_compute_thm6),
+    "cor7": _DISTRIBUTION(_compute_cor7),
+    "lemma8": Hypotheses({"s": BELOW_P})(_compute_lemma8),
+    "lemma9": Hypotheses({"p": GE(1)})(_compute_lemma9),
+    "eq40": Hypotheses({})(_compute_eq40),
+    "thm10": s_pk_of_1_m,
+    "thm11": theorem11_sides,
+    "thm12": theorem12_sides,
+    "thm13": theorem13_sides,
+    "thm14": reciprocity_sides,
+    "cor15": corollary15_sides,
+    "recip_closed_form": reciprocity_closed_form_sides,
+    "k1_collapse": k1_collapse_sides,
+    "oracle_equivalence": _DISTRIBUTION(_compute_oracle_equivalence),
+    "sawtooth_t1_exploratory": Hypotheses({"h": ODD_POS, "m": ODD_POS}, coprime=True)(
+        _compute_sawtooth_exploratory
     ),
 }
 
 VERIFIER_IDS: tuple[str, ...] = tuple(VERIFIERS)
 
-EXPLORATORY_IDS: frozenset[str] = frozenset(
-    vid for vid, v in VERIFIERS.items() if v.exploratory
-)
+EXPLORATORY_IDS: frozenset[str] = frozenset({"sawtooth_t1_exploratory"})
 
 
 def hypotheses_text(verifier_id: str) -> str:
@@ -326,10 +302,10 @@ def hypotheses_text(verifier_id: str) -> str:
     if spec.hypotheses.coprime:
         parts.append("`gcd(h, m) = 1`")
     text = ", ".join(parts) or "—"
-    return f"{text} (exploratory)" if spec.exploratory else text
+    return f"{text} (exploratory)" if verifier_id in EXPLORATORY_IDS else text
 
 
-def _lookup(verifier_id: str) -> _Verifier:
+def _lookup(verifier_id: str) -> Any:
     try:
         return VERIFIERS[verifier_id]
     except KeyError:
@@ -339,7 +315,7 @@ def _lookup(verifier_id: str) -> _Verifier:
 
 def _checked(
     verifier_id: str, given: Mapping[str, Any], grid: bool
-) -> tuple[_Verifier, dict[str, Any]]:
+) -> tuple[Any, dict[str, Any]]:
     """The verifier, and given in the verifier's parameter order.
 
     given maps each parameter name to its value, or to an iterable of values
@@ -372,10 +348,11 @@ def _checked(
     return spec, ordered
 
 
-def _run(verifier_id: str, spec: _Verifier, point: dict[str, int]) -> VerificationReport:
-    """The report of the verifier at one checked, admissible point; only compute is timed."""
+def _run(verifier_id: str, spec: Any, point: dict[str, int]) -> VerificationReport:
+    """The report of the verifier at one checked, admissible point: its unchecked
+    body, the only part timed."""
     start = time.perf_counter()
-    lhs, rhs, holds = spec.compute(**point)
+    lhs, rhs, holds = spec.__wrapped__(**point)
     elapsed = time.perf_counter() - start
     return VerificationReport(verifier_id, point, lhs, rhs, holds, elapsed)
 
@@ -399,9 +376,10 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     before computing; if nothing admissible remains, that is an error, and so
     is a grid of more than MAX_SWEEP_POINTS points (the product of the
     deduplicated axis lengths), rejected before any point runs.  Points run
-    in lexicographic order of the parameter tuple (parameters in their
-    declared order, values ascending), and the result keeps every failing
-    report.
+    from the top of the grid down, so that each cached moment list is first
+    read at the grid's top degree; the reports come in lexicographic order of
+    the parameter tuple (parameters in their declared order, values
+    ascending), and the result keeps every failing report.
     """
     spec, ordered = _checked(verifier_id, ranges, grid=True)
     axes: list[list[int]] = []
@@ -417,7 +395,7 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
         )
     start = time.perf_counter()
     reports: list[VerificationReport] = []
-    for point in product(*axes):
+    for point in product(*(reversed(values) for values in axes)):
         clean = dict(zip(spec.params, point))
         if not spec.hypotheses.violation(clean):
             reports.append(_run(verifier_id, spec, clean))
@@ -425,6 +403,7 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
         raise ValueError(
             f"sweep of {verifier_id!r} has no admissible parameter points"
         )
+    reports.reverse()
     elapsed = time.perf_counter() - start
     failing = [r for r in reports if not r.holds]
     return SweepResult(

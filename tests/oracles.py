@@ -27,8 +27,10 @@ kernel with the integer kernel they check:
 - `bar_eval`, the plain 1-periodic extension p(x - floor(x)) by
   `fraction_horner`, for the `bar-*` kinds of `eval` and for
   `alternating_bar_eval`, the sign-alternating periodic extension Ê, which
-  agrees with it on [0, 1); and `euler_alt_bar`, Ê's memoized value over
-  E_n(x), which the defining loops of the DC sums read;
+  agrees with it on [0, 1); `euler_alt_bar`, Ê's memoized value over
+  E_n(x), which the defining loops of the DC sums read; and `dc_sum_by_term`,
+  the defining loop of T_p(h, m), for the served sums and for T_0, which
+  `dc_sum` does not serve;
 - the per-term moment loops, in integers, that `exact_algebra.residue_moments`
   replaced: `alternating_power_sums_by_term`, `single_moments_by_term` and
   `double_moments_by_term` step each term's power through every degree and
@@ -194,6 +196,15 @@ def alternating_bar_eval(p: list[Fraction], x: Fraction) -> Fraction:
 def euler_alt_bar(degree: int, x: Fraction) -> Fraction:
     """Ê_degree(x) over the Euler polynomial E_degree(x), memoized."""
     return alternating_bar_eval(euler_poly(degree), x)
+
+
+def dc_sum_by_term(p: int, h: int, m: int) -> Fraction:
+    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m), term by term."""
+    total = Fraction(0)
+    for mu in range(1, m):
+        term = Fraction(mu, m) * euler_alt_bar(p, Fraction(h * mu, m))
+        total += -term if mu % 2 else term
+    return 2 * total
 
 
 def alternating_power_sums_by_term(m: int, degree: int) -> list[int]:

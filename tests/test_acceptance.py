@@ -195,9 +195,8 @@ def test_criterion_6_cli_contract(capsys, monkeypatch):
         assert main(["verify", "thm11", "k=1", "p=4", "m=3"]) == 2
         assert main(["table", "poly-euler", "max_n=3"]) == 2
         capsys.readouterr()
-        spec = identity_suite.VERIFIERS["eq40"]
-        broken = spec._replace(compute=lambda **params: (Fraction(0), Fraction(1), False))
-        monkeypatch.setitem(identity_suite.VERIFIERS, "eq40", broken)
+        broken = identity_suite.VERIFIERS["eq40"]
+        monkeypatch.setattr(broken, "__wrapped__", lambda k: (Fraction(0), Fraction(1), False))
         assert main(["verify", "eq40", "k=1"]) == 1
         monkeypatch.undo()
         capsys.readouterr()

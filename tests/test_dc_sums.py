@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -37,10 +38,12 @@ from polydc.sequences import (
 from oracles import (
     alternating_bar_eval,
     bar_eval,
+    dc_sum_by_term,
     double_moments_by_term,
     euler_alt_bar,
     fraction_horner,
     single_moments_by_term,
+    theorem3_weights,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
@@ -87,15 +90,6 @@ def test_the_memoized_alt_bar_is_the_alternating_extension(degree, x):
 # The served sums read integer moments; these evaluate each definition term by
 # term with `alternating_bar_eval` (over E_n(x), memoized as `euler_alt_bar`),
 # a route that shares no kernel with them.
-
-
-def reference_dc_sum(p, h, m):
-    """T_p(h, m) = 2·Σ_{μ=1..m-1} (-1)^μ (μ/m) Ê_p(hμ/m)."""
-    total = Fraction(0)
-    for mu in range(1, m):
-        term = Fraction(mu, m) * euler_alt_bar(p, Fraction(h * mu, m))
-        total += -term if mu % 2 else term
-    return 2 * total
 
 
 def reference_poly_dc_sum(k, p, h, m):
@@ -178,7 +172,7 @@ def test_poly_dc_sum_matches_reference(k):
 def test_dc_sum_matches_reference(p):
     for h in range(1, 16):
         for m in range(1, 16):
-            assert dc_sum(p, h, m) == reference_dc_sum(p, h, m), (p, h, m)
+            assert dc_sum(p, h, m) == dc_sum_by_term(p, h, m), (p, h, m)
 
 
 @pytest.mark.parametrize("k", range(-2, 4))
@@ -209,10 +203,10 @@ def test_theorem13_lhs_matches_reference(k):
 
 def test_large_points_match_reference():
     assert poly_dc_sum(2, 10, 7, 4001) == reference_poly_dc_sum(2, 10, 7, 4001)
-    assert dc_sum(10, 7, 4001) == reference_dc_sum(10, 7, 4001)
+    assert dc_sum(10, 7, 4001) == dc_sum_by_term(10, 7, 4001)
     # Even arguments at a large modulus run the O(m) moment kernel.
-    assert dc_sum(10, 8, 4001) == reference_dc_sum(10, 8, 4001)
-    assert dc_sum(10, 7, 4000) == reference_dc_sum(10, 7, 4000)
+    assert dc_sum(10, 8, 4001) == dc_sum_by_term(10, 8, 4001)
+    assert dc_sum(10, 7, 4000) == dc_sum_by_term(10, 7, 4000)
     assert poly_dc_sum(2, 10, 8, 4001) == reference_poly_dc_sum(2, 10, 8, 4001)
     assert reciprocity_sides(2, 3, 41, 43).rhs == reference_reciprocity_rhs(2, 3, 41, 43)
     assert corollary15_rhs(5, 39, 41) == reference_corollary15_rhs(5, 39, 41)
@@ -264,7 +258,7 @@ def test_euclid_degree_zero_matches_direct_loop():
     for h in ODD_TO_45:
         for m in ODD_TO_45:
             (value,) = dc_sums._euclid_sums(h, m, [0])
-            assert Fraction(value, m) == reference_dc_sum(0, h, m), (h, m)
+            assert Fraction(value, m) == dc_sum_by_term(0, h, m), (h, m)
 
 
 def test_euclid_route_returns_every_requested_degree():
@@ -440,6 +434,31 @@ def test_reciprocity_lhs_and_rhs_are_swap_symmetric():
         assert a.lhs == b.lhs and a.rhs == b.rhs
 
 
+def decomposed_reciprocity_rhs(k, p, h, m):
+    """Σ_l a_l·(m^p·T_l(h, m) + h^p·T_l(m, h)) over the Theorem 3 weights a_l: the
+    distribution relation applied to each half of the right side, degree by
+    degree.  Each T_l with l ≥ 1 comes from the Euclid route (`dc_sum`), which
+    shares no code with the double moments, and T_0 from its defining loop."""
+
+    def t(l, h, m):
+        return dc_sum(l, h, m) if l else dc_sum_by_term(0, h, m)
+
+    weights = theorem3_weights(k, p)
+    return sum(a * (m**p * t(l, h, m) + h**p * t(l, m, h)) for l, a in enumerate(weights) if a)
+
+
+def test_reciprocity_rhs_is_the_distribution_relation_half_by_half():
+    odd = range(1, 10, 2)
+    points = [(k, p, h, m) for k in range(-2, 4) for p in range(1, 7) for h in odd for m in odd]
+    rng = random.Random(20261020)
+    points += [
+        (rng.randint(-4, 5), rng.randint(1, 6), rng.randrange(1, 62, 2), rng.randrange(1, 62, 2))
+        for _ in range(200)
+    ]
+    for point in points:
+        assert reciprocity_sides(*point).rhs == decomposed_reciprocity_rhs(*point), point
+
+
 def test_reciprocity_rejects_even_parameters():
     with pytest.raises(ValueError):
         reciprocity_sides(1, 3, 2, 3)
@@ -473,22 +492,48 @@ def test_closed_form_reciprocity_rejects_non_coprime_pairs():
 
 
 def test_corollary15_checks_its_hypotheses_once(monkeypatch):
-    # corollary15_sides reads the check of corollary15_rhs, which runs before
-    # either side is built; the error is the one it always gave.
+    # corollary15_sides runs the unchecked body of corollary15_rhs after its
+    # own check, which runs before either side is built; the error is the one
+    # it always gave.  Every declared identity of dc_sums checks once per call.
     calls = []
-    require = dc_sums.Hypotheses.require
+    violation = dc_sums.Hypotheses.violation
 
-    def counted(self, **point):
-        calls.append(point)
-        return require(self, **point)
+    def counted(self, point):
+        calls.append(dict(point))
+        return violation(self, point)
 
-    monkeypatch.setattr(dc_sums.Hypotheses, "require", counted)
+    monkeypatch.setattr(dc_sums.Hypotheses, "violation", counted)
     assert corollary15_sides(3, 5, 7).holds
     assert calls == [{"p": 3, "h": 5, "m": 7}]
+    for identity, point in [
+        (s_pk_of_1_m, {"k": 2, "p": 6, "m": 7}),
+        (theorem11_sides, {"k": -1, "p": 7, "m": 5}),
+        (theorem12_sides, {"k": 3, "p": 5, "m": 9}),
+        (theorem13_sides, {"k": -2, "p": 5, "h": 4, "m": 9}),
+        (reciprocity_sides, {"k": 0, "p": 4, "h": 5, "m": 9}),
+        (corollary15_rhs, {"p": 5, "h": 7, "m": 9}),
+        (reciprocity_closed_form_sides, {"p": 6, "h": 7, "m": 9}),
+        (k1_collapse_sides, {"p": 6, "h": 4, "m": 10}),
+    ]:
+        calls.clear()
+        identity(*point.values())
+        identity(**point)
+        assert calls == [point, point], identity.__name__
     monkeypatch.setattr(dc_sums, "_reciprocity_lhs", None)
     with pytest.raises(ValueError, match="^h must be a positive odd integer$"):
         corollary15_sides(2, 2, 3)
-    assert len(calls) == 2
+    assert len(calls) == 3
+
+
+def test_a_declared_identity_leaves_a_wrong_call_to_its_body():
+    # A missing or unexpected argument raises the body's TypeError, not a
+    # hypothesis error or a KeyError from the check.
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'm'"):
+        reciprocity_sides(1, 3, 5)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
+        corollary15_sides(3, 5, 7, n=1)
+    assert reciprocity_sides.params == ("k", "p", "h", "m")
+    assert reciprocity_sides.hypotheses.violation({"k": 1, "p": 1, "h": 2, "m": 3})
 
 
 def test_corollary15_rhs_rejects_even_parameters():
@@ -780,6 +825,19 @@ def test_the_moment_cache_holds_a_k_slice_of_the_54_point_grid(moment_cache):
     assert identity_suite.sweep("thm14", grid).passed == 54
     info = dc_sums.moment_cache_info()
     assert info.misses == info.entries == 17 + 17 and info.hits == 4 * 54 - info.misses
+
+
+def test_an_ascending_sweep_misses_once_per_kernel_and_pair(moment_cache):
+    # The sweep runs from the top of its grid down, so each moment list is
+    # first read at p = 8 and every lower degree reads a prefix of it.  Both
+    # kernels are read at the 6 pairs (h, m) and their 5 other mirrors.
+    grid = {"k": [1], "p": range(1, 9), "h": [3, 5, 7], "m": [7, 9]}
+    result = identity_suite.sweep("thm14", grid)
+    assert result.passed == result.total == 8 * 3 * 2
+    info = dc_sums.moment_cache_info()
+    assert info.misses == info.entries == 2 * 11 and info.hits == 4 * 48 - info.misses
+    points = [tuple(report.params.values()) for report in result.reports]
+    assert points == sorted(points) == list(product(*grid.values()))
 
 
 # --- properties beyond the acceptance grid ------------------------------------

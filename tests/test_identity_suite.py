@@ -1,6 +1,7 @@
 """Tests for the identity verification registry, verify(), and sweep()."""
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -252,7 +253,7 @@ def test_sweep_rejects_a_grid_beyond_the_point_limit(monkeypatch):
     def refuse(**params):
         raise AssertionError(f"point {params} ran")
 
-    monkeypatch.setitem(VERIFIERS, "thm14", VERIFIERS["thm14"]._replace(compute=refuse))
+    monkeypatch.setattr(VERIFIERS["thm14"], "__wrapped__", refuse)
     with pytest.raises(ValueError, match="100100 points, more than 100000"):
         sweep("thm14", {"k": range(1001), "p": range(1, 101), "h": [1], "m": [1]})
 
@@ -273,8 +274,7 @@ def test_sweep_rejects_a_non_integer_like_verify(monkeypatch, verifier_id, range
     def refuse(**params):
         raise AssertionError(f"point {params} ran")
 
-    spec = VERIFIERS[verifier_id]
-    monkeypatch.setitem(VERIFIERS, verifier_id, spec._replace(compute=refuse))
+    monkeypatch.setattr(VERIFIERS[verifier_id], "__wrapped__", refuse)
     message = f"parameter {name!r} must be an integer (got {bad!r})"
     with pytest.raises(ValueError) as error:
         sweep(verifier_id, ranges)
@@ -306,8 +306,9 @@ def test_sweep_keeps_every_failing_point():
 
 def test_exploratory_registry_flags():
     assert EXPLORATORY_IDS == {"sawtooth_t1_exploratory"}
-    assert VERIFIERS["sawtooth_t1_exploratory"].exploratory
-    assert not VERIFIERS["thm14"].exploratory
+    assert EXPLORATORY_IDS <= set(VERIFIERS)
+    assert hypotheses_text("sawtooth_t1_exploratory").endswith(" (exploratory)")
+    assert not hypotheses_text("thm14").endswith(" (exploratory)")
 
 
 def test_the_reciprocity_verifiers_are_the_dc_sums_identities():
@@ -322,7 +323,29 @@ def test_the_reciprocity_verifiers_are_the_dc_sums_identities():
         "k1_collapse": dc_sums.k1_collapse_sides,
     }
     for verifier_id, identity in identities.items():
-        assert VERIFIERS[verifier_id].compute is identity, verifier_id
+        assert VERIFIERS[verifier_id] is identity, verifier_id
+
+
+@pytest.mark.parametrize("verifier_id", sorted(SAMPLE_POINTS))
+def test_verify_and_sweep_check_each_point_once(monkeypatch, verifier_id):
+    # A direct call, verify and sweep each check a point once: the registry
+    # holds the declared identity, and verify and sweep run its unchecked body.
+    calls = []
+    violation = dc_sums.Hypotheses.violation
+
+    def counted(self, point):
+        calls.append(dict(point))
+        return violation(self, point)
+
+    monkeypatch.setattr(dc_sums.Hypotheses, "violation", counted)
+    point = SAMPLE_POINTS[verifier_id]
+    assert VERIFIERS[verifier_id](**point).holds
+    assert verify(verifier_id, point).holds
+    assert calls == [point, point]
+    calls.clear()
+    grid = {name: [value, value + 1] for name, value in point.items()}
+    sweep(verifier_id, grid)
+    assert sorted(tuple(p.values()) for p in calls) == list(product(*grid.values()))
 
 
 @pytest.mark.parametrize("verifier_id", VERIFIER_IDS)
