@@ -460,36 +460,26 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     which is what the residue-permutation argument behind the identity
     produces; with the bare sign (-1)^μ the two sides differ for h > 1.
 
-    The lhs is one integer μ-loop over the numerators of E_t^(k)(x) and E_j(x),
-    built into a Fraction once over the common denominators dk and de of the
-    two families.  Each row keeps its own denominator d: its factor dk/d rides
-    on the weight of E_t^(k), and de/d on each value of E_j.  The rhs reads
-    E_t^(k)(1) as the row sums of the same numerators.
+    The lhs is one integer sum, built into a Fraction once over the common
+    denominators dk and de of the two families; each row's factor over its
+    own denominator rides on its terms.  It runs one degree t at a time: each
+    μ weighs de·E_{p-t}(h - d), signed by the parity of r = hμ mod m, and the
+    moments M_i of those weights over the residues μ (`residue_moments`) give
+    m^(p-t)·Σ_i q_i M_i m^(t-i) over the numerators q of E_t^(k)(x).  The rhs
+    reads E_t^(k)(1) as the row sums of the same numerators.
     """
     ek_rows = [poly_euler_poly_row(k, t) for t in range(p + 1)]
     e_rows = [euler_poly_row(j) for j in range(p + 1)]
     ek_scales, dk = _common_scales(ek_rows)
     e_scales, de = _common_scales(e_rows)
-    m_pow = list(accumulate(repeat(m, p), mul, initial=1))
-    # m^t·d_t·E_t^(k)(μ/m) = Σ_i q_i μ^i m^(t-i): the row's numerators, scaled by m^(t-i).
-    ek_scaled = [
-        [q * m_pow[t - i] for i, q in enumerate(row.numerators)] for t, row in enumerate(ek_rows)
-    ]
-    # de·E_j(h - d) for every d = floor(hμ/m) in 0..h-1.
-    e_at = [
-        [scale * horner(numerators, h - d) for scale, (numerators, _) in zip(e_scales, e_rows)]
-        for d in range(h)
-    ]
-    weights = [comb(p, t) * h**t * m_pow[p - t] * scale for t, scale in enumerate(ek_scales)]
+    steps = [divmod(h * mu, m) for mu in range(m)]
     total = 0
-    for mu in range(m):
-        d = (h * mu) // m
-        e_row = e_at[d]
-        inner = sum(
-            w * horner(scaled, mu) * e_row[p - t]
-            for t, (w, scaled) in enumerate(zip(weights, ek_scaled))
-        )
-        total += -inner if (h * mu + d) % 2 else inner
+    for t, (scale, (numerators, _)) in enumerate(zip(ek_scales, ek_rows)):
+        e_at = [e_scales[p - t] * horner(e_rows[p - t].numerators, h - d) for d in range(h)]
+        moments = residue_moments([-e_at[d] if r % 2 else e_at[d] for d, r in steps], t)
+        # Σ_i q_i M_i m^(t-i), by Horner's rule in m over the products q_i M_i.
+        inner = horner(list(map(mul, numerators, moments))[::-1], m)
+        total += comb(p, t) * h**t * scale * m ** (p - t) * inner
     e = euler_integers(p)
     at_one = [scale * sum(row.numerators) for scale, row in zip(ek_scales, ek_rows)]
     rhs = sum(comb(p, s) * (2 * m * h) ** (p - s) * e[s] * at_one[p - s] for s in range(p + 1))

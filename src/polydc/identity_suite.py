@@ -135,16 +135,16 @@ def _row_witness(lhs: IntegerRow, rhs: IntegerRow) -> IdentitySides:
 # --- compute functions -----------------------------------------------------
 
 
-def _constant_term(row: IntegerRow) -> Fraction:
-    """The constant term of the row: E_n = E_n(0), G_n^(k) = G_n^(k)(0), and so on."""
-    return Fraction(row.numerators[0], row.den)
+def _eq4_side(row: IntegerRow, x: int) -> Fraction:
+    """E(0) + (-1)^(x-1)·E(x) for the polynomial E of the row at the integer x,
+    the side of eq. (4); E(0) is the constant term (E_n = E_n(0), G_n^(k) = G_n^(k)(0))."""
+    value = row.value_at(x)
+    return Fraction(row.numerators[0], row.den) + (value if x % 2 else -value)
 
 
 def _compute_eq4(n: int, l: int) -> IdentitySides:
     lhs = brute_alternating_power_sum(n, l)
-    sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-    row = euler_poly_row(l)
-    return IdentitySides.compare(lhs, sign * row.value_at(n) + _constant_term(row))
+    return IdentitySides.compare(lhs, _eq4_side(euler_poly_row(l), n))
 
 
 def _compute_eq18(n: int, m: int) -> IdentitySides:
@@ -186,19 +186,13 @@ def _alternating_moment_sum(x: int, n: int, k: int) -> Fraction:
 
 
 def _compute_thm4(x: int, n: int, k: int) -> IdentitySides:
-    sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    row = poly_genocchi_poly_row(k, n)
-    lhs = sign * row.value_at(x) + _constant_term(row)
-    rhs = 2 * n * _alternating_moment_sum(x, n, k)
-    return IdentitySides.compare(lhs, rhs)
+    lhs = _eq4_side(poly_genocchi_poly_row(k, n), x)
+    return IdentitySides.compare(lhs, 2 * n * _alternating_moment_sum(x, n, k))
 
 
 def _compute_cor5(x: int, n: int, k: int) -> IdentitySides:
-    sign = Fraction(1) if (x - 1) % 2 == 0 else Fraction(-1)
-    row = poly_euler_poly_row(k, n - 1)
-    lhs = sign * row.value_at(x) + _constant_term(row)
-    rhs = 2 * _alternating_moment_sum(x, n, k)
-    return IdentitySides.compare(lhs, rhs)
+    lhs = _eq4_side(poly_euler_poly_row(k, n - 1), x)
+    return IdentitySides.compare(lhs, 2 * _alternating_moment_sum(x, n, k))
 
 
 def _compute_thm6(k: int, n: int, m: int) -> IdentitySides:

@@ -31,6 +31,8 @@ kernel with the integer kernel they check:
   E_n(x), which the defining loops of the DC sums read; and `dc_sum_by_term`,
   the defining loop of T_p(h, m), for the served sums and for T_0, which
   `dc_sum` does not serve;
+- `theorem13_lhs_by_term`, the left side of Theorem 13 summed over μ and s
+  by `fraction_horner`, for `theorem13_sides`;
 - the per-term moment loops, in integers, that `exact_algebra.residue_moments`
   replaced: `alternating_power_sums_by_term`, `single_moments_by_term` and
   `double_moments_by_term` step each term's power through every degree and
@@ -50,7 +52,13 @@ from polydc.exact_algebra import (
     poly_affine,
     poly_normalize,
 )
-from polydc.sequences import euler_numbers, euler_poly, stirling1_row, theorem3_integer_weights
+from polydc.sequences import (
+    euler_numbers,
+    euler_poly,
+    poly_euler_poly,
+    stirling1_row,
+    theorem3_integer_weights,
+)
 
 
 def fraction_horner(p: list[Fraction], x: Fraction) -> Fraction:
@@ -205,6 +213,26 @@ def dc_sum_by_term(p: int, h: int, m: int) -> Fraction:
         term = Fraction(mu, m) * euler_alt_bar(p, Fraction(h * mu, m))
         total += -term if mu % 2 else term
     return 2 * total
+
+
+def theorem13_lhs_by_term(k: int, p: int, h: int, m: int) -> Fraction:
+    """m^p Σ_μ (-1)^(hμ + d) Σ_s C(p,s) h^s E_s^(k)(μ/m) E_{p-s}(h - d), d = floor(hμ/m),
+    term by term."""
+    total = Fraction(0)
+    for mu in range(m):
+        d = (h * mu) // m
+        inner = sum(
+            (
+                comb(p, s)
+                * Fraction(h) ** s
+                * fraction_horner(poly_euler_poly(k, s), Fraction(mu, m))
+                * fraction_horner(euler_poly(p - s), Fraction(h - d))
+                for s in range(p + 1)
+            ),
+            Fraction(0),
+        )
+        total += -inner if (h * mu + d) % 2 else inner
+    return Fraction(m) ** p * total
 
 
 def alternating_power_sums_by_term(m: int, degree: int) -> list[int]:

@@ -55,6 +55,20 @@ GOLDEN_CASES = [
             "--deterministic",
         ],
     ),
+    (
+        "sweep_thm13.csv",
+        [
+            "sweep",
+            "thm13",
+            "k=-2,3",
+            "p=1..6",
+            "h=1..9",
+            "m=1..9",
+            "--format",
+            "csv",
+            "--deterministic",
+        ],
+    ),
 ]
 
 

@@ -41,8 +41,8 @@ from oracles import (
     dc_sum_by_term,
     double_moments_by_term,
     euler_alt_bar,
-    fraction_horner,
     single_moments_by_term,
+    theorem13_lhs_by_term,
     theorem3_weights,
 )
 
@@ -137,25 +137,6 @@ def reference_corollary15_rhs(p, h, m):
     return 2 * Fraction(m * h) ** (p - 1) * total
 
 
-def reference_theorem13_lhs(k, p, h, m):
-    """m^p Σ_μ (-1)^(hμ + d) Σ_s C(p,s) h^s E_s^(k)(μ/m) E_{p-s}(h - d), d = floor(hμ/m)."""
-    total = Fraction(0)
-    for mu in range(m):
-        d = (h * mu) // m
-        inner = sum(
-            (
-                comb(p, s)
-                * Fraction(h) ** s
-                * fraction_horner(poly_euler_poly(k, s), Fraction(mu, m))
-                * fraction_horner(euler_poly(p - s), Fraction(h - d))
-                for s in range(p + 1)
-            ),
-            Fraction(0),
-        )
-        total += -inner if (h * mu + d) % 2 else inner
-    return Fraction(m) ** p * total
-
-
 SMALL = range(1, 12)
 ODD_SMALL = range(1, 12, 2)
 
@@ -198,7 +179,19 @@ def test_theorem13_lhs_matches_reference(k):
             for m in ODD_SMALL:
                 if gcd(h, m) == 1:
                     served = theorem13_sides(k, p, h, m).lhs
-                    assert served == reference_theorem13_lhs(k, p, h, m), (k, p, h, m)
+                    assert served == theorem13_lhs_by_term(k, p, h, m), (k, p, h, m)
+
+
+def test_theorem13_lhs_matches_reference_at_seeded_points():
+    rng = random.Random(20261021)
+    points = [(16, 12, 40, 41)]
+    while len(points) < 101:
+        k, p = rng.randint(-4, 5), rng.randint(1, 8)
+        h, m = rng.randint(1, 61), rng.randrange(1, 62, 2)
+        if gcd(h, m) == 1:
+            points.append((k, p, h, m))
+    for point in points:
+        assert theorem13_sides(*point).lhs == theorem13_lhs_by_term(*point), point
 
 
 def test_large_points_match_reference():
@@ -210,7 +203,7 @@ def test_large_points_match_reference():
     assert poly_dc_sum(2, 10, 8, 4001) == reference_poly_dc_sum(2, 10, 8, 4001)
     assert reciprocity_sides(2, 3, 41, 43).rhs == reference_reciprocity_rhs(2, 3, 41, 43)
     assert corollary15_rhs(5, 39, 41) == reference_corollary15_rhs(5, 39, 41)
-    assert theorem13_sides(2, 6, 40, 41).lhs == reference_theorem13_lhs(2, 6, 40, 41)
+    assert theorem13_sides(2, 6, 40, 41).lhs == theorem13_lhs_by_term(2, 6, 40, 41)
 
 
 def test_sums_leave_no_alt_bar_cache_entries():

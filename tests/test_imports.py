@@ -459,15 +459,17 @@ def test_the_package_has_one_horner_loop():
 
 
 def test_the_package_has_one_moment_loop():
-    # The alternating power sums and the single and double moments add each
-    # term's weight at its residue and read one kernel; the per-term loops that
-    # stepped every term's power through every degree are the tests' oracles.
+    # The alternating power sums, the single and double moments and thm13's
+    # left side add each term's weight at its residue and read one kernel; the
+    # per-term loops that stepped every term's power through every degree are
+    # the tests' oracles.
     paths = sorted(PACKAGE.glob("*.py"))
     assert _stepping_loops(paths, _is_power_step) == ["exact_algebra.residue_moments"]
     assert _package_callers({"residue_moments"}) == [
         "_double_moments",
         "_single_moments",
         "alternating_power_sums",
+        "theorem13_sides",
     ]
     oracles = Path(__file__).with_name("oracles.py")
     assert _stepping_loops([oracles], _is_power_step) == [
