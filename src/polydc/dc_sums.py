@@ -29,7 +29,9 @@ kernel or the O(mh) double moments, never the Euclid route, so no identity
 checks reciprocity with a value that reciprocity built.  Both kinds of
 moments are independent of k, each kernel returns one list, and both are
 read at (h, m) and at (m, h) through one bounded cache (`_MomentCache`), so
-they are shared across the points of a sweep and with each mirror point.  The
+they are shared across the points of a sweep and with each mirror point.
+The moments of Theorem 13's left side (`_theorem13_moments`) are independent
+of k too and are read through the same cache at (h, m, j).  The
 Fraction loops that define the sums are the tests' oracles
 (`tests/oracles.py`, `tests/test_dc_sums.py`).
 
@@ -184,9 +186,10 @@ def _single_moments(h: int, m: int, degree: int) -> list[int]:
 #: bit_length of its moments, 256 bits per moment (CPython's int object and the
 #: tuple slot that holds it) and 2560 bits for its key, tuples and slot, so the
 #: charge follows its memory and entries of zeros count too.  2^25 bits (4 MiB)
-#: hold every entry of one k-slice of a sweep at p ≤ 8 over all odd h, m ≤ 99,
-#: or about 18 double-moment entries at the CLI caps (p = 500, m·h = 10^4:
-#: 0.22 MB each).
+#: hold every entry of one k-slice of a thm14 sweep at p ≤ 8 over all odd
+#: h, m ≤ 99, or about 18 double-moment entries at the CLI caps (p = 500,
+#: m·h = 10^4: 0.22 MB each); the thm13 entries of the catalogue grid take
+#: about 10^6.
 MOMENT_CACHE_BITS = 1 << 25
 
 
@@ -200,10 +203,11 @@ class MomentCacheInfo(NamedTuple):
 
 
 class _MomentCache:
-    """The k-independent moments of the reciprocity sides, shared across points.
+    """The k-independent moments of the reciprocity and thm13 sides, shared across points.
 
-    An entry, keyed by (kernel, h, m), holds the kernel's one moment list as a
-    tuple at the highest degree read so far; the moments at degree p are the
+    An entry, keyed by the kernel and its point, (kernel, h, m) or
+    (kernel, h, m, j), holds the kernel's one moment list as a tuple at the
+    highest degree read so far; the moments at degree p are the
     first p + 1 of those at any higher degree.  A read above the stored degree
     runs the kernel at the new degree and replaces the entry.  Entries are
     evicted least recently used first while the charged bits would exceed
@@ -217,10 +221,13 @@ class _MomentCache:
         self.bits = self.hits = self.misses = 0
         self.lock = Lock()
 
-    def read(self, kernel: Callable, h: int, m: int, degree: int) -> tuple[int, ...]:
-        """The moments of kernel (`_single_moments` or `_double_moments`) at
-        (h, m) for i = 0..degree."""
-        key = (kernel, h, m)
+    def read(
+        self, kernel: Callable[..., list[int]], h: int, m: int, degree: int, *extra: int
+    ) -> tuple[int, ...]:
+        """The moments kernel(h, m, degree, *extra) for i = 0..degree, stored
+        under (kernel, h, m, *extra): extra is j for `_theorem13_moments` and
+        empty for `_single_moments` and `_double_moments`."""
+        key = (kernel, h, m) + extra
         with self.lock:
             moments, _ = self.entries.get(key, ((), 0))
             if len(moments) > degree:
@@ -228,7 +235,7 @@ class _MomentCache:
                 self.entries.move_to_end(key)
                 return moments[: degree + 1]
             self.misses += 1
-        moments = tuple(kernel(h, m, degree))
+        moments = tuple(kernel(h, m, degree, *extra))
         bits = sum(v.bit_length() + 256 for v in moments) + 2560
         with self.lock:
             _, replaced = self.entries.pop(key, ((), 0))
@@ -245,7 +252,7 @@ _MOMENT_CACHE = _MomentCache()
 
 
 def moment_cache_info() -> MomentCacheInfo:
-    """The counters of the cache that shares the single and double moments."""
+    """The counters of the cache that shares the single, double and thm13 moments."""
     cache = _MOMENT_CACHE
     with cache.lock:
         return MomentCacheInfo(len(cache.entries), cache.bits, cache.hits, cache.misses)
@@ -448,6 +455,17 @@ def theorem12_sides(k: int, p: int, m: int) -> IdentitySides:
     return IdentitySides.compare(lhs, Fraction(rhs, den * 2**p * m))
 
 
+def _theorem13_moments(h: int, m: int, degree: int, j: int) -> list[int]:
+    """M_i = Σ_{μ=0..m-1} (-1)^r e(h - d) μ^i for i = 0..degree, d, r = divmod(hμ, m),
+    over the numerators e of E_j(x): `theorem13_sides`' moments at j = p - t.
+
+    E_j(h - d) is tabulated once for each d = 0..h-1, by `horner`."""
+    numerators = euler_poly_row(j).numerators
+    e_at = [horner(numerators, h - d) for d in range(h)]
+    steps = (divmod(h * mu, m) for mu in range(m))
+    return residue_moments([-e_at[d] if r % 2 else e_at[d] for d, r in steps], degree)
+
+
 @Hypotheses({"p": GE(1), "h": GE(1), "m": ODD_POS}, coprime=True)
 def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
     """The coprime-modulus expansion of the degree-p sums against its closed form.
@@ -462,24 +480,21 @@ def theorem13_sides(k: int, p: int, h: int, m: int) -> IdentitySides:
 
     The lhs is one integer sum, built into a Fraction once over the common
     denominators dk and de of the two families; each row's factor over its
-    own denominator rides on its terms.  It runs one degree t at a time: each
-    μ weighs de·E_{p-t}(h - d), signed by the parity of r = hμ mod m, and the
-    moments M_i of those weights over the residues μ (`residue_moments`) give
-    m^(p-t)·Σ_i q_i M_i m^(t-i) over the numerators q of E_t^(k)(x).  The rhs
-    reads E_t^(k)(1) as the row sums of the same numerators.
+    own denominator rides on its terms.  It runs one degree t at a time: the
+    moments M_i of `_theorem13_moments` at (h, m, p - t), read through the
+    moment cache, give m^(p-t)·Σ_i q_i M_i m^(t-i) over the numerators q of
+    E_t^(k)(x).  They do not depend on k, so a sweep shares them across k
+    and p.  The rhs reads E_t^(k)(1) as the row sums of the same numerators.
     """
     ek_rows = [poly_euler_poly_row(k, t) for t in range(p + 1)]
-    e_rows = [euler_poly_row(j) for j in range(p + 1)]
     ek_scales, dk = _common_scales(ek_rows)
-    e_scales, de = _common_scales(e_rows)
-    steps = [divmod(h * mu, m) for mu in range(m)]
+    e_scales, de = _common_scales([euler_poly_row(j) for j in range(p + 1)])
     total = 0
     for t, (scale, (numerators, _)) in enumerate(zip(ek_scales, ek_rows)):
-        e_at = [e_scales[p - t] * horner(e_rows[p - t].numerators, h - d) for d in range(h)]
-        moments = residue_moments([-e_at[d] if r % 2 else e_at[d] for d, r in steps], t)
+        moments = _MOMENT_CACHE.read(_theorem13_moments, h, m, t, p - t)
         # Σ_i q_i M_i m^(t-i), by Horner's rule in m over the products q_i M_i.
         inner = horner(list(map(mul, numerators, moments))[::-1], m)
-        total += comb(p, t) * h**t * scale * m ** (p - t) * inner
+        total += comb(p, t) * h**t * scale * e_scales[p - t] * m ** (p - t) * inner
     e = euler_integers(p)
     at_one = [scale * sum(row.numerators) for scale, row in zip(ek_scales, ek_rows)]
     rhs = sum(comb(p, s) * (2 * m * h) ** (p - s) * e[s] * at_one[p - s] for s in range(p + 1))

@@ -190,8 +190,8 @@ def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> 
     each row, as (Σ c·(D/den)·m^d·N_i) / m^i: one scale per row, and one
     exact division per coefficient, since i <= d in every term.  Then it
     distributes once: the x^j numerator is Σ_t Q_{j+t}·C(j+t, t)·P_t over the
-    nonzero integer alternating power sums P_t of `alternating_power_sums`
-    (only P_0 = 1 at m = 1).  Requires m >= 1.
+    nonzero integer alternating power sums P_t of `alternating_power_sums`,
+    which it does not run at m = 1, where only P_0 = 1.  Requires m >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -206,7 +206,8 @@ def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> 
             combined[i] += scale * a
     combined = [q // power for q, power in zip(combined, powers)]
     degree = size - 1
-    sums = [(t, p) for t, p in enumerate(alternating_power_sums(m, degree)) if p]
+    power_sums = alternating_power_sums(m, degree) if m > 1 else [1]
+    sums = [(t, p) for t, p in enumerate(power_sums) if p]
     out = tuple(
         sum(combined[j + t] * comb(j + t, t) * p for t, p in sums if t <= degree - j)
         for j in range(size)

@@ -464,7 +464,10 @@ def test_unbounded_verify_and_sweep_are_rejected_before_any_point_runs(
     monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", warm)
     for h, m in [(1, 3), (3, 3), (3, ODD_ABOVE_M), (ODD_ABOVE_M, 3)]:
         dc_sums.reciprocity_sides(2, 3, h, m)
-    for name in ("_double_moments", "_single_moments", "_moment_total", "theorem13_sides"):
+    dc_sums.theorem13_sides(1, 3, MAX_VERIFY_M + 1, 1)  # the refused thm13 point's moments
+    assert (dc_sums._theorem13_moments, MAX_VERIFY_M + 1, 1, 0) in warm.entries
+    kernels = ("_double_moments", "_single_moments", "_theorem13_moments")
+    for name in (*kernels, "_moment_total", "theorem13_sides"):
         monkeypatch.setattr(dc_sums, name, refuse)
     monkeypatch.setattr(identity_suite, "verify", refuse)
     monkeypatch.setattr(identity_suite, "sweep", refuse)

@@ -833,6 +833,81 @@ def test_an_ascending_sweep_misses_once_per_kernel_and_pair(moment_cache):
     assert points == sorted(points) == list(product(*grid.values()))
 
 
+THM13 = dc_sums._theorem13_moments
+#: The catalogue's thm13 grid: k −2..3, p 1..6, h ≤ 9, odd m ≤ 9, gcd(h, m) = 1.
+#: Its 37 pairs (h, m) and j = p - t ≤ 6 give 259 thm13 moment lists.
+THM13_GRID = [
+    (k, p, h, m)
+    for k, p, h, m in product(range(-2, 4), range(1, 7), range(1, 10), range(1, 10, 2))
+    if gcd(h, m) == 1
+]
+
+
+@pytest.fixture(scope="module")
+def thm13_lhs():
+    """`theorem13_lhs_by_term` at every point of the thm13 grid."""
+    return {point: theorem13_lhs_by_term(*point) for point in THM13_GRID}
+
+
+def test_theorem13_lhs_from_a_cold_moment_cache(monkeypatch, thm13_lhs):
+    # Each point reads a fresh cache, so each of its p + 1 reads runs the kernel.
+    for point in THM13_GRID:
+        cache = dc_sums._MomentCache()
+        monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", cache)
+        assert theorem13_sides(*point).lhs == thm13_lhs[point], point
+        assert (cache.hits, cache.misses) == (0, point[1] + 1)
+
+
+def test_theorem13_lhs_from_moments_stored_at_another_k_and_a_higher_p(monkeypatch, thm13_lhs):
+    # Another k stored each list at a higher degree, so every read is a prefix.
+    for k, p, h, m in THM13_GRID:
+        cache = dc_sums._MomentCache()
+        monkeypatch.setattr(dc_sums, "_MOMENT_CACHE", cache)
+        theorem13_sides(k + 1, p + 2, h, m)
+        misses = cache.misses
+        assert theorem13_sides(k, p, h, m).lhs == thm13_lhs[k, p, h, m], (k, p, h, m)
+        assert (cache.hits, cache.misses) == (p + 1, misses)
+
+
+def test_theorem13_lhs_through_moment_cache_eviction(monkeypatch, moment_cache, thm13_lhs):
+    # The budget holds the lists of about one pair (h, m), at most 25,403
+    # bits at p = 6: the points of a pair read them, the next pair evicts them.
+    monkeypatch.setattr(dc_sums, "MOMENT_CACHE_BITS", 30_000)
+    for point in sorted(THM13_GRID, key=lambda point: point[2:]):
+        assert theorem13_sides(*point).lhs == thm13_lhs[point], point
+        assert moment_cache.bits == _charged_bits(moment_cache) <= dc_sums.MOMENT_CACHE_BITS
+    assert len(moment_cache.entries) < 259 / 10 and moment_cache.hits > 0
+
+
+def test_the_three_moment_kernels_never_share_a_key(moment_cache, thm13_lhs):
+    # thm13 and thm14 read the same (h, m) in turn from one cache, and every
+    # entry holds its own kernel's moments at its own point.
+    for k, p, h, m in THM13_GRID:
+        if h % 2:
+            assert theorem13_sides(k, p, h, m).lhs == thm13_lhs[k, p, h, m], (k, p, h, m)
+            assert reciprocity_sides(k, p, h, m).holds, (k, p, h, m)
+    assert {key[0] for key in moment_cache.entries} == {SINGLE, DOUBLE, THM13}
+    for (kernel, h, m, *extra), (moments, _) in moment_cache.entries.items():
+        assert moments == tuple(kernel(h, m, len(moments) - 1, *extra)), (kernel, h, m, extra)
+
+
+def test_a_thm13_sweep_at_another_k_reads_only_cached_moments(moment_cache):
+    # The moments do not depend on k: the first sweep computes each of the
+    # 259 lists once, at its top degree, and the second computes none.
+    first = identity_suite.sweep(
+        "thm13", {"k": [3], "p": range(1, 7), "h": range(1, 10), "m": range(1, 10, 2)}
+    )
+    info = dc_sums.moment_cache_info()
+    assert info.misses == info.entries == 259
+    second = identity_suite.sweep(
+        "thm13", {"k": [-2], "p": range(1, 7), "h": range(1, 10), "m": range(1, 10, 2)}
+    )
+    assert first.passed == second.passed == first.total == second.total == 37 * 6
+    after = dc_sums.moment_cache_info()
+    reads = 37 * sum(p + 1 for p in range(1, 7))
+    assert (after.misses, after.hits) == (info.misses, info.hits + reads)
+
+
 # --- properties beyond the acceptance grid ------------------------------------
 
 odd_moduli = st.integers(min_value=6, max_value=12).map(lambda v: 2 * v + 1)  # 13..25

@@ -227,17 +227,17 @@ def test_every_single_sum_reads_the_one_moment_kernel(reader):
 
 
 def test_each_moment_loop_has_one_caller():
-    # The single and the double moments are each run by one function, the
+    # The single, double and thm13 moments are each run by one function, the
     # moment cache's read, and read through it by one function each (the
     # right side reads the double moments at (h, m) and at (m, h)), so a
-    # faster kernel for either replaces that one function.
+    # faster kernel for any of them replaces that one function.
     path = PACKAGE / "dc_sums.py"
     functions = [
         node
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef)
     ]
-    kernels = {"_single_moments", "_double_moments"}
+    kernels = {"_single_moments", "_double_moments", "_theorem13_moments"}
     assert _callers(path, kernels) == []
     assert _callers(path, {"kernel"}) == ["read"]
     reads = [
@@ -248,11 +248,12 @@ def test_each_moment_loop_has_one_caller():
     ]
     assert reads == [
         ("_moment_total", "_single_moments"),
+        ("theorem13_sides", "_theorem13_moments"),
         ("_reciprocity_rhs", "_double_moments"),
         ("_reciprocity_rhs", "_double_moments"),
     ]
     referrers = [function.name for function in functions if _identifiers(function) & kernels]
-    assert referrers == ["_moment_total", "_reciprocity_rhs"]
+    assert referrers == ["_moment_total", "theorem13_sides", "_reciprocity_rhs"]
 
 
 def test_the_reciprocity_verifiers_read_the_identities_only():
@@ -455,12 +456,12 @@ def test_the_package_has_one_horner_loop():
     assert _stepping_loops(sorted(PACKAGE.glob("*.py")), _is_horner_step) == [
         "exact_algebra.horner"
     ]
-    assert _package_callers({"horner"}) == ["theorem13_sides", "value_at"]
+    assert _package_callers({"horner"}) == ["_theorem13_moments", "theorem13_sides", "value_at"]
 
 
 def test_the_package_has_one_moment_loop():
     # The alternating power sums, the single and double moments and thm13's
-    # left side add each term's weight at its residue and read one kernel; the
+    # moments add each term's weight at its residue and read one kernel; the
     # per-term loops that stepped every term's power through every degree are
     # the tests' oracles.
     paths = sorted(PACKAGE.glob("*.py"))
@@ -468,8 +469,8 @@ def test_the_package_has_one_moment_loop():
     assert _package_callers({"residue_moments"}) == [
         "_double_moments",
         "_single_moments",
+        "_theorem13_moments",
         "alternating_power_sums",
-        "theorem13_sides",
     ]
     oracles = Path(__file__).with_name("oracles.py")
     assert _stepping_loops([oracles], _is_power_step) == [
