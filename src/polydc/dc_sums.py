@@ -84,45 +84,63 @@ T = TypeVar("T")
 
 
 class Rule(NamedTuple):
-    """A hypothesis on one parameter: a test of its value (the whole point is
-    passed for rules relating two parameters), the README text and the error
-    message, both with the parameter name as {0}."""
+    """A hypothesis on one parameter: a test of its value (and of the value of
+    `other`, for a rule relating two parameters), the README text and the
+    error message, both with the parameter name as {0}."""
 
-    test: Callable[[int, Params], bool]
+    test: Callable[..., bool]
     text: str
     message: str
+    other: str | None = None
 
 
 def GE(bound: int) -> Rule:
     """The parameter is at least bound."""
-    return Rule(lambda v, q: v >= bound, f"`{{0}} >= {bound}`", f"{{0}} must be >= {bound}")
+    return Rule(lambda v: v >= bound, f"`{{0}} >= {bound}`", f"{{0}} must be >= {bound}")
 
 
 ODD_POS = Rule(
-    lambda v, q: v >= 1 and v % 2 == 1, "odd `{0} >= 1`", "{0} must be a positive odd integer"
+    lambda v: v >= 1 and v % 2 == 1, "odd `{0} >= 1`", "{0} must be a positive odd integer"
 )
 ODD_GT1 = Rule(
-    lambda v, q: v > 1 and v % 2 == 1, "odd `{0} > 1`", "{0} must be odd and greater than 1"
+    lambda v: v > 1 and v % 2 == 1, "odd `{0} > 1`", "{0} must be odd and greater than 1"
 )
 #: lemma8's 1 <= s < p, which also rules out every p < 2.
-BELOW_P = Rule(lambda v, q: 1 <= v < q["p"], "`1 <= {0} < p`", "{0} must satisfy 1 <= {0} < p")
+BELOW_P = Rule(lambda v, p: 1 <= v < p, "`1 <= {0} < p`", "{0} must satisfy 1 <= {0} < p", "p")
+#: gcd(h, m) = 1, the rule on h that `Hypotheses.coprime` adds after the others.
+COPRIME = Rule(lambda h, m: gcd(h, m) == 1, "`gcd(h, m) = 1`", "h and m must be coprime", "m")
 
 
 class Hypotheses(NamedTuple):
     """An identity's hypotheses as data: one rule per constrained parameter,
-    checked in order, then gcd(h, m) = 1 if coprime is set.  Applied to a
+    checked in order, then `COPRIME` on h if coprime is set.  Applied to a
     function, they declare it an identity (`__call__`)."""
 
     rules: Mapping[str, Rule]
     coprime: bool = False
 
+    def named(self) -> list[tuple[str, Rule]]:
+        """Each hypothesis in order as (name, rule), `COPRIME` on h last."""
+        return [*self.rules.items(), *[("h", COPRIME)] * self.coprime]
+
+    def checks(self, params: Sequence[str]) -> list[tuple[Callable, str, int, int | None]]:
+        """Each hypothesis in order as (test, message, i, j): i and j are the
+        positions in params of the rule's parameter and of its other one
+        (j is None for a rule that reads its own value only)."""
+        return [
+            (rule.test, rule.message.format(name), params.index(name),
+             rule.other and params.index(rule.other))
+            for name, rule in self.named()
+        ]
+
     def violation(self, point: Params) -> str | None:
         """The message for the first hypothesis the point violates, or None."""
         for name, rule in self.rules.items():
-            if not rule.test(point[name], point):
+            value, other = point[name], rule.other
+            if not (rule.test(value) if other is None else rule.test(value, point[other])):
                 return rule.message.format(name)
-        if self.coprime and gcd(point["h"], point["m"]) != 1:
-            return "h and m must be coprime"
+        if self.coprime and not COPRIME.test(point["h"], point["m"]):
+            return COPRIME.message
         return None
 
     def require(self, **point: int) -> None:
@@ -134,19 +152,26 @@ class Hypotheses(NamedTuple):
     def __call__(self, body: Callable[..., T]) -> Callable[..., T]:
         """body declared under these hypotheses: a function that checks them on
         its arguments, by body's parameter names, and then runs body.  It keeps
-        `hypotheses`, `params` (the names, in order) and `__wrapped__` (body)."""
+        `hypotheses`, `params` (the names, in order), `__wrapped__` (body), their
+        `checks(params)` and `check`, which raises the first violated one's
+        message for the values in params order, without a point dict."""
         params = tuple(signature(body).parameters)
+        checks = self.checks(params)
+
+        def check(values: Sequence[int]) -> None:
+            for test, message, i, j in checks:
+                if not (test(values[i]) if j is None else test(values[i], values[j])):
+                    raise ValueError(message)
 
         @wraps(body)
         def identity(*args: int, **kwargs: int) -> T:
-            point = dict(zip(params, args), **kwargs)
+            values = args + tuple(map(kwargs.get, params[len(args) :])) if kwargs else args
             # A missing or unexpected argument is left to body's own TypeError.
-            message = self.violation(point) if len(point) == len(params) else None
-            if message:
-                raise ValueError(message)
+            if len(args) + len(kwargs) == len(params) and None not in values:
+                check(values)
             return body(*args, **kwargs)
 
-        identity.hypotheses, identity.params = self, params  # type: ignore[attr-defined]
+        vars(identity).update(hypotheses=self, params=params, checks=checks, check=check)
         return identity
 
 
@@ -459,10 +484,10 @@ def _theorem13_moments(h: int, m: int, degree: int, j: int) -> list[int]:
     """M_i = Σ_{μ=0..m-1} (-1)^r e(h - d) μ^i for i = 0..degree, d, r = divmod(hμ, m),
     over the numerators e of E_j(x): `theorem13_sides`' moments at j = p - t.
 
-    E_j(h - d) is tabulated once for each d = 0..h-1, by `horner`."""
+    E_j(h - d) is evaluated once, by `horner`, for each of the d that occur."""
     numerators = euler_poly_row(j).numerators
-    e_at = [horner(numerators, h - d) for d in range(h)]
-    steps = (divmod(h * mu, m) for mu in range(m))
+    steps = [divmod(h * mu, m) for mu in range(m)]
+    e_at = {d: horner(numerators, h - d) for d in {d for d, _ in steps}}
     return residue_moments([-e_at[d] if r % 2 else e_at[d] for d, r in steps], degree)
 
 

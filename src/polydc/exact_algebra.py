@@ -191,7 +191,7 @@ def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> 
     exact division per coefficient, since i <= d in every term.  Then it
     distributes once: the x^j numerator is Σ_t Q_{j+t}·C(j+t, t)·P_t over the
     nonzero integer alternating power sums P_t of `alternating_power_sums`,
-    which it does not run at m = 1, where only P_0 = 1.  Requires m >= 1.
+    except at m = 1, where P_0 = 1 is the only one.  Requires m >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -205,9 +205,10 @@ def distributed_combination(terms: Iterable[tuple[int, IntegerRow]], m: int) -> 
         for i, a in enumerate(numerators):
             combined[i] += scale * a
     combined = [q // power for q, power in zip(combined, powers)]
+    if m == 1:
+        return IntegerRow(tuple(combined), den).trimmed()
     degree = size - 1
-    power_sums = alternating_power_sums(m, degree) if m > 1 else [1]
-    sums = [(t, p) for t, p in enumerate(power_sums) if p]
+    sums = [(t, p) for t, p in enumerate(alternating_power_sums(m, degree)) if p]
     out = tuple(
         sum(combined[j + t] * comb(j + t, t) * p for t, p in sums if t <= degree - j)
         for j in range(size)

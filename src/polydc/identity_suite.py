@@ -5,14 +5,14 @@ function declared by its hypotheses (a `dc_sums.Hypotheses`: one predicate
 per constrained parameter plus a coprimality flag, applied as a decorator).
 The identities of `dc_sums` are registered themselves, the rest as
 `Hypotheses(...)(_compute_*)`.  Each keeps `hypotheses`, `params` (the order
-of the parameters in reports and sweeps) and `__wrapped__` (the unchecked
-body).  `verify` and `sweep` share one check of names and integer values and
-one timed point runner, check the hypotheses once per point and then run
-`__wrapped__`.  `verify` runs one parameter point and returns a report whose
-`holds` field is exact rational equality — never approximate.  `sweep` runs
-a verifier over a parameter grid, skipping inadmissible points, and returns
-its reports in canonical lexicographic order with the *complete* list of
-failing points.
+of parameters in reports and sweeps), `checks` and `check` (the hypotheses
+by position in `params`) and `__wrapped__` (the unchecked body).  `verify`
+and `sweep` share one check of names and integer values.  `verify` runs
+`check`, then `__wrapped__`, and returns a report whose `holds` field is
+exact rational equality — never approximate.  `sweep` filters each axis of
+a grid once by the rules of one parameter and each remaining point by those
+relating two, runs `__wrapped__` on the admissible points and returns their
+reports in lexicographic order with the *complete* list of failing points.
 
 For identities between polynomials, `holds` means coefficientwise equality of
 the two polynomials; the scalar lhs/rhs fields of the report are then the two
@@ -32,11 +32,10 @@ rewriting (see README) and is quarantined from pass/fail gating by
 """
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dc_sums import (
     BELOW_P,
@@ -68,8 +67,7 @@ from .sequences import (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verifier at one parameter point (exact arithmetic)."""
 
     verifier: str
@@ -80,8 +78,7 @@ class VerificationReport:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Aggregate of a verifier over a full parameter grid.
 
     `failing` is never truncated; `reports` keeps every admissible point in
@@ -291,11 +288,8 @@ EXPLORATORY_IDS: frozenset[str] = frozenset({"sawtooth_t1_exploratory"})
 
 def hypotheses_text(verifier_id: str) -> str:
     """The verifier's hypotheses as the README "Verifiers" table states them."""
-    spec = _lookup(verifier_id)
-    parts = [rule.text.format(name) for name, rule in spec.hypotheses.rules.items()]
-    if spec.hypotheses.coprime:
-        parts.append("`gcd(h, m) = 1`")
-    text = ", ".join(parts) or "—"
+    named = _lookup(verifier_id).hypotheses.named()
+    text = ", ".join(rule.text.format(name) for name, rule in named) or "—"
     return f"{text} (exploratory)" if verifier_id in EXPLORATORY_IDS else text
 
 
@@ -318,37 +312,21 @@ def _checked(
     a value that is not an int.
     """
     spec = _lookup(verifier_id)
-    missing = [name for name in spec.params if name not in given]
-    if missing:
-        names = ", ".join(missing)
-        raise ValueError(
-            f"sweep of {verifier_id!r} missing ranges for: {names}"
-            if grid
-            else f"verifier {verifier_id!r} missing parameters: {names}"
-        )
-    extra = [name for name in given if name not in spec.params]
-    if extra:
-        names = ", ".join(sorted(extra))
-        raise ValueError(
-            f"sweep of {verifier_id!r} got unexpected ranges: {names}"
-            if grid
-            else f"verifier {verifier_id!r} got unexpected parameters: {names}"
-        )
+    if given.keys() != set(spec.params):
+        missing = [name for name in spec.params if name not in given]
+        names = ", ".join(missing or sorted(given.keys() - set(spec.params)))
+        if grid:
+            problem = "missing ranges for" if missing else "got unexpected ranges"
+            raise ValueError(f"sweep of {verifier_id!r} {problem}: {names}")
+        problem = "missing parameters" if missing else "got unexpected parameters"
+        raise ValueError(f"verifier {verifier_id!r} {problem}: {names}")
     ordered = {name: list(given[name]) if grid else given[name] for name in spec.params}
-    values = ((n, v) for n, vs in ordered.items() for v in vs) if grid else ordered.items()
-    for name, value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"parameter {name!r} must be an integer (got {value!r})")
+    if not set(map(type, chain(*ordered.values()) if grid else ordered.values())) <= {int}:
+        values = ((n, v) for n, vs in ordered.items() for v in vs) if grid else ordered.items()
+        for name, value in values:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"parameter {name!r} must be an integer (got {value!r})")
     return spec, ordered
-
-
-def _run(verifier_id: str, spec: Any, point: dict[str, int]) -> VerificationReport:
-    """The report of the verifier at one checked, admissible point: its unchecked
-    body, the only part timed."""
-    start = time.perf_counter()
-    lhs, rhs, holds = spec.__wrapped__(**point)
-    elapsed = time.perf_counter() - start
-    return VerificationReport(verifier_id, point, lhs, rhs, holds, elapsed)
 
 
 def verify(verifier_id: str, params: Params) -> VerificationReport:
@@ -358,21 +336,26 @@ def verify(verifier_id: str, params: Params) -> VerificationReport:
     values, or parameter values outside the identity's stated hypotheses.
     """
     spec, point = _checked(verifier_id, params, grid=False)
-    spec.hypotheses.require(**point)
-    return _run(verifier_id, spec, point)
+    values = tuple(point.values())
+    spec.check(values)
+    start = time.perf_counter()
+    lhs, rhs, holds = spec.__wrapped__(*values)
+    elapsed = time.perf_counter() - start
+    return VerificationReport(verifier_id, point, lhs, rhs, holds, elapsed)
 
 
 def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
     """Run a verifier over the cartesian product of per-parameter values.
 
     Values for every declared parameter are required, each an integer as in
-    `verify`.  Points violating the verifier's hypotheses are filtered out
-    before computing; if nothing admissible remains, that is an error, and so
-    is a grid of more than MAX_SWEEP_POINTS points (the product of the
-    deduplicated axis lengths), rejected before any point runs.  Points run
-    from the top of the grid down, so that each cached moment list is first
-    read at the grid's top degree; the reports come in lexicographic order of
-    the parameter tuple (parameters in their declared order, values
+    `verify`.  Inadmissible points are filtered out before computing: each
+    axis by its parameter's own rule, once per value, then each point by the
+    rules relating two parameters.  If nothing admissible remains, that is an
+    error, and so is a grid of more than MAX_SWEEP_POINTS points (the product
+    of the deduplicated axis lengths), rejected before any point runs.  Points
+    run from the top of the grid down, so that each cached moment list is
+    first read at the grid's top degree; the reports come in lexicographic
+    order of the parameter tuple (parameters in their declared order, values
     ascending), and the result keeps every failing report.
     """
     spec, ordered = _checked(verifier_id, ranges, grid=True)
@@ -388,25 +371,26 @@ def sweep(verifier_id: str, ranges: Mapping[str, Sequence[int]]) -> SweepResult:
             f"sweep of {verifier_id!r} spans {points} points, more than {MAX_SWEEP_POINTS}"
         )
     start = time.perf_counter()
+    for test, _, i, j in spec.checks:
+        if j is None:
+            axes[i] = [value for value in axes[i] if test(value)]
+    points: Iterable[tuple[int, ...]] = product(*(reversed(values) for values in axes))
+    for test, _, i, j in spec.checks:
+        if j is not None:
+            points = [point for point in points if test(point[i], point[j])]
     reports: list[VerificationReport] = []
-    for point in product(*(reversed(values) for values in axes)):
-        clean = dict(zip(spec.params, point))
-        if not spec.hypotheses.violation(clean):
-            reports.append(_run(verifier_id, spec, clean))
+    for point in points:
+        begin = time.perf_counter()
+        sides = spec.__wrapped__(*point)
+        elapsed = time.perf_counter() - begin
+        params = dict(zip(spec.params, point))
+        reports.append(VerificationReport(verifier_id, params, *sides, elapsed))
     if not reports:
-        raise ValueError(
-            f"sweep of {verifier_id!r} has no admissible parameter points"
-        )
+        raise ValueError(f"sweep of {verifier_id!r} has no admissible parameter points")
     reports.reverse()
     elapsed = time.perf_counter() - start
     failing = [r for r in reports if not r.holds]
+    total, failed = len(reports), len(failing)
     return SweepResult(
-        verifier=verifier_id,
-        param_names=spec.params,
-        total=len(reports),
-        passed=len(reports) - len(failing),
-        failed=len(failing),
-        failing=failing,
-        reports=reports,
-        elapsed=elapsed,
+        verifier_id, spec.params, total, total - failed, failed, failing, reports, elapsed
     )

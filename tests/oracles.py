@@ -1,8 +1,8 @@
 """The reference routes the tests compare served values with.
 
-No served value reads any of them.  All but the per-row route and the
-per-term moment loops compute in `Fraction`s, along a route that shares no
-kernel with the integer kernel they check:
+No served value reads any of them.  All but the per-row route, the
+per-term moment loops and the declared checks compute in `Fraction`s, along
+a route that shares no kernel with the integer kernel they check:
 
 - `fraction_horner`, Horner's rule on `Fraction`s, for `poly_eval` and the
   one integer Horner loop, `exact_algebra.horner`;
@@ -37,14 +37,20 @@ kernel with the integer kernel they check:
   replaced: `alternating_power_sums_by_term`, `single_moments_by_term` and
   `double_moments_by_term` step each term's power through every degree and
   add it there, for `alternating_power_sums` and the single and double
-  moments of `dc_sums`.
+  moments of `dc_sums`;
+- `declared_checks`, the hypotheses of a declared identity at a point, in
+  declared order, read by name off its `Hypotheses`, for the checks located
+  by position that its wrapper, `verify` and `sweep` run; `recorded_checks`
+  makes those located checks record each test they run.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, lcm
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
+from polydc.dc_sums import COPRIME
 from polydc.exact_algebra import (
     IntegerRow,
     alternating_power_sums,
@@ -275,3 +281,36 @@ def double_moments_by_term(h: int, m: int, degree: int) -> tuple[list[int], list
                 a *= r
                 b *= r
     return a_moments, b_moments
+
+
+def declared_checks(identity: Any, point: dict[str, int]) -> list[tuple[str, tuple[int, ...]]]:
+    """(message, values) of each hypothesis of a declared identity at point, in
+    declared order (`COPRIME` last): the values its test reads, its own
+    parameter's and then, for a rule relating two parameters, the other's."""
+    hypotheses = identity.hypotheses
+    rules = [*hypotheses.rules.items(), *[("h", COPRIME)] * hypotheses.coprime]
+    return [
+        (rule.message.format(name), (point[name],) + ((point[rule.other],) if rule.other else ()))
+        for name, rule in rules
+    ]
+
+
+@contextmanager
+def recorded_checks(*identities: Any) -> Iterator[list[tuple[str, tuple[int, ...]]]]:
+    """Within the block, each located check of the declared identities appends
+    (message, values) to the list it yields whenever its test runs."""
+    calls: list[tuple[str, tuple[int, ...]]] = []
+    saved = [(identity.checks, list(identity.checks)) for identity in identities]
+    for checks, original in saved:
+        for index, (test, message, i, j) in enumerate(original):
+
+            def recorded(*values: int, test: Callable = test, message: str = message) -> bool:
+                calls.append((message, values))
+                return test(*values)
+
+            checks[index] = (recorded, message, i, j)
+    try:
+        yield calls
+    finally:
+        for checks, original in saved:
+            checks[:] = original

@@ -69,6 +69,10 @@ GOLDEN_CASES = [
             "--deterministic",
         ],
     ),
+    (
+        "verify_thm14.csv",
+        ["verify", "thm14", "k=1", "p=3", "h=1", "m=3", "--format", "csv", "--deterministic"],
+    ),
 ]
 
 

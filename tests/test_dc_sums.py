@@ -25,6 +25,7 @@ from polydc.dc_sums import (
     theorem12_sides,
     theorem13_sides,
 )
+from polydc.exact_algebra import horner
 from polydc.identity_suite import verify
 from polydc.sequences import (
     euler_poly,
@@ -39,8 +40,10 @@ from oracles import (
     alternating_bar_eval,
     bar_eval,
     dc_sum_by_term,
+    declared_checks,
     double_moments_by_term,
     euler_alt_bar,
+    recorded_checks,
     single_moments_by_term,
     theorem13_lhs_by_term,
     theorem3_weights,
@@ -487,18 +490,15 @@ def test_closed_form_reciprocity_rejects_non_coprime_pairs():
 def test_corollary15_checks_its_hypotheses_once(monkeypatch):
     # corollary15_sides runs the unchecked body of corollary15_rhs after its
     # own check, which runs before either side is built; the error is the one
-    # it always gave.  Every declared identity of dc_sums checks once per call.
-    calls = []
-    violation = dc_sums.Hypotheses.violation
+    # it always gave.  Every declared identity of dc_sums tests each of its
+    # hypotheses once per call, in declared order, on the values at their
+    # positions, positional and keyword calls alike, and builds no point dict
+    # for Hypotheses.violation.
+    def unused(self, point):
+        raise AssertionError(f"violation({point}) was called")
 
-    def counted(self, point):
-        calls.append(dict(point))
-        return violation(self, point)
-
-    monkeypatch.setattr(dc_sums.Hypotheses, "violation", counted)
-    assert corollary15_sides(3, 5, 7).holds
-    assert calls == [{"p": 3, "h": 5, "m": 7}]
-    for identity, point in [
+    monkeypatch.setattr(dc_sums.Hypotheses, "violation", unused)
+    identities = [
         (s_pk_of_1_m, {"k": 2, "p": 6, "m": 7}),
         (theorem11_sides, {"k": -1, "p": 7, "m": 5}),
         (theorem12_sides, {"k": 3, "p": 5, "m": 9}),
@@ -507,15 +507,20 @@ def test_corollary15_checks_its_hypotheses_once(monkeypatch):
         (corollary15_rhs, {"p": 5, "h": 7, "m": 9}),
         (reciprocity_closed_form_sides, {"p": 6, "h": 7, "m": 9}),
         (k1_collapse_sides, {"p": 6, "h": 4, "m": 10}),
-    ]:
+    ]
+    with recorded_checks(corollary15_sides, *(identity for identity, _ in identities)) as calls:
+        assert corollary15_sides(3, 5, 7).holds
+        assert calls == declared_checks(corollary15_sides, {"p": 3, "h": 5, "m": 7})
+        for identity, point in identities:
+            calls.clear()
+            identity(*point.values())
+            identity(**point)
+            assert calls == 2 * declared_checks(identity, point), identity.__name__
+        monkeypatch.setattr(dc_sums, "_reciprocity_lhs", None)
         calls.clear()
-        identity(*point.values())
-        identity(**point)
-        assert calls == [point, point], identity.__name__
-    monkeypatch.setattr(dc_sums, "_reciprocity_lhs", None)
-    with pytest.raises(ValueError, match="^h must be a positive odd integer$"):
-        corollary15_sides(2, 2, 3)
-    assert len(calls) == 3
+        with pytest.raises(ValueError, match="^h must be a positive odd integer$"):
+            corollary15_sides(2, 2, 3)
+        assert calls == declared_checks(corollary15_sides, {"p": 2, "h": 2, "m": 3})[:2]
 
 
 def test_a_declared_identity_leaves_a_wrong_call_to_its_body():
@@ -525,6 +530,9 @@ def test_a_declared_identity_leaves_a_wrong_call_to_its_body():
         reciprocity_sides(1, 3, 5)
     with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
         corollary15_sides(3, 5, 7, n=1)
+    # As many arguments as parameters, one of them misnamed.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
+        corollary15_sides(3, 5, n=1)
     assert reciprocity_sides.params == ("k", "p", "h", "m")
     assert reciprocity_sides.hypotheses.violation({"k": 1, "p": 1, "h": 2, "m": 3})
 
@@ -906,6 +914,25 @@ def test_a_thm13_sweep_at_another_k_reads_only_cached_moments(moment_cache):
     after = dc_sums.moment_cache_info()
     reads = 37 * sum(p + 1 for p in range(1, 7))
     assert (after.misses, after.hits) == (info.misses, info.hits + reads)
+
+
+def test_theorem13_lhs_at_h_far_above_m(monkeypatch, moment_cache):
+    # The kernel evaluates E_j(h - d) once for each d = floor(hμ/m) of μ < m,
+    # at most min(h, m) of them, and not for every d < h.
+    for point in product((-1, 2), (1, 4, 6), range(1, 61), (1, 3, 5)):
+        if gcd(point[2], point[3]) == 1:
+            assert theorem13_sides(*point).lhs == theorem13_lhs_by_term(*point), point
+    evaluated = []
+
+    def counted(numerators, a, b=1):
+        evaluated.append(a)
+        return horner(numerators, a, b)
+
+    monkeypatch.setattr(dc_sums, "horner", counted)
+    for h, m in [(100, 1), (100, 3), (60, 5), (7, 9)]:
+        evaluated.clear()
+        THM13(h, m, 2, 3)
+        assert sorted(evaluated) == sorted({h - h * mu // m for mu in range(m)}), (h, m)
 
 
 # --- properties beyond the acceptance grid ------------------------------------

@@ -5,19 +5,24 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polydc import dc_sums, identity_suite
+from polydc.dc_sums import IdentitySides
 from polydc.identity_suite import (
     EXPLORATORY_IDS,
     VERIFIER_IDS,
     VERIFIERS,
+    SweepResult,
+    VerificationReport,
     brute_alternating_power_sum,
     hypotheses_text,
     sweep,
     verify,
 )
+
+from oracles import declared_checks, recorded_checks
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -326,26 +331,112 @@ def test_the_reciprocity_verifiers_are_the_dc_sums_identities():
         assert VERIFIERS[verifier_id] is identity, verifier_id
 
 
+def _own_rule_admits(hypotheses: dc_sums.Hypotheses, name: str, value: int) -> bool:
+    """Whether value passes the rule of name that reads that value alone, if any."""
+    rule = hypotheses.rules.get(name)
+    return rule is None or rule.other is not None or rule.test(value)
+
+
+def _unused(self, point):
+    raise AssertionError(f"violation({point}) was called")
+
+
 @pytest.mark.parametrize("verifier_id", sorted(SAMPLE_POINTS))
 def test_verify_and_sweep_check_each_point_once(monkeypatch, verifier_id):
-    # A direct call, verify and sweep each check a point once: the registry
-    # holds the declared identity, and verify and sweep run its unchecked body.
-    calls = []
-    violation = dc_sums.Hypotheses.violation
+    # A direct call and verify test each hypothesis once, in declared order,
+    # on the values at their positions.  sweep tests each rule that reads one
+    # parameter once per distinct value of its axis, and each rule relating
+    # two parameters once per point whose every value passed its axis.  None
+    # of them builds a point dict for Hypotheses.violation.
+    monkeypatch.setattr(dc_sums.Hypotheses, "violation", _unused)
+    spec, point = VERIFIERS[verifier_id], SAMPLE_POINTS[verifier_id]
+    grid = {name: [value + 1, value, value + 1] for name, value in point.items()}
+    with recorded_checks(spec) as calls:
+        assert spec(**point).holds
+        assert verify(verifier_id, point).holds
+        assert calls == 2 * declared_checks(spec, point)
+        calls.clear()
+        sweep(verifier_id, grid)
+    hypotheses = spec.hypotheses
+    axes = [
+        [value for value in sorted(set(grid[name])) if _own_rule_admits(hypotheses, name, value)]
+        for name in spec.params
+    ]
+    survivors = [dict(zip(spec.params, values)) for values in product(*axes)]
+    for name, rule in hypotheses.named():
+        message = rule.message.format(name)
+        tested = sorted(values for text, values in calls if text == message)
+        if rule.other is None:
+            assert tested == [(value,) for value in sorted(set(grid[name]))], message
+        else:
+            assert tested == sorted((q[name], q[rule.other]) for q in survivors), message
 
-    def counted(self, point):
-        calls.append(dict(point))
-        return violation(self, point)
 
-    monkeypatch.setattr(dc_sums.Hypotheses, "violation", counted)
-    point = SAMPLE_POINTS[verifier_id]
-    assert VERIFIERS[verifier_id](**point).holds
-    assert verify(verifier_id, point).holds
-    assert calls == [point, point]
-    calls.clear()
-    grid = {name: [value, value + 1] for name, value in point.items()}
-    sweep(verifier_id, grid)
-    assert sorted(tuple(p.values()) for p in calls) == list(product(*grid.values()))
+def _violating(rule, name: str, hypotheses, values: range) -> list[tuple[int, ...]]:
+    """The values, or pairs (value, other value) of a relation, that break rule
+    while passing the rules of one parameter."""
+    if rule.other is None:
+        return [(v,) for v in values if not rule.test(v)]
+    return [
+        (a, b)
+        for a, b in product(values, values)
+        if _own_rule_admits(hypotheses, name, a)
+        and _own_rule_admits(hypotheses, rule.other, b)
+        and not rule.test(a, b)
+    ]
+
+
+@pytest.mark.parametrize("verifier_id", VERIFIER_IDS)
+@given(data=st.data())
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_sweep_reports_exactly_the_points_the_hypotheses_admit(monkeypatch, verifier_id, data):
+    # On a random small grid with a violating value (or pair) for every rule,
+    # sweep reports, in order, exactly the grid points Hypotheses.violation
+    # admits, and runs the body once on each, by position, top down.
+    spec = VERIFIERS[verifier_id]
+    ran: list[tuple[int, ...]] = []
+
+    def body(*values):
+        ran.append(values)
+        return IdentitySides.compare(Fraction(0), Fraction(0))
+
+    monkeypatch.setattr(spec, "__wrapped__", body)
+    values = range(-2, 13)
+    grid = {
+        name: data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=4), label=name)
+        for name in spec.params
+    }
+    hypotheses = spec.hypotheses
+    for name, rule in hypotheses.named():
+        bad = data.draw(st.sampled_from(_violating(rule, name, hypotheses, values)), label=name)
+        for axis, value in zip((name, rule.other), bad):
+            grid[axis].append(value)
+    points = product(*(sorted(set(grid[name])) for name in spec.params))
+    admitted = [q for q in points if hypotheses.violation(dict(zip(spec.params, q))) is None]
+    if not admitted:
+        with pytest.raises(ValueError, match="no admissible parameter points"):
+            sweep(verifier_id, grid)
+        assert ran == []
+        return
+    result = sweep(verifier_id, grid)
+    assert [tuple(report.params.values()) for report in result.reports] == admitted
+    assert all(tuple(report.params) == spec.params for report in result.reports)
+    assert ran == admitted[::-1]
+
+
+def test_the_report_types_are_immutable_named_tuples():
+    assert VerificationReport._fields == ("verifier", "params", "lhs", "rhs", "holds", "elapsed")
+    assert SweepResult._fields == (
+        "verifier", "param_names", "total", "passed", "failed", "failing", "reports", "elapsed"
+    )
+    report = verify("thm14", SAMPLE_POINTS["thm14"])
+    result = sweep("eq40", {"k": [1, 2]})
+    for value, fields in [(report, VerificationReport._fields), (result, SweepResult._fields)]:
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
 
 
 @pytest.mark.parametrize("verifier_id", VERIFIER_IDS)
